@@ -181,6 +181,10 @@ def report_json(reports: list[dict]) -> str:
 
 def report_text(d: dict, out: TextIO) -> None:
     out.write(f"method         : {d['method']}\n")
+    if "error" in d:
+        out.write(f"error          : {d['error']}\n")
+        out.write(f"error_type     : {d['error_type']}\n")
+        return
     out.write(f"delta          : {d['delta']}\n")
     out.write(f"delta0         : {d['delta0']}\n")
     out.write(f"measure        : {d['measure']}\n")

@@ -7,25 +7,23 @@ column order).  Optimal solutions carry a primal vector, a dual vector, and
 the optimal basis, so optimality can be re-verified independently:
 primal feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
-Internally the tableau uses gmpy2.mpq when available (several times faster
-than fractions.Fraction); the public API is Fraction end to end.
+Internally each tableau row is a list of Python int numerators over one
+positive int denominator, kept in lowest terms by one gcd per row update;
+ratio tests compare by cross-multiplication.  The phase-one artificial
+columns stay in the tableau (they never re-enter in phase two) and hold
+B^-1, so the dual is read off their reduced costs.  The public API is
+Fraction end to end, and verify_certificate re-checks every optimum in
+Fraction arithmetic independently of the tableau.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import CertificationFailure, DimensionMismatch, Infeasible, ParseError, SolverError
-
-try:  # optional fast exact rationals
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
-_Q0 = _Q(0)
-_Q1 = _Q(1)
 
 
 @dataclass(frozen=True)
@@ -86,56 +84,70 @@ class LpSolution:
         return out
 
 
-def _to_q(fr: Fraction):
-    return _Q(fr.numerator, fr.denominator)
+def _pivot(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]],
+           leave: int, enter: int) -> None:
+    """Make column ``enter`` basic in row ``leave``; rows are updated in place.
 
-
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _pivot(tableau: list[list], basis: list[int], cost_row: list, leave: int, enter: int) -> None:
+    Every row stores integer numerators followed by one positive integer
+    denominator; each row this changes is left in lowest terms.
+    """
     prow = tableau[leave]
     piv = prow[enter]
-    if piv != 1:
-        for j, v in enumerate(prow):
-            if v:
-                prow[j] = v / piv
-    nz = [j for j, v in enumerate(prow) if v]
-    for row in itertools.chain(tableau, (cost_row,)):
-        if row is prow:
-            continue
+    prow[-1] = piv  # dividing by piv/d leaves numerators over piv
+    if piv < 0:
+        prow[:] = [-v for v in prow]
+    g = gcd(*prow)
+    if g != 1:
+        prow[:] = [v // g for v in prow]
+    pd = prow[-1]
+    nz = [j for j, v in enumerate(prow[:-1]) if v]
+    for row in itertools.chain(tableau, cost_rows):
         f = row[enter]
-        if f:
+        if not f or row is prow:
+            continue
+        # row/d - (f/d) * prow/pd  ==  (row * s - t * prow) / (d * s)
+        g = gcd(f, pd)
+        s, t = pd // g, f // g
+        if s == 1:
             for j in nz:
-                row[j] -= f * prow[j]
+                row[j] -= t * prow[j]
+        else:
+            d = row[-1] * s
+            row[:] = [v * s - t * p for v, p in zip(row, prow)]
+            row[-1] = d
+        if row[-1] != 1:
+            g = gcd(*row)
+            if g != 1:
+                row[:] = [v // g for v in row]
     basis[leave] = enter
 
 
-def _bland(tableau: list[list], basis: list[int], cost_row: list, ncols: int) -> str:
-    """Run simplex iterations until optimal or unbounded (Bland's rule)."""
+def _bland(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]],
+           ncols: int) -> str:
+    """Run simplex iterations until optimal or unbounded (Bland's rule).
+
+    ``cost_rows[0]`` chooses the entering column; any further rows ride
+    along through the pivots.
+    """
+    cost_row = cost_rows[0]
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost_row[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
         if enter < 0:
             return "optimal"
+        # The ratio rhs / a is the same over any row denominator, so rows
+        # compare by cross-multiplying numerators (a > 0 on candidates).
         leave = -1
-        best = None
+        best_b = best_a = 0
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                b = row[-2]
+                lhs, rhs = b * best_a, best_b * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, cost_row, leave, enter)
+        _pivot(tableau, basis, cost_rows, leave, enter)
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
@@ -143,114 +155,66 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     n = lp.column_count
     m = lp.row_count
 
-    # Sign-normalize so every right-hand side is nonnegative.
-    sign = [1] * m
-    amat: list[list] = []
-    bvec: list = []
-    for i in range(m):
-        bi = _to_q(lp.rhs[i])
-        s = 1
-        if bi < 0:
-            s, bi = -1, -bi
-        row = [_Q0] * n
-        for j, v in lp.rows[i].items():
-            q = _to_q(v)
-            row[j] = q if s > 0 else -q
-        sign[i] = s
-        amat.append(row)
-        bvec.append(bi)
-    orig = [row[:] for row in amat]  # untouched copy for dual extraction
-
-    # Phase one: artificial basis, minimize the artificial mass.
-    ncols1 = n + m
-    tableau = []
-    for i in range(m):
-        row = amat[i]
-        row.extend(_Q1 if k == i else _Q0 for k in range(m))
-        row.append(bvec[i])
+    # Sign-normalize so every right-hand side is nonnegative, then append
+    # the artificial identity: row i is [A_i | e_i | b_i] over the least
+    # common denominator of its entries (which leaves it in lowest terms).
+    sign = [1 if b >= 0 else -1 for b in lp.rhs]
+    tableau: list[list[int]] = []
+    for i, (entries, b) in enumerate(zip(lp.rows, lp.rhs)):
+        den = lcm(b.denominator, *(v.denominator for v in entries.values()))
+        row = [0] * (n + m + 2)
+        for j, v in entries.items():
+            row[j] = sign[i] * v.numerator * (den // v.denominator)
+        row[n + i] = row[-1] = den
+        row[-2] = sign[i] * b.numerator * (den // b.denominator)
         tableau.append(row)
     basis = list(range(n, n + m))
-    cost_row = [_Q0] * (ncols1 + 1)
-    for row in tableau:
-        for j in range(n):
-            if row[j]:
-                cost_row[j] -= row[j]
-        cost_row[-1] -= row[-1]
-    status = _bland(tableau, basis, cost_row, ncols1)
+
+    # Phase one minimizes the artificial mass.  The phase-two cost row rides
+    # along, so it is already reduced against the final phase-one basis.
+    den = lcm(*(row[-1] for row in tableau))
+    cost1 = [0] * (n + m + 2)
+    for row, entries in zip(tableau, lp.rows):
+        k = den // row[-1]
+        for j in itertools.chain(entries, (n + m,)):
+            cost1[j] -= k * row[j]
+    cost1[-1] = den
+    den = lcm(*(c.denominator for c in lp.cost))
+    cost2 = [c.numerator * (den // c.denominator) for c in lp.cost]
+    cost2 += [0] * (m + 1) + [den]
+    status = _bland(tableau, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
-    if -cost_row[-1] != 0:
+    if cost1[-2] != 0:
         return LpSolution(status="infeasible")
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep: list[int] = []
+    # Drive leftover artificials out of the basis.  A row with no original
+    # column left is redundant: its artificial stays basic at level zero.
     for i in range(m):
         if basis[i] >= n:
-            enter = -1
-            for j in range(n):
-                if tableau[i][j]:
-                    enter = j
-                    break
-            if enter < 0:
-                continue  # zero row: redundant constraint
-            _pivot(tableau, basis, cost_row, i, enter)
-        keep.append(i)
+            enter = next((j for j in range(n) if tableau[i][j]), -1)
+            if enter >= 0:
+                _pivot(tableau, basis, [cost2], i, enter)
 
-    # Phase two over the original columns.
-    tab2 = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    cost = [_to_q(c) for c in lp.cost]
-    cost_row = cost[:] + [_Q0]
-    for i, bi in enumerate(basis2):
-        cb = cost[bi]
-        if cb:
-            row = tab2[i]
-            for j in range(n + 1):
-                if row[j]:
-                    cost_row[j] -= cb * row[j]
-    status = _bland(tab2, basis2, cost_row, n)
-    if status == "unbounded":
+    # Phase two over the original columns; artificials never re-enter.
+    if _bland(tableau, basis, [cost2], n) == "unbounded":
         return LpSolution(status="unbounded")
 
     primal = [Fraction(0)] * n
-    for i, bi in enumerate(basis2):
-        primal[bi] = _to_fraction(tab2[i][-1])
+    for row, bi in zip(tableau, basis):
+        if bi < n:
+            primal[bi] = Fraction(row[-2], row[-1])
     objective = sum(
         (c * x for c, x in zip(lp.cost, primal) if x), Fraction(0)
     )
-    dual = _dual_from_basis(lp, orig, sign, keep, basis2, cost)
+    # The artificial columns hold B^-1, so their reduced costs are -y'.
+    dual = tuple(Fraction(-sign[k] * cost2[n + k], cost2[-1]) for k in range(m))
     return LpSolution(
         status="optimal",
         objective=objective,
         primal=tuple(primal),
-        dual=tuple(dual),
-        basis=tuple(sorted(basis2)),
+        dual=dual,
+        basis=tuple(sorted(b for b in basis if b < n)),
     )
-
-
-def _dual_from_basis(lp, orig, sign, keep, basis2, cost) -> list[Fraction]:
-    """Solve y'B = c_B' on the kept rows; dropped redundant rows get dual 0."""
-    k = len(keep)
-    # Equation r: sum_i orig[keep[i]][basis2[r]] * y_i = cost[basis2[r]]
-    mat = [[orig[keep[i]][basis2[r]] for i in range(k)] for r in range(k)]
-    vec = [cost[basis2[r]] for r in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if mat[r][col])
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            vec[col], vec[piv] = vec[piv], vec[col]
-        d = mat[col][col]
-        if d != 1:
-            mat[col] = [v / d for v in mat[col]]
-            vec[col] = vec[col] / d
-        for r in range(k):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-                vec[r] -= f * vec[col]
-    dual = [Fraction(0)] * lp.row_count
-    for i in range(k):
-        dual[keep[i]] = _to_fraction(vec[i]) * sign[keep[i]]
-    return dual
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:

@@ -11,16 +11,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analytic import BinaryStats
 from .builders import build_lp, measure
 from .errors import NumericalFailure, TooLarge
 from .lp import LinearProgram, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, System
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FLOAT_TOL = 1e-7
 
@@ -58,6 +58,10 @@ class CrossCheck:
 
 def solve_float(lp: LinearProgram, tol: float = FLOAT_TOL) -> FloatSolution:
     """Floating-point solve of the same standard-form program via HiGHS."""
+    # Imported here so that exact-only use of the package never loads scipy.
+    import numpy as np
+    from scipy.optimize import linprog
+
     n, m = lp.column_count, lp.row_count
     c = np.array([float(v) for v in lp.cost])
     a = np.zeros((m, n))

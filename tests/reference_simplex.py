@@ -1,0 +1,120 @@
+"""Test-only reference: two-phase Bland simplex over ``fractions.Fraction``.
+
+This is the straightforward rational tableau that ``lp.solve_exact`` must
+reproduce pivot for pivot: same entering scan, same ratio test and
+basis-index tie-break, same handling of leftover artificials.  It returns
+no dual; the solver's dual is checked by ``verify_certificate`` instead.
+"""
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import NamedTuple, Optional
+
+from contextuality.lp import LinearProgram
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class ReferenceSolution(NamedTuple):
+    status: str
+    objective: Optional[Fraction] = None
+    primal: Optional[tuple[Fraction, ...]] = None
+    basis: Optional[tuple[int, ...]] = None
+
+
+def _pivot(tableau, basis, cost_row, leave, enter):
+    prow = tableau[leave]
+    piv = prow[enter]
+    if piv != 1:
+        for j, v in enumerate(prow):
+            if v:
+                prow[j] = v / piv
+    nz = [j for j, v in enumerate(prow) if v]
+    for row in itertools.chain(tableau, (cost_row,)):
+        if row is prow:
+            continue
+        f = row[enter]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+    basis[leave] = enter
+
+
+def _bland(tableau, basis, cost_row, ncols):
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if cost_row[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(tableau, basis, cost_row, leave, enter)
+
+
+def reference_solve(lp: LinearProgram) -> ReferenceSolution:
+    n = lp.column_count
+    m = lp.row_count
+
+    tableau = []
+    for i in range(m):
+        s = -1 if lp.rhs[i] < 0 else 1
+        row = [ZERO] * n
+        for j, v in lp.rows[i].items():
+            row[j] = Fraction(v) * s
+        row.extend(ONE if k == i else ZERO for k in range(m))
+        row.append(Fraction(lp.rhs[i]) * s)
+        tableau.append(row)
+    basis = list(range(n, n + m))
+    cost_row = [ZERO] * (n + m + 1)
+    for row in tableau:
+        for j in range(n):
+            if row[j]:
+                cost_row[j] -= row[j]
+        cost_row[-1] -= row[-1]
+    assert _bland(tableau, basis, cost_row, n + m) == "optimal"
+    if cost_row[-1] != 0:
+        return ReferenceSolution("infeasible")
+
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][j]), -1)
+            if enter < 0:
+                continue  # zero row: redundant constraint
+            _pivot(tableau, basis, cost_row, i, enter)
+        keep.append(i)
+
+    tab2 = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    cost = [Fraction(c) for c in lp.cost]
+    cost_row = cost[:] + [ZERO]
+    for i, bi in enumerate(basis2):
+        cb = cost[bi]
+        if cb:
+            for j in range(n + 1):
+                if tab2[i][j]:
+                    cost_row[j] -= cb * tab2[i][j]
+    if _bland(tab2, basis2, cost_row, n) == "unbounded":
+        return ReferenceSolution("unbounded")
+
+    primal = [ZERO] * n
+    for i, bi in enumerate(basis2):
+        primal[bi] = tab2[i][-1]
+    objective = sum((c * x for c, x in zip(cost, primal) if x), ZERO)
+    return ReferenceSolution("optimal", objective, tuple(primal), tuple(sorted(basis2)))

@@ -16,6 +16,7 @@ from contextuality.builders import (
 )
 from contextuality.errors import (
     AlphabetTooLarge,
+    ContextualityError,
     Infeasible,
     InconsistentlyConnected,
     ModelNotConsistentlyConnected,
@@ -23,7 +24,7 @@ from contextuality.errors import (
 )
 from contextuality.examples import ab_system, disjoint_support_system, pr_box
 from contextuality.lp import solve_exact, verify_certificate
-from contextuality.oracle import SystemShape, random_pmf, random_system
+from contextuality.oracle import FLOAT_TOL, SystemShape, random_pmf, random_system, solve_float
 from contextuality.system import Pmf, Property, System
 
 PM = (1, -1)
@@ -264,3 +265,23 @@ def test_outcome_relabeling_preserves_measures():
     relabeled = relabel(sysd, mapping)
     assert measure(sysd, "np").measure == measure(relabeled, "np").measure
     assert measure(sysd, "np_inside").measure == measure(relabeled, "np_inside").measure
+
+
+def test_np_inside_inconsistent_certifies_or_raises_typed_error():
+    """Programs with redundant rows: every seed gets a certified optimum that
+    agrees with the float solver, or a typed error where none exists."""
+    outcomes = set()
+    for seed in range(40):
+        sysd = random_system(SystemShape(2, 2, consistent=False, seed=seed))
+        approx = solve_float(build_lp(sysd, "np_inside"))
+        try:
+            rep = measure(sysd, "np_inside")
+        except ContextualityError:
+            assert approx.status == "infeasible", seed
+            outcomes.add("error")
+            continue
+        assert rep.certified
+        assert approx.status == "optimal", seed
+        assert abs(float(rep.delta) - approx.objective) <= FLOAT_TOL, seed
+        outcomes.add("optimal")
+    assert "optimal" in outcomes

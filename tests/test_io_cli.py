@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,25 @@ def test_cli_analyze_np_on_inconsistent_system(capsys):
     assert reports[0]["error_type"] == "InconsistentlyConnected"
 
 
+@pytest.mark.parametrize("methods,errors", [
+    ("np", {"np": "InconsistentlyConnected"}),
+    ("present,np_inside", {"np_inside": "Infeasible"}),
+])
+def test_cli_analyze_text_mode_renders_errors(capsys, methods, errors):
+    code = main(["analyze", "bundled:disjoint", "--method", methods])
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert code == 3
+    assert len(blocks) == len(methods.split(","))
+    for block in blocks:
+        fields = {k.strip(): v.strip() for k, v in
+                  (line.split(":", 1) for line in block.strip().splitlines())}
+        if fields["method"] in errors:
+            assert set(fields) == {"method", "error", "error_type"}
+            assert fields["error_type"] == errors[fields["method"]]
+        else:
+            assert fields["measure"] == "1/1"
+
+
 def test_cli_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent.system"]) == 2
 
@@ -229,3 +249,31 @@ def test_cli_witness_flag(capsys):
     report = json.loads(capsys.readouterr().out)[0]
     assert code == 0
     assert any(k.startswith("neg[") for k in report["witness"])
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: analyze --json --witness (minus seconds) and dump-lp bytes
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ALL_METHODS = "present,cbd,np,np_inside"
+
+
+@pytest.mark.parametrize("name", ["prbox", "disjoint"])
+def test_analyze_json_matches_golden(capsys, name):
+    code = main(["analyze", f"bundled:{name}", "--method", ALL_METHODS, "--json", "--witness"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == (0 if name == "prbox" else 3)
+    for r in reports:
+        r.pop("seconds", None)
+    text = json.dumps(reports, indent=2) + "\n"
+    assert text == (GOLDEN / f"{name}.analyze.json").read_text()
+
+
+@pytest.mark.parametrize("name,method", [
+    (name, method) for name in ("prbox", "disjoint")
+    for method in ALL_METHODS.split(",") if (name, method) != ("disjoint", "np")
+])
+def test_dump_lp_matches_golden(capsys, name, method):
+    assert main(["dump-lp", f"bundled:{name}", "--method", method]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{method}.lp").read_text()

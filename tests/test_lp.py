@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from reference_simplex import reference_solve
 
+from contextuality.analytic import build_delta_p_lp
+from contextuality.builders import build_lp
 from contextuality.errors import DimensionMismatch, ParseError
 from contextuality.lp import (
     LinearProgram,
@@ -13,6 +16,7 @@ from contextuality.lp import (
     solve_exact,
     verify_certificate,
 )
+from contextuality.oracle import SystemShape, random_system
 
 
 def lp_of(names, cost, rows, rhs):
@@ -170,9 +174,9 @@ def test_parse_rejects_malformed():
         parse_lp(ok.replace("1/1", "1/0"))
 
 
-def test_random_lps_always_certify():
-    rng = random.Random(13)
-    for _ in range(40):
+def _random_lps(seed, count, rhs_low=0):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
         names = tuple(f"x{j}" for j in range(n))
@@ -181,8 +185,86 @@ def test_random_lps_always_certify():
             {j: F(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.7}
             for _ in range(m)
         )
-        rhs = tuple(F(rng.randint(0, 5)) for _ in range(m))
-        lp = LinearProgram(names, cost, rows, rhs)
+        rhs = tuple(F(rng.randint(rhs_low, 5)) for _ in range(m))
+        yield LinearProgram(names, cost, rows, rhs)
+
+
+def test_random_lps_always_certify():
+    for lp in _random_lps(13, 40):
         sol = solve_exact(lp)
         if sol.status == "optimal":
             assert verify_certificate(lp, sol)
+
+
+# ---------------------------------------------------------------------------
+# Pivot-for-pivot agreement with the Fraction reference simplex
+# ---------------------------------------------------------------------------
+
+def _with_redundant_rows(lp):
+    """Append a copy of row 0 and the sum of all rows (both implied)."""
+    total = {}
+    for row in lp.rows:
+        for j, v in row.items():
+            total[j] = total.get(j, 0) + v
+    total = {j: v for j, v in total.items() if v}
+    return dataclasses.replace(
+        lp,
+        rows=lp.rows + (lp.rows[0], total),
+        rhs=lp.rhs + (lp.rhs[0], sum(lp.rhs, F(0))),
+    )
+
+
+def _small_programs():
+    yield lp_of(["q1", "q2"], [1, 0], [{0: 1, 1: 1}], [1])
+    yield lp_of(["x", "y"], [3, 5], [{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 1])
+    yield lp_of(["x", "y"], [0, 0], [{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 2])
+    yield lp_of(["x", "y"], [-1, -1], [{0: 1, 1: 2}, {0: 3, 1: 1}], [4, 6])
+    yield lp_of(["x", "y"], [-1, 0], [{1: 1}], [1])
+    yield lp_of(["q1"], [0], [{0: 1}], [-1])
+    yield lp_of(["x"], [1], [dict()], [0])
+    yield lp_of(["x", "y", "s"], [F(1, 3), 0, -2], [{0: F(2, 7), 2: 1}, {1: 1}], [F(5, 2), 0])
+    yield from _random_lps(13, 40)
+    yield from _random_lps(14, 40, rhs_low=-5)
+    yield from map(_with_redundant_rows, _random_lps(15, 40, rhs_low=-5))
+
+
+def assert_matches_reference(lp):
+    sol = solve_exact(lp)
+    ref = reference_solve(lp)
+    assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
+    if sol.status == "optimal":
+        assert verify_certificate(lp, sol)
+    return sol.status
+
+
+def test_small_programs_match_reference():
+    statuses = {assert_matches_reference(lp) for lp in _small_programs()}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _builder_programs():
+    for m, n in ((2, 2), (3, 3)):
+        for consistent in (False, True):
+            shape = SystemShape(m, n, consistent=consistent, seed=0)
+            sysd = random_system(shape)
+            model = random_system(dataclasses.replace(shape, consistent=True, seed=1)).bunches
+            methods = ["present", "np_inside", "fixed_model"]
+            if consistent:
+                methods.append("np")
+            if m * n <= 4:
+                methods.append("cbd")
+            for method in methods:
+                label = f"{method}-{m}x{n}-{'consistent' if consistent else 'inconsistent'}"
+                yield pytest.param(sysd, method, model, id=label)
+
+
+@pytest.mark.parametrize("sysd,method,model", _builder_programs())
+def test_builder_programs_match_reference(sysd, method, model):
+    assert_matches_reference(build_lp(sysd, method, model=model))
+
+
+@pytest.mark.parametrize("consistent", [False, True])
+def test_ternary_floor_programs_match_reference(consistent):
+    sysd = random_system(SystemShape(2, 2, alphabet_size=3, consistent=consistent, seed=0))
+    for prop in sysd.properties:
+        assert_matches_reference(build_delta_p_lp(sysd, prop.id))

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
 from contextuality.builders import build_lp, build_present_lp
 from contextuality.errors import TooLarge
@@ -133,3 +138,13 @@ def test_cross_check_np_equals_np_inside_exact():
 def test_run_selftest_passes():
     for name, passed, total in run_selftest(seed=99, count=6):
         assert passed == total, name
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextuality; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
