@@ -160,8 +160,10 @@ def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Linear
     for t, atoms in enumerate(ctx_atoms):
         for u in atoms:
             buckets[(t, u)] = {}
-    for col, assign in enumerate(itertools.product(*ctx_atoms)):
-        names.append("z[" + ";".join(_atom_label(u) for u in assign) + "]")
+    ctx_labels = [[_atom_label(u) for u in atoms] for atoms in ctx_atoms]
+    columns = zip(itertools.product(*ctx_atoms), itertools.product(*ctx_labels))
+    for col, (assign, labels) in enumerate(columns):
+        names.append("z[" + ";".join(labels) + "]")
         broken = 0
         for where in slots:
             if len(where) < 2:

@@ -154,7 +154,11 @@ def cmd_approx(args) -> int:
 
 
 def cmd_sizes(args) -> int:
-    rows = problem_sizes(args.m, args.n)
+    try:
+        rows = problem_sizes(args.m, args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.json:
         import json
 

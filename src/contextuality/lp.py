@@ -7,13 +7,20 @@ column order).  Optimal solutions carry a primal vector, a dual vector, and
 the optimal basis, so optimality can be re-verified independently:
 primal feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
-Internally each tableau row is a list of Python int numerators over one
-positive int denominator, kept in lowest terms by one gcd per row update;
-ratio tests compare by cross-multiplication.  The phase-one artificial
-columns stay in the tableau (they never re-enter in phase two) and hold
-B^-1, so the dual is read off their reduced costs.  The public API is
-Fraction end to end, and verify_certificate re-checks every optimum in
-Fraction arithmetic independently of the tableau.
+Internally each tableau row holds the matrix part (B^-1 A | B^-1) as a
+list of Python int numerators over one positive int denominator, kept in
+lowest terms.  The right-hand side is not in the row: each row's entry of
+B^-1 b is a separate reduced (numerator, denominator) pair.  The
+right-hand sides of this package's programs are probabilities, so a row
+holding its own would almost never have denominator 1; without it the
+matrix part nearly always does, and a row update then touches only the
+pivot row's nonzeros and needs no gcd.  Ratio
+tests compare by cross-multiplication.  The phase-one artificial columns
+stay in the tableau (they never re-enter in phase two) and hold B^-1, so
+the dual is read off their reduced costs.  The public API is Fraction end
+to end.  verify_certificate re-checks every optimum against the program
+alone, independently of the tableau, in Python ints over common
+denominators.
 """
 from __future__ import annotations
 
@@ -49,7 +56,7 @@ class LinearProgram:
         if len(set(self.variables)) != n:
             raise DimensionMismatch("duplicate variable names")
         for name in self.variables:
-            if not name or any(ch.isspace() for ch in name):
+            if name.split() != [name]:
                 raise DimensionMismatch(f"bad variable name {name!r}")
         for i, row in enumerate(self.rows):
             for j in row:
@@ -84,27 +91,46 @@ class LpSolution:
         return out
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]],
-           leave: int, enter: int) -> None:
+def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int],
+           cost_rows: list[list[int]], leave: int, enter: int) -> None:
     """Make column ``enter`` basic in row ``leave``; rows are updated in place.
 
     Every row stores integer numerators followed by one positive integer
-    denominator; each row this changes is left in lowest terms.
+    denominator, and ``rhs`` holds each row's right-hand side as a separate
+    (numerator, positive denominator) pair; everything this changes is left
+    in lowest terms.
     """
     prow = tableau[leave]
     piv = prow[enter]
-    prow[-1] = piv  # dividing by piv/d leaves numerators over piv
+    # Dividing by piv/d leaves the numerators over piv and scales b by d/piv.
+    bn, bd = rhs[leave]
+    bn *= prow[-1]
+    bd *= piv
+    prow[-1] = piv
     if piv < 0:
         prow[:] = [-v for v in prow]
-    g = gcd(*prow)
-    if g != 1:
-        prow[:] = [v // g for v in prow]
+        bn, bd = -bn, -bd
+    if prow[-1] != 1:
+        g = gcd(*prow)
+        if g != 1:
+            prow[:] = [v // g for v in prow]
+    g = gcd(bn, bd)
+    bn, bd = bn // g, bd // g
+    rhs[leave] = (bn, bd)
     pd = prow[-1]
-    nz = [j for j, v in enumerate(prow[:-1]) if v]
-    for row in itertools.chain(tableau, cost_rows):
+    nz = list(itertools.compress(range(len(prow) - 1), prow))
+    m = len(tableau)
+    for i, row in enumerate(itertools.chain(tableau, cost_rows)):
         f = row[enter]
         if not f or row is prow:
             continue
+        d = row[-1]
+        if bn and i < m:
+            # b_i - (f/d) * bn/bd
+            cn, cd = rhs[i]
+            num, den = cn * d * bd - f * bn * cd, cd * d * bd
+            g = gcd(num, den)
+            rhs[i] = (num // g, den // g)
         # row/d - (f/d) * prow/pd  ==  (row * s - t * prow) / (d * s)
         g = gcd(f, pd)
         s, t = pd // g, f // g
@@ -112,9 +138,8 @@ def _pivot(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]
             for j in nz:
                 row[j] -= t * prow[j]
         else:
-            d = row[-1] * s
             row[:] = [v * s - t * p for v, p in zip(row, prow)]
-            row[-1] = d
+            row[-1] = d * s
         if row[-1] != 1:
             g = gcd(*row)
             if g != 1:
@@ -122,8 +147,8 @@ def _pivot(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]
     basis[leave] = enter
 
 
-def _bland(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]],
-           ncols: int) -> str:
+def _bland(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int],
+           cost_rows: list[list[int]], ncols: int) -> str:
     """Run simplex iterations until optimal or unbounded (Bland's rule).
 
     ``cost_rows[0]`` chooses the entering column; any further rows ride
@@ -134,20 +159,21 @@ def _bland(tableau: list[list[int]], basis: list[int], cost_rows: list[list[int]
         enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
         if enter < 0:
             return "optimal"
-        # The ratio rhs / a is the same over any row denominator, so rows
-        # compare by cross-multiplying numerators (a > 0 on candidates).
+        # Row i's ratio is (bn/bd) / (a/d) = (bn*d) / (bd*a); rows compare
+        # by cross-multiplying (a > 0 and bd > 0 on candidates).
         leave = -1
-        best_b = best_a = 0
+        best_n = best_d = 0
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                b = row[-2]
-                lhs, rhs = b * best_a, best_b * a
-                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, b, a
+                bn, bd = rhs[i]
+                num, den = bn * row[-1], bd * a
+                lhs, r = num * best_d, best_n * den
+                if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
+                    leave, best_n, best_d = i, num, den
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, cost_rows, leave, enter)
+        _pivot(tableau, rhs, basis, cost_rows, leave, enter)
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
@@ -156,35 +182,37 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     m = lp.row_count
 
     # Sign-normalize so every right-hand side is nonnegative, then append
-    # the artificial identity: row i is [A_i | e_i | b_i] over the least
-    # common denominator of its entries (which leaves it in lowest terms).
+    # the artificial identity: row i is [A_i | e_i] over the least common
+    # denominator of its entries (which leaves it in lowest terms), and b_i
+    # is kept beside it as a reduced pair.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
     tableau: list[list[int]] = []
-    for i, (entries, b) in enumerate(zip(lp.rows, lp.rhs)):
-        den = lcm(b.denominator, *(v.denominator for v in entries.values()))
-        row = [0] * (n + m + 2)
+    for i, entries in enumerate(lp.rows):
+        den = lcm(*(v.denominator for v in entries.values()))
+        row = [0] * (n + m + 1)
         for j, v in entries.items():
             row[j] = sign[i] * v.numerator * (den // v.denominator)
         row[n + i] = row[-1] = den
-        row[-2] = sign[i] * b.numerator * (den // b.denominator)
         tableau.append(row)
+    rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
     basis = list(range(n, n + m))
 
     # Phase one minimizes the artificial mass.  The phase-two cost row rides
     # along, so it is already reduced against the final phase-one basis.
     den = lcm(*(row[-1] for row in tableau))
-    cost1 = [0] * (n + m + 2)
+    cost1 = [0] * (n + m + 1)
     for row, entries in zip(tableau, lp.rows):
         k = den // row[-1]
-        for j in itertools.chain(entries, (n + m,)):
+        for j in entries:
             cost1[j] -= k * row[j]
     cost1[-1] = den
     den = lcm(*(c.denominator for c in lp.cost))
     cost2 = [c.numerator * (den // c.denominator) for c in lp.cost]
-    cost2 += [0] * (m + 1) + [den]
-    status = _bland(tableau, basis, [cost1, cost2], n + m)
+    cost2 += [0] * m + [den]
+    status = _bland(tableau, rhs, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
-    if cost1[-2] != 0:
+    # The artificial mass is the sum of the basic artificials' values.
+    if any(bi >= n and b[0] for bi, b in zip(basis, rhs)):
         return LpSolution(status="infeasible")
 
     # Drive leftover artificials out of the basis.  A row with no original
@@ -193,16 +221,16 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         if basis[i] >= n:
             enter = next((j for j in range(n) if tableau[i][j]), -1)
             if enter >= 0:
-                _pivot(tableau, basis, [cost2], i, enter)
+                _pivot(tableau, rhs, basis, [cost2], i, enter)
 
     # Phase two over the original columns; artificials never re-enter.
-    if _bland(tableau, basis, [cost2], n) == "unbounded":
+    if _bland(tableau, rhs, basis, [cost2], n) == "unbounded":
         return LpSolution(status="unbounded")
 
     primal = [Fraction(0)] * n
-    for row, bi in zip(tableau, basis):
+    for b, bi in zip(rhs, basis):
         if bi < n:
-            primal[bi] = Fraction(row[-2], row[-1])
+            primal[bi] = Fraction(*b)
     objective = sum(
         (c * x for c, x in zip(lp.cost, primal) if x), Fraction(0)
     )
@@ -238,29 +266,47 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
 
     True iff the primal satisfies Ax = b and x >= 0, the dual satisfies
     y'A <= c' componentwise, and y'b = c'x = objective, all in exact
-    arithmetic.  Any violation returns False.
+    arithmetic.  Any violation returns False.  Each side of every check
+    is a Python int over a common denominator (the lcm of the x, y and
+    matrix denominators), so no Fraction is built per term.
     """
     if sol.status != "optimal" or sol.primal is None or sol.dual is None:
         return False
     n, m = lp.column_count, lp.row_count
-    x, y = sol.primal, sol.dual
-    if len(x) != n or len(y) != m:
+    if len(sol.primal) != n or len(sol.dual) != m or sol.objective is None:
         return False
+    xd, x = _scaled(sol.primal)
     if any(v < 0 for v in x):
         return False
-    for row, b in zip(lp.rows, lp.rhs):
-        if sum((coef * x[j] for j, coef in row.items()), Fraction(0)) != b:
+    yd, y = _scaled(sol.dual)
+    ad = lcm(*(v.denominator for row in lp.rows for v in row.values()))
+    # Ax = b row by row (each row's sum is over ad * xd), while y'A
+    # accumulates over ad * yd.
+    pulled = [0] * n
+    for row, b, yi in zip(lp.rows, lp.rhs, y):
+        total = 0
+        for j, v in row.items():
+            a = v.numerator * (ad // v.denominator)
+            total += a * x[j]
+            if yi:
+                pulled[j] += yi * a
+        if total * b.denominator != b.numerator * ad * xd:
             return False
-    pulled = [Fraction(0)] * n
-    for yi, row in zip(y, lp.rows):
-        if yi:
-            for j, coef in row.items():
-                pulled[j] += yi * coef
-    if any(pulled[j] > lp.cost[j] for j in range(n)):
+    cd, c = _scaled(lp.cost)
+    if any(p * cd > cj * ad * yd for p, cj in zip(pulled, c)):
         return False
-    primal_obj = sum((c * v for c, v in zip(lp.cost, x)), Fraction(0))
-    dual_obj = sum((yi * b for yi, b in zip(y, lp.rhs)), Fraction(0))
-    return primal_obj == dual_obj == sol.objective
+    bd, b = _scaled(lp.rhs)
+    primal_obj = sum(cj * xj for cj, xj in zip(c, x))  # over cd * xd
+    dual_obj = sum(yi * bi for yi, bi in zip(y, b))  # over yd * bd
+    obj = sol.objective
+    return (primal_obj * obj.denominator == obj.numerator * cd * xd
+            and dual_obj * obj.denominator == obj.numerator * yd * bd)
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """(d, [v * d for v in values]) with d the lcm of the denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------

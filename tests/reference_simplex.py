@@ -1,9 +1,13 @@
-"""Test-only reference: two-phase Bland simplex over ``fractions.Fraction``.
+"""Test-only references over ``fractions.Fraction``.
 
-This is the straightforward rational tableau that ``lp.solve_exact`` must
-reproduce pivot for pivot: same entering scan, same ratio test and
-basis-index tie-break, same handling of leftover artificials.  It returns
-no dual; the solver's dual is checked by ``verify_certificate`` instead.
+``reference_solve`` is the straightforward rational tableau that
+``lp.solve_exact`` must reproduce pivot for pivot: same entering scan, same
+ratio test and basis-index tie-break, same handling of leftover
+artificials.  It returns no dual; the solver's dual is checked by
+``verify_certificate`` instead.
+
+``reference_verify_certificate`` is the certificate check written with one
+``Fraction`` per term; ``lp.verify_certificate`` must give the same verdict.
 """
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from contextuality.lp import LinearProgram
+from contextuality.lp import LinearProgram, LpSolution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -118,3 +122,28 @@ def reference_solve(lp: LinearProgram) -> ReferenceSolution:
         primal[bi] = tab2[i][-1]
     objective = sum((c * x for c, x in zip(cost, primal) if x), ZERO)
     return ReferenceSolution("optimal", objective, tuple(primal), tuple(sorted(basis2)))
+
+
+def reference_verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
+    """True iff x >= 0, Ax = b, y'A <= c' and y'b = c'x = objective."""
+    if sol.status != "optimal" or sol.primal is None or sol.dual is None:
+        return False
+    n, m = lp.column_count, lp.row_count
+    x, y = sol.primal, sol.dual
+    if len(x) != n or len(y) != m:
+        return False
+    if any(v < 0 for v in x):
+        return False
+    for row, b in zip(lp.rows, lp.rhs):
+        if sum((coef * x[j] for j, coef in row.items()), ZERO) != b:
+            return False
+    pulled = [ZERO] * n
+    for yi, row in zip(y, lp.rows):
+        if yi:
+            for j, coef in row.items():
+                pulled[j] += yi * coef
+    if any(pulled[j] > lp.cost[j] for j in range(n)):
+        return False
+    primal_obj = sum((c * v for c, v in zip(lp.cost, x)), ZERO)
+    dual_obj = sum((yi * b for yi, b in zip(y, lp.rhs)), ZERO)
+    return primal_obj == dual_obj == sol.objective

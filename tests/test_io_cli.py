@@ -175,6 +175,15 @@ def test_cli_sizes_json(capsys):
     assert present["equality_rows"] == 72
 
 
+@pytest.mark.parametrize("m,n", [("0", "2"), ("2", "-1")])
+def test_cli_sizes_rejects_empty_shape(capsys, m, n):
+    assert main(["sizes", m, n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_dump_lp_round_trip(tmp_path, capsys):
     out = tmp_path / "prbox-cbd.lp"
     code = main(["dump-lp", "bundled:prbox", "--method", "cbd", "--out", str(out)])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from reference_simplex import reference_solve
+from reference_simplex import reference_solve, reference_verify_certificate
 
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp
@@ -174,18 +174,33 @@ def test_parse_rejects_malformed():
         parse_lp(ok.replace("1/1", "1/0"))
 
 
-def _random_lps(seed, count, rhs_low=0):
+@pytest.mark.parametrize("sep", [" ", "\x1c"])
+def test_whitespace_in_names_rejected(sep):
+    ok = dump_lp(lp_of(["x"], [1], [{0: 1}], [1]))
+    with pytest.raises(ParseError):
+        parse_lp(ok.replace("var x", f"var x{sep}y"))
+    with pytest.raises(DimensionMismatch):
+        LinearProgram((f"x{sep}y",), (F(1),), (), ())
+
+
+def _random_lps(seed, count, rhs_low=0, denominators=()):
+    """Random programs; with ``denominators``, each matrix entry and
+    right-hand side is divided by one drawn from it."""
     rng = random.Random(seed)
+
+    def scaled(v):
+        return F(v, rng.choice(denominators)) if denominators else F(v)
+
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
         names = tuple(f"x{j}" for j in range(n))
         cost = tuple(F(rng.randint(-4, 4)) for _ in range(n))
         rows = tuple(
-            {j: F(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.7}
+            {j: scaled(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.7}
             for _ in range(m)
         )
-        rhs = tuple(F(rng.randint(rhs_low, 5)) for _ in range(m))
+        rhs = tuple(scaled(rng.randint(rhs_low, 5)) for _ in range(m))
         yield LinearProgram(names, cost, rows, rhs)
 
 
@@ -214,6 +229,9 @@ def _with_redundant_rows(lp):
     )
 
 
+FRACTIONAL = (1, 2, 3, 64)
+
+
 def _small_programs():
     yield lp_of(["q1", "q2"], [1, 0], [{0: 1, 1: 1}], [1])
     yield lp_of(["x", "y"], [3, 5], [{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 1])
@@ -226,6 +244,29 @@ def _small_programs():
     yield from _random_lps(13, 40)
     yield from _random_lps(14, 40, rhs_low=-5)
     yield from map(_with_redundant_rows, _random_lps(15, 40, rhs_low=-5))
+    yield from _random_lps(16, 40, denominators=FRACTIONAL)
+    yield from _random_lps(17, 40, rhs_low=-5, denominators=FRACTIONAL)
+    yield from map(_with_redundant_rows,
+                   _random_lps(18, 40, rhs_low=-5, denominators=FRACTIONAL))
+
+
+def _perturbed_certificates(sol):
+    """The optimum, then copies changed one way at a time."""
+    yield sol
+    step = F(1, 64)
+    j = next((j for j, v in enumerate(sol.primal) if v), 0)
+    k = next((k for k, v in enumerate(sol.dual) if v), 0)
+    for delta in (step, -step):
+        primal = list(sol.primal)
+        primal[j] += delta
+        yield dataclasses.replace(sol, primal=tuple(primal))
+        dual = list(sol.dual)
+        dual[k] += delta
+        yield dataclasses.replace(sol, dual=tuple(dual))
+        yield dataclasses.replace(sol, objective=sol.objective + delta)
+    primal = list(sol.primal)
+    primal[j] = -primal[j]
+    yield dataclasses.replace(sol, primal=tuple(primal))
 
 
 def assert_matches_reference(lp):
@@ -233,7 +274,11 @@ def assert_matches_reference(lp):
     ref = reference_solve(lp)
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
     if sol.status == "optimal":
-        assert verify_certificate(lp, sol)
+        verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
+        assert verdicts[0]
+        assert not all(verdicts)
+        assert verdicts == [reference_verify_certificate(lp, s)
+                            for s in _perturbed_certificates(sol)]
     return sol.status
 
 
