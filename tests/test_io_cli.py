@@ -286,3 +286,35 @@ def test_analyze_json_matches_golden(capsys, name):
 def test_dump_lp_matches_golden(capsys, name, method):
     assert main(["dump-lp", f"bundled:{name}", "--method", method]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{method}.lp").read_text()
+
+
+def test_approx_epr_json_matches_golden(capsys):
+    assert main(["approx", "bundled:prbox", "--epr", "--json", "--witness"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports:
+        r.pop("seconds", None)
+    text = json.dumps(reports, indent=2) + "\n"
+    assert text == (GOLDEN / "prbox.approx_epr.json").read_text()
+
+
+def _golden_programs():
+    from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
+    from contextuality.builders import build_fixed_model_lp
+
+    ternary = random_system(SystemShape(2, 2, alphabet_size=3, consistent=False, seed=0))
+    return {
+        "prbox.fixed_model": lambda: build_fixed_model_lp(
+            parse_system(bundled_path("prbox")), epr_model([0, 90], [180, 270]).system.bunches),
+        "ternary.delta_p": lambda: build_delta_p_lp(ternary, "a1"),
+        "ternary.coupling_mismatch": lambda: coupling_mismatch_lp(
+            ternary.bunch("a1b1"), ternary.bunch("a1b2")),
+    }
+
+
+@pytest.mark.parametrize("name", ["prbox.fixed_model", "ternary.coupling_mismatch",
+                                  "ternary.delta_p"])
+def test_coupling_programs_match_golden(name):
+    from contextuality.lp import dump_lp
+
+    lp = _golden_programs()[name]()
+    assert dump_lp(lp) == (GOLDEN / f"{name}.lp").read_text()
