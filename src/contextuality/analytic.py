@@ -200,14 +200,15 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
     prop = sys.property(pid)
     conn = connection_of(sys, pid)
     alpha = prop.alphabet
-    names: list[str] = [f"q[{_sym(s)}]" for s in alpha]
+    label = {s: _atom_label((s,)) for s in alpha}
+    names: list[str] = [f"q[{label[s]}]" for s in alpha]
     cost: list[Fraction] = [ZERO] * len(alpha)
     col = {("q", s): j for j, s in enumerate(alpha)}
     for cid in conn.contexts:
         for x in alpha:
             for y in alpha:
                 col[("w", cid, x, y)] = len(names)
-                names.append(f"w[{cid}][{_sym(x)}|{_sym(y)}]")
+                names.append(f"w[{cid}][{label[x]}|{label[y]}]")
                 cost.append(ZERO if x == y else ONE)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
@@ -255,12 +256,37 @@ def delta0_cbd(sys: System) -> Fraction:
 # Per-context minima and the bunch-set distance
 # ---------------------------------------------------------------------------
 
-def _sym(s) -> str:
-    return str(s)
-
-
 def hamming(u: tuple, v: tuple) -> int:
     return sum(1 for a, b in zip(u, v) if a != b)
+
+
+def _atom_label(atom: tuple) -> str:
+    """The text of an outcome tuple inside a variable name."""
+    return ",".join(str(s) for s in atom)
+
+
+def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int, Fraction]],
+                    rhs: list[Fraction], prefix: str, observed: Pmf) -> list[dict[int, Fraction]]:
+    """Append a transport block between `observed` and a second side.
+
+    Adds columns ``{prefix}[u|v]`` for every pair of atoms of `observed`
+    (u observed, v the other side) with Hamming cost, and rows fixing the
+    observed marginal.  Returns the other side's marginal rows, one per v
+    in atom order, for the caller to complete and append with their
+    right-hand sides.
+    """
+    base = len(names)
+    atoms = list(observed.atoms())
+    labels = [_atom_label(u) for u in atoms]
+    for u, lu in zip(atoms, labels):
+        for v, lv in zip(atoms, labels):
+            names.append(f"{prefix}[{lu}|{lv}]")
+            cost.append(Fraction(hamming(u, v)))
+    na = len(atoms)
+    for i, u in enumerate(atoms):
+        rows.append({base + i * na + j: ONE for j in range(na)})
+        rhs.append(observed[u])
+    return [{base + i * na + j: ONE for i in range(na)} for j in range(na)]
 
 
 def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
@@ -269,22 +295,13 @@ def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
         raise AlphabetMismatch(
             f"alphabets differ: {observed.alphabets} vs {approx.alphabets}"
         )
-    atoms = list(observed.atoms())
-    names = []
-    cost = []
-    for u in atoms:
-        for v in atoms:
-            names.append(f"w[{','.join(map(_sym, u))}|{','.join(map(_sym, v))}]")
-            cost.append(Fraction(hamming(u, v)))
-    na = len(atoms)
+    names: list[str] = []
+    cost: list[Fraction] = []
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for i, u in enumerate(atoms):
-        rows.append({i * na + j: ONE for j in range(na)})
-        rhs.append(observed[u])
-    for j, v in enumerate(atoms):
-        rows.append({i * na + j: ONE for i in range(na)})
-        rhs.append(approx[v])
+    tied = _coupling_block(names, cost, rows, rhs, "w", observed)
+    rows += tied
+    rhs += [approx[v] for v in observed.atoms()]
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .analytic import delta0_cbd, delta0_present, hamming
+from .analytic import _atom_label, _coupling_block, delta0_cbd, delta0_present
 from .errors import (
     AlphabetTooLarge,
     InconsistentlyConnected,
@@ -81,10 +81,6 @@ class ProblemSizes:
     inequality_count: int
 
 
-def _atom_label(atom: tuple) -> str:
-    return ",".join(str(s) for s in atom)
-
-
 def _joint_atoms(sys: System, cap: int) -> list[tuple]:
     sizes = [len(p.alphabet) for p in sys.properties]
     count = math.prod(sizes)
@@ -95,15 +91,13 @@ def _joint_atoms(sys: System, cap: int) -> list[tuple]:
     return list(itertools.product(*(p.alphabet for p in sys.properties)))
 
 
-def _context_atoms(sys: System, cid: str) -> list[tuple]:
-    return list(itertools.product(*sys.context_alphabets(cid)))
-
-
-def _restriction(sys: System, cid: str):
-    """Map a full-property atom to its sub-atom on the context's properties."""
-    ctx = sys.context(cid)
-    positions = [sys.property_index[pid] for pid in ctx.properties]
-    return lambda atom: tuple(atom[k] for k in positions)
+def _fibers(sys: System, cid: str, joint: list[tuple]) -> dict[tuple, list[int]]:
+    """Indices of the joint atoms over each context atom, in context-atom order."""
+    positions = [sys.property_index[pid] for pid in sys.context(cid).properties]
+    fibers: dict[tuple, list[int]] = {v: [] for v in sys.bunch(cid).atoms()}
+    for j, z in enumerate(joint):
+        fibers[tuple(z[k] for k in positions)].append(j)
+    return fibers
 
 
 def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
@@ -114,33 +108,18 @@ def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Li
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for ctx in sys.contexts:
-        atoms = _context_atoms(sys, ctx.id)
-        restrict = _restriction(sys, ctx.id)
-        fibers: dict[tuple, list[int]] = {v: [] for v in atoms}
-        for j, z in enumerate(joint):
-            fibers[restrict(z)].append(j)
-        base = len(names)
-        na = len(atoms)
-        for u in atoms:
-            for v in atoms:
-                names.append(f"w[{ctx.id}][{_atom_label(u)}|{_atom_label(v)}]")
-                cost.append(Fraction(hamming(u, v)))
-        bunch = sys.bunch(ctx.id)
-        for i, u in enumerate(atoms):  # observed-side marginal = data
-            rows.append({base + i * na + j: ONE for j in range(na)})
-            rhs.append(bunch[u])
-        for j, v in enumerate(atoms):  # approximating-side marginal = joint
-            row = {base + i * na + j: ONE for i in range(na)}
-            for qcol in fibers[v]:
+        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
+        for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
+            for qcol in fiber:  # approximating-side marginal = joint
                 row[qcol] = -ONE
-            rows.append(row)
-            rhs.append(ZERO)
+        rows += tied
+        rhs += [ZERO] * len(tied)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 
 def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
     """Program whose optimum is the minimal total connection disagreement."""
-    ctx_atoms = [_context_atoms(sys, c.id) for c in sys.contexts]
+    ctx_atoms = [list(sys.bunch(c.id).atoms()) for c in sys.contexts]
     count = math.prod(len(a) for a in ctx_atoms)
     if count > max_joint_atoms:
         raise AlphabetTooLarge(
@@ -204,15 +183,10 @@ def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearP
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for ctx in sys.contexts:
-        atoms = _context_atoms(sys, ctx.id)
-        restrict = _restriction(sys, ctx.id)
-        fibers: dict[tuple, list[int]] = {v: [] for v in atoms}
-        for j, z in enumerate(joint):
-            fibers[restrict(z)].append(j)
         bunch = sys.bunch(ctx.id)
-        for v in atoms:
+        for v, fiber in _fibers(sys, ctx.id, joint).items():
             row: dict[int, Fraction] = {}
-            for j in fibers[v]:
+            for j in fiber:
                 row[j] = ONE
                 row[n + j] = -ONE
             rows.append(row)
@@ -238,33 +212,17 @@ def build_np_inside_lp(
     cost: list[Fraction] = [ZERO] * n + [ONE] * n
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    delta_row: dict[int, Fraction] = {}
     for ctx in sys.contexts:
-        atoms = _context_atoms(sys, ctx.id)
-        restrict = _restriction(sys, ctx.id)
-        fibers: dict[tuple, list[int]] = {v: [] for v in atoms}
-        for j, z in enumerate(joint):
-            fibers[restrict(z)].append(j)
-        base = len(names)
-        na = len(atoms)
-        for u in atoms:
-            for v in atoms:
-                names.append(f"w[{ctx.id}][{_atom_label(u)}|{_atom_label(v)}]")
-                cost.append(ZERO)
-                h = hamming(u, v)
-                if h:
-                    delta_row[len(names) - 1] = Fraction(h)
-        bunch = sys.bunch(ctx.id)
-        for i, u in enumerate(atoms):
-            rows.append({base + i * na + j: ONE for j in range(na)})
-            rhs.append(bunch[u])
-        for j, v in enumerate(atoms):
-            row = {base + i * na + j: ONE for i in range(na)}
-            for z in fibers[v]:
+        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
+        for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
+            for z in fiber:
                 row[z] = -ONE
                 row[n + z] = ONE
-            rows.append(row)
-            rhs.append(ZERO)
+        rows += tied
+        rhs += [ZERO] * len(tied)
+    # The blocks' Hamming costs make up the distance row, not the objective.
+    delta_row = {j: c for j, c in enumerate(cost[2 * n:], 2 * n) if c}
+    cost[2 * n:] = [ZERO] * (len(cost) - 2 * n)
     names.append("slack")
     cost.append(ZERO)
     delta_row[len(names) - 1] = ONE
@@ -294,21 +252,9 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for ctx in sys.contexts:
-        atoms = _context_atoms(sys, ctx.id)
-        base = len(names)
-        na = len(atoms)
-        for u in atoms:
-            for v in atoms:
-                names.append(f"w[{ctx.id}][{_atom_label(u)}|{_atom_label(v)}]")
-                cost.append(Fraction(hamming(u, v)))
-        bunch = sys.bunch(ctx.id)
-        mpmf = model[ctx.id]
-        for i, u in enumerate(atoms):
-            rows.append({base + i * na + j: ONE for j in range(na)})
-            rhs.append(bunch[u])
-        for j, v in enumerate(atoms):
-            rows.append({base + i * na + j: ONE for i in range(na)})
-            rhs.append(mpmf[v])
+        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
+        rows += tied
+        rhs += [model[ctx.id][v] for v in sys.bunch(ctx.id).atoms()]
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 

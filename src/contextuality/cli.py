@@ -206,6 +206,22 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SOLVER
 
 
+def _case_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value >= 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="contextuality",
@@ -251,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the oracle and equivalence verification suites")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--count", type=int, default=25, help="cases per suite")
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--count", type=_case_count, default=25, help="cases per suite")
+    p.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="float cross-check tolerance on objectives")
     p.set_defaults(fn=cmd_selftest)
     return ap

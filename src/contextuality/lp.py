@@ -8,19 +8,20 @@ the optimal basis, so optimality can be re-verified independently:
 primal feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
 Internally each tableau row holds the matrix part (B^-1 A | B^-1) as a
-list of Python int numerators over one positive int denominator, kept in
-lowest terms.  The right-hand side is not in the row: each row's entry of
-B^-1 b is a separate reduced (numerator, denominator) pair.  The
-right-hand sides of this package's programs are probabilities, so a row
-holding its own would almost never have denominator 1; without it the
-matrix part nearly always does, and a row update then touches only the
-pivot row's nonzeros and needs no gcd.  Ratio
-tests compare by cross-multiplication.  The phase-one artificial columns
-stay in the tableau (they never re-enter in phase two) and hold B^-1, so
-the dual is read off their reduced costs.  The public API is Fraction end
-to end.  verify_certificate re-checks every optimum against the program
-alone, independently of the tableau, in Python ints over common
-denominators.
+list of Python int numerators over one positive int denominator.  A row
+is brought to lowest terms when its denominator changes (the pivot row
+always is); an update that keeps the denominator takes no gcd.  The
+right-hand side is not in the row: each row's entry of B^-1 b is a
+separate reduced (numerator, denominator) pair.  The right-hand sides of
+this package's programs are probabilities, so a row holding its own
+would almost never have denominator 1; without it the matrix part nearly
+always does, and a row update then touches only the pivot row's
+nonzeros.  Ratio tests compare by cross-multiplication.  The phase-one
+artificial columns stay in the tableau (they never re-enter in phase two)
+and hold B^-1, so the dual is read off their reduced costs.  The public
+API is Fraction end to end.  verify_certificate re-checks every optimum
+against the program alone, independently of the tableau, in Python ints
+over common denominators.
 """
 from __future__ import annotations
 
@@ -97,8 +98,8 @@ def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int
 
     Every row stores integer numerators followed by one positive integer
     denominator, and ``rhs`` holds each row's right-hand side as a separate
-    (numerator, positive denominator) pair; everything this changes is left
-    in lowest terms.
+    (numerator, positive denominator) pair.  The pivot row, every rescaled
+    row and every right-hand side are left in lowest terms.
     """
     prow = tableau[leave]
     piv = prow[enter]
@@ -140,10 +141,12 @@ def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int
         else:
             row[:] = [v * s - t * p for v, p in zip(row, prow)]
             row[-1] = d * s
-        if row[-1] != 1:
-            g = gcd(*row)
-            if g != 1:
-                row[:] = [v // g for v in row]
+            # prow is in lowest terms and s divides pd, so no prime of s
+            # divides every new entry: a common factor must divide d.
+            if d != 1:
+                g = gcd(d, *row)
+                if g != 1:
+                    row[:] = [v // g for v in row]
     basis[leave] = enter
 
 

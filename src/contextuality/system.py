@@ -173,6 +173,8 @@ class Property:
             raise ValidationError(f"property {self.id}: alphabet must have >= 2 symbols")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise DuplicateOutcome(f"property {self.id}: duplicate symbols")
+        for s in self.alphabet:
+            _check_name_part(str(s), f"property {self.id}: symbol")
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,17 @@ class Context:
 
 
 def _check_id(ident: str, kind: str) -> None:
-    if not ident or any(ch.isspace() for ch in ident):
-        raise ValidationError(f"{kind} id {ident!r} must be nonempty without whitespace")
+    if not ident:
+        raise ValidationError(f"{kind} id must be nonempty")
+    _check_name_part(ident, f"{kind} id")
+
+
+def _check_name_part(text: str, what: str) -> None:
+    """Ids and symbols are joined into LP variable names (``w[c][u1,u2|v1,v2]``,
+    ``z[u;v]``), where whitespace or a delimiter would break or merge names."""
+    bad = next((ch for ch in text if ch.isspace() or ch in ",;|[]"), None)
+    if bad is not None:
+        raise ValidationError(f"{what} {text!r} contains {bad!r}, which LP names cannot hold")
 
 
 @dataclass(frozen=True)

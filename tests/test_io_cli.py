@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
+from contextuality.builders import build_fixed_model_lp
 from contextuality.cli import main
 from contextuality.errors import ParseError
 from contextuality.examples import disjoint_support_system, epr_model, pr_box
@@ -14,7 +16,7 @@ from contextuality.io import (
     write_system,
     write_system_text,
 )
-from contextuality.lp import parse_lp
+from contextuality.lp import dump_lp, parse_lp
 from contextuality.oracle import SystemShape, random_system
 from contextuality.system import consistency_report
 
@@ -253,6 +255,28 @@ def test_cli_selftest(capsys):
     assert "all suites passed" in out
 
 
+@pytest.mark.parametrize("args", [["--count", "0"], ["--count", "-3"],
+                                  ["--tol", "nan"], ["--tol=-1e-3"]])
+def test_cli_selftest_rejects_bad_arguments(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", *args])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump-lp"])
+def test_cli_rejects_name_delimiters_in_symbols(tmp_path, capsys, command):
+    # "a,b c" and "a b,c" would both be labelled "a,b,c" in variable names
+    path = tmp_path / "collide.system"
+    path.write_text("property p a,b a\nproperty q c b,c\ncontext c1 p q\n"
+                    "bunch c1\na,b c 1/2\na b,c 1/2\n")
+    assert main([command, str(path), "--method", "present"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "','" in err
+
+
 def test_cli_witness_flag(capsys):
     code = main(["analyze", "bundled:prbox", "--method", "np", "--json", "--witness"])
     report = json.loads(capsys.readouterr().out)[0]
@@ -298,9 +322,6 @@ def test_approx_epr_json_matches_golden(capsys):
 
 
 def _golden_programs():
-    from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
-    from contextuality.builders import build_fixed_model_lp
-
     ternary = random_system(SystemShape(2, 2, alphabet_size=3, consistent=False, seed=0))
     return {
         "prbox.fixed_model": lambda: build_fixed_model_lp(
@@ -314,7 +335,5 @@ def _golden_programs():
 @pytest.mark.parametrize("name", ["prbox.fixed_model", "ternary.coupling_mismatch",
                                   "ternary.delta_p"])
 def test_coupling_programs_match_golden(name):
-    from contextuality.lp import dump_lp
-
     lp = _golden_programs()[name]()
     assert dump_lp(lp) == (GOLDEN / f"{name}.lp").read_text()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -71,6 +72,17 @@ def test_validate_rejects_unused_property():
     ctx = Context("c", ("a1",))
     with pytest.raises(ValidationError):
         validate_system(props, [ctx], {"c": Pmf([PM], {(1,): F(1)})})
+
+
+@pytest.mark.parametrize("ch", list(",;|[]"))
+def test_validate_rejects_name_delimiters(ch):
+    # these characters delimit ids and symbols in LP variable names, so
+    # they would let two different columns share a name
+    for make in (lambda: Property(f"p{ch}", PM),
+                 lambda: Property("p", ("u", f"v{ch}")),
+                 lambda: Context(f"c{ch}", ("p",))):
+        with pytest.raises(ValidationError, match=re.escape(f"contains {ch!r}")):
+            make()
 
 
 def test_validate_rejects_float_weights():
