@@ -18,6 +18,7 @@ The quantities here are the building blocks of the contextuality measures:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -32,6 +33,7 @@ from .lp import LinearProgram, solve_certified
 from .system import (
     Pmf,
     System,
+    _check_name_part,
     connection_of,
     expectation,
     is_plus_minus,
@@ -40,6 +42,7 @@ from .system import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+NEG_ONE = Fraction(-1)
 HALF = Fraction(1, 2)
 
 
@@ -178,14 +181,27 @@ def median_binary(means: Sequence[Fraction]) -> MedianResult:
 def delta_p(sys: System, pid: str) -> DeltaP:
     """Smallest sum of TV distances from one distribution to a connection.
 
-    +/-1 alphabets use the median characterization; anything else solves
+    +/-1 alphabets use the median characterization on the means, read
+    straight off the bunches.  Other alphabets with at most two contexts
+    have the closed form 1 - max coupling probability (0 for one context),
+    attained at the first marginal: by the triangle inequality no q does
+    better than the two marginals' own TV distance.  Anything else solves
     the equivalent small LP (see delta_p_via_lp).
     """
     prop = sys.property(pid)
-    conn = connection_of(sys, pid)
     if is_plus_minus(prop.alphabet):
-        med = median_binary([expectation(m) for m in conn.marginals])
+        means = []
+        for cid in sys.contexts_of[pid]:
+            k = sys.context(cid).properties.index(pid)
+            up = sum((w for o, w in sys.bunches[cid].items() if o[k] == 1), ZERO)
+            means.append(2 * up - 1)
+        med = median_binary(means)
         return DeltaP(med.delta_p, med)
+    conn = connection_of(sys, pid)
+    if len(conn.marginals) == 1:
+        return DeltaP(ZERO, conn.marginals[0])
+    if len(conn.marginals) == 2:
+        return DeltaP(ONE - max_coupling_probability(conn.marginals), conn.marginals[0])
     return delta_p_via_lp(sys, pid)
 
 
@@ -218,7 +234,7 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
             rhs.append(marg[(y,)])
         for x in alpha:  # q-side marginal tied to the shared q block
             row = {col[("w", cid, x, y)]: ONE for y in alpha}
-            row[col[("q", x)]] = -ONE
+            row[col[("q", x)]] = NEG_ONE
             rows.append(row)
             rhs.append(ZERO)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
@@ -257,12 +273,12 @@ def delta0_cbd(sys: System) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def hamming(u: tuple, v: tuple) -> int:
-    return sum(1 for a, b in zip(u, v) if a != b)
+    return sum(map(operator.ne, u, v))
 
 
 def _atom_label(atom: tuple) -> str:
     """The text of an outcome tuple inside a variable name."""
-    return ",".join(str(s) for s in atom)
+    return ",".join(map(str, atom))
 
 
 def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int, Fraction]],
@@ -278,10 +294,11 @@ def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int,
     base = len(names)
     atoms = list(observed.atoms())
     labels = [_atom_label(u) for u in atoms]
+    distance = [Fraction(k) for k in range(len(observed.alphabets) + 1)]
     for u, lu in zip(atoms, labels):
         for v, lv in zip(atoms, labels):
             names.append(f"{prefix}[{lu}|{lv}]")
-            cost.append(Fraction(hamming(u, v)))
+            cost.append(distance[hamming(u, v)])
     na = len(atoms)
     for i, u in enumerate(atoms):
         rows.append({base + i * na + j: ONE for j in range(na)})
@@ -290,11 +307,18 @@ def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int,
 
 
 def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
-    """Transport program between two same-alphabet joints, Hamming cost."""
+    """Transport program between two same-alphabet joints, Hamming cost.
+
+    Bare pmfs skip the symbol check of `Property`, so it is made here:
+    a symbol holding a name delimiter is a ValidationError.
+    """
     if observed.alphabets != approx.alphabets:
         raise AlphabetMismatch(
             f"alphabets differ: {observed.alphabets} vs {approx.alphabets}"
         )
+    for alpha in observed.alphabets:
+        for sym in alpha:
+            _check_name_part(str(sym), "symbol")
     names: list[str] = []
     cost: list[Fraction] = []
     rows: list[dict[int, Fraction]] = []

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .analytic import _atom_label, _coupling_block, delta0_cbd, delta0_present
+from .analytic import NEG_ONE, _atom_label, _coupling_block, delta0_cbd, delta0_present
 from .errors import (
     AlphabetTooLarge,
     InconsistentlyConnected,
@@ -95,8 +96,13 @@ def _fibers(sys: System, cid: str, joint: list[tuple]) -> dict[tuple, list[int]]
     """Indices of the joint atoms over each context atom, in context-atom order."""
     positions = [sys.property_index[pid] for pid in sys.context(cid).properties]
     fibers: dict[tuple, list[int]] = {v: [] for v in sys.bunch(cid).atoms()}
-    for j, z in enumerate(joint):
-        fibers[tuple(z[k] for k in positions)].append(j)
+    key = operator.itemgetter(*positions)
+    if len(positions) == 1:
+        for j, z in enumerate(joint):
+            fibers[(key(z),)].append(j)
+    else:
+        for j, z in enumerate(joint):
+            fibers[key(z)].append(j)
     return fibers
 
 
@@ -111,7 +117,7 @@ def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Li
         tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
         for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
             for qcol in fiber:  # approximating-side marginal = joint
-                row[qcol] = -ONE
+                row[qcol] = NEG_ONE
         rows += tied
         rhs += [ZERO] * len(tied)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
@@ -135,6 +141,7 @@ def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Linear
         slots.append(where)
     names: list[str] = []
     cost: list[Fraction] = []
+    broken_cost = [Fraction(k) for k in range(len(slots) + 1)]
     buckets: dict[tuple[int, tuple], dict[int, Fraction]] = {}
     for t, atoms in enumerate(ctx_atoms):
         for u in atoms:
@@ -150,7 +157,7 @@ def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Linear
             first = assign[where[0][0]][where[0][1]]
             if any(assign[t][k] != first for t, k in where[1:]):
                 broken += 1
-        cost.append(Fraction(broken))
+        cost.append(broken_cost[broken])
         for t, u in enumerate(assign):
             buckets[(t, u)][col] = ONE
     rows: list[dict[int, Fraction]] = []
@@ -188,7 +195,7 @@ def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearP
             row: dict[int, Fraction] = {}
             for j in fiber:
                 row[j] = ONE
-                row[n + j] = -ONE
+                row[n + j] = NEG_ONE
             rows.append(row)
             rhs.append(bunch[v])
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
@@ -216,7 +223,7 @@ def build_np_inside_lp(
         tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
         for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
             for z in fiber:
-                row[z] = -ONE
+                row[z] = NEG_ONE
                 row[n + z] = ONE
         rows += tied
         rhs += [ZERO] * len(tied)

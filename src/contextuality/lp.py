@@ -191,10 +191,16 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
     tableau: list[list[int]] = []
     for i, entries in enumerate(lp.rows):
-        den = lcm(*(v.denominator for v in entries.values()))
+        ratios = [v.as_integer_ratio() for v in entries.values()]
+        den = lcm(*(d for _, d in ratios))
         row = [0] * (n + m + 1)
-        for j, v in entries.items():
-            row[j] = sign[i] * v.numerator * (den // v.denominator)
+        s = sign[i]
+        if den == 1:
+            for j, (a, _) in zip(entries, ratios):
+                row[j] = s * a
+        else:
+            for j, (a, d) in zip(entries, ratios):
+                row[j] = s * a * (den // d)
         row[n + i] = row[-1] = den
         tableau.append(row)
     rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
@@ -209,9 +215,8 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         for j in entries:
             cost1[j] -= k * row[j]
     cost1[-1] = den
-    den = lcm(*(c.denominator for c in lp.cost))
-    cost2 = [c.numerator * (den // c.denominator) for c in lp.cost]
-    cost2 += [0] * m + [den]
+    cost_den, cost = _scaled(lp.cost)
+    cost2 = cost + [0] * m + [cost_den]
     status = _bland(tableau, rhs, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
@@ -230,13 +235,17 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     if _bland(tableau, rhs, basis, [cost2], n) == "unbounded":
         return LpSolution(status="unbounded")
 
+    # c'x = sum of cost[bi] * bn / bd over the basic columns, all over
+    # cost_den; the terms are summed in ints over the lcm of their bd.
     primal = [Fraction(0)] * n
-    for b, bi in zip(rhs, basis):
+    terms = []
+    for (bn, bd), bi in zip(rhs, basis):
         if bi < n:
-            primal[bi] = Fraction(*b)
-    objective = sum(
-        (c * x for c, x in zip(lp.cost, primal) if x), Fraction(0)
-    )
+            primal[bi] = Fraction(bn, bd)
+            if bn and cost[bi]:
+                terms.append((cost[bi] * bn, bd))
+    den = lcm(*(bd for _, bd in terms))
+    objective = Fraction(sum(t * (den // bd) for t, bd in terms), den * cost_den)
     # The artificial columns hold B^-1, so their reduced costs are -y'.
     dual = tuple(Fraction(-sign[k] * cost2[n + k], cost2[-1]) for k in range(m))
     return LpSolution(
@@ -282,14 +291,16 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
     if any(v < 0 for v in x):
         return False
     yd, y = _scaled(sol.dual)
-    ad = lcm(*(v.denominator for row in lp.rows for v in row.values()))
+    ratios = [[v.as_integer_ratio() for v in row.values()] for row in lp.rows]
+    ad = lcm(*(d for row in ratios for _, d in row))
     # Ax = b row by row (each row's sum is over ad * xd), while y'A
     # accumulates over ad * yd.
     pulled = [0] * n
-    for row, b, yi in zip(lp.rows, lp.rhs, y):
+    for row, row_ratios, b, yi in zip(lp.rows, ratios, lp.rhs, y):
         total = 0
-        for j, v in row.items():
-            a = v.numerator * (ad // v.denominator)
+        for j, (a, d) in zip(row, row_ratios):
+            if d != ad:
+                a *= ad // d
             total += a * x[j]
             if yi:
                 pulled[j] += yi * a
@@ -308,8 +319,9 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
 
 def _scaled(values) -> tuple[int, list[int]]:
     """(d, [v * d for v in values]) with d the lcm of the denominators."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    pairs = [v.as_integer_ratio() for v in values]
+    d = lcm(*(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analytic import BinaryStats
 from .builders import build_lp, measure
-from .errors import NumericalFailure, TooLarge
+from .errors import NumericalFailure, TooLarge, ValidationError
 from .lp import LinearProgram, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, System
 
@@ -238,7 +238,15 @@ def random_system(shape: SystemShape) -> System:
 
 def run_selftest(seed: int = 2024, count: int = 25,
                  tol: float = FLOAT_TOL) -> list[tuple[str, int, int]]:
-    """Run every verification suite; returns (name, passed, total) rows."""
+    """Run every verification suite; returns (name, passed, total) rows.
+
+    Raises ValidationError for a count below 1 (which would report empty
+    suites as passes) and for a negative or NaN tolerance.
+    """
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count!r}")
+    if not tol >= 0:  # also false for NaN
+        raise ValidationError(f"tol must be >= 0, got {tol!r}")
     from .analytic import (
         cyclic2_min_partial,
         delta_p,

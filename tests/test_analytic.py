@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from contextuality import analytic
 from contextuality.analytic import (
     BinaryStats,
     MedianResult,
     bunch_set_distance,
+    coupling_mismatch_lp,
     cyclic2_min_partial,
     delta0_cbd,
     delta0_present,
@@ -24,10 +26,11 @@ from contextuality.errors import (
     MeanOutOfRange,
     ShapeMismatch,
     UnrealizableStats,
+    ValidationError,
 )
 from contextuality.examples import ab_system, disjoint_support_system, pr_box
 from contextuality.oracle import SystemShape, random_pmf, random_system
-from contextuality.system import Context, Pmf, Property, System
+from contextuality.system import Context, Pmf, Property, System, connection_of
 
 PM = (1, -1)
 
@@ -161,7 +164,7 @@ def test_delta_p_lp_matches_median_on_binary_connections():
 
 
 def test_delta_p_general_alphabet_uses_lp():
-    # three-symbol property: optimizer is a pmf, value matches hand count
+    # three-symbol property in two contexts: optimizer is a pmf, value matches hand count
     alpha = (0, 1, 2)
     contexts = [Context(f"c{i}", ("p",)) for i in range(2)]
     bunches = {
@@ -172,6 +175,37 @@ def test_delta_p_general_alphabet_uses_lp():
     res = delta_p(sysd, "p")
     assert res.value == 1  # any q splits its mass between the two point masses
     assert isinstance(res.optimizer, Pmf)
+
+
+@pytest.mark.parametrize("consistent", [False, True])
+@pytest.mark.parametrize("size", [3, 4])
+def test_delta_p_two_context_closed_form_matches_lp(size, consistent, monkeypatch):
+    # every property of a 2x2 system lies in two contexts
+    systems = [random_system(SystemShape(2, 2, alphabet_size=size, consistent=consistent,
+                                         seed=seed)) for seed in range(10)]
+    expected = {(k, p.id): delta_p_via_lp(sysd, p.id).value
+                for k, sysd in enumerate(systems) for p in sysd.properties}
+    monkeypatch.setattr(analytic, "delta_p_via_lp", None)  # the closed form solves no LP
+    for k, sysd in enumerate(systems):
+        for p in sysd.properties:
+            res = delta_p(sysd, p.id)
+            assert res.value == expected[k, p.id]
+            marginals = connection_of(sysd, p.id).marginals
+            assert sum(tv_distance(res.optimizer, m) for m in marginals) == res.value
+
+
+def test_delta_p_three_contexts_keep_the_lp(monkeypatch):
+    # a1 lies in three contexts, each b in one: only a1 goes through the LP
+    solved = []
+    real = analytic.delta_p_via_lp
+    monkeypatch.setattr(analytic, "delta_p_via_lp",
+                        lambda sysd, pid: solved.append(pid) or real(sysd, pid))
+    for consistent in (False, True):
+        sysd = random_system(SystemShape(1, 3, alphabet_size=3, consistent=consistent, seed=5))
+        floors = {p.id: delta_p(sysd, p.id) for p in sysd.properties}
+        assert floors["a1"] == real(sysd, "a1")
+        assert all(floors[b].value == 0 for b in ("b1", "b2", "b3"))
+    assert solved == ["a1", "a1"]
 
 
 def test_median_binary_examples():
@@ -270,6 +304,18 @@ def test_min_mismatch_symmetry():
         a = random_pmf(rng, [PM, PM])
         b = random_pmf(rng, [PM, PM])
         assert min_mismatch(a, b) == min_mismatch(b, a)
+
+
+def test_coupling_program_rejects_name_delimiters_in_bare_pmfs():
+    a = Pmf([("a,b", "a"), ("c", "b,c")], {("a,b", "c"): F(1, 2), ("a", "b,c"): F(1, 2)})
+    with pytest.raises(ValidationError, match="','"):
+        coupling_mismatch_lp(a, a)
+    with pytest.raises(ValidationError):
+        min_mismatch(a, a)
+    for bad in " ;|[]":
+        b = Pmf([("x", "y" + bad)], {("x",): 1})
+        with pytest.raises(ValidationError):
+            min_mismatch(b, b, force_lp=True)
 
 
 def test_bunch_set_distance_is_a_metric():

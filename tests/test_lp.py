@@ -183,19 +183,20 @@ def test_whitespace_in_names_rejected(sep):
         LinearProgram((f"x{sep}y",), (F(1),), (), ())
 
 
-def _random_lps(seed, count, rhs_low=0, denominators=()):
+def _random_lps(seed, count, rhs_low=0, denominators=(), cost_denominators=()):
     """Random programs; with ``denominators``, each matrix entry and
-    right-hand side is divided by one drawn from it."""
+    right-hand side is divided by one drawn from it, and with
+    ``cost_denominators`` each cost entry by one drawn from that."""
     rng = random.Random(seed)
 
-    def scaled(v):
-        return F(v, rng.choice(denominators)) if denominators else F(v)
+    def scaled(v, choices=denominators):
+        return F(v, rng.choice(choices)) if choices else F(v)
 
     for _ in range(count):
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
         names = tuple(f"x{j}" for j in range(n))
-        cost = tuple(F(rng.randint(-4, 4)) for _ in range(n))
+        cost = tuple(scaled(rng.randint(-4, 4), cost_denominators) for _ in range(n))
         rows = tuple(
             {j: scaled(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.7}
             for _ in range(m)
@@ -248,6 +249,8 @@ def _small_programs():
     yield from _random_lps(17, 40, rhs_low=-5, denominators=FRACTIONAL)
     yield from map(_with_redundant_rows,
                    _random_lps(18, 40, rhs_low=-5, denominators=FRACTIONAL))
+    # Most random programs are infeasible; these 120 give 23 optima.
+    yield from _random_lps(19, 120, denominators=FRACTIONAL, cost_denominators=FRACTIONAL)
 
 
 def _perturbed_certificates(sol):
@@ -285,6 +288,17 @@ def assert_matches_reference(lp):
 def test_small_programs_match_reference():
     statuses = {assert_matches_reference(lp) for lp in _small_programs()}
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_objective_is_cost_times_primal():
+    fractional = 0
+    for lp in _small_programs():
+        sol = solve_exact(lp)
+        if sol.status != "optimal":
+            continue
+        assert sol.objective == sum((c * x for c, x in zip(lp.cost, sol.primal)), F(0))
+        fractional += any(c.denominator != 1 and x for c, x in zip(lp.cost, sol.primal))
+    assert fractional >= 10
 
 
 def _builder_programs():

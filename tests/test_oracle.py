@@ -10,7 +10,7 @@ import pytest
 import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
 from contextuality.builders import build_lp, build_present_lp
-from contextuality.errors import TooLarge
+from contextuality.errors import TooLarge, ValidationError
 from contextuality.examples import disjoint_support_system, pr_box
 from contextuality.oracle import (
     SystemShape,
@@ -138,6 +138,13 @@ def test_cross_check_np_equals_np_inside_exact():
 def test_run_selftest_passes():
     for name, passed, total in run_selftest(seed=99, count=6):
         assert passed == total, name
+
+
+@pytest.mark.parametrize("kwargs", [dict(count=0), dict(count=-3), dict(tol=-1e-9),
+                                    dict(tol=float("nan"))])
+def test_run_selftest_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValidationError):
+        run_selftest(**kwargs)
 
 
 def test_import_does_not_load_scipy():
