@@ -34,7 +34,7 @@ from .system import (
     Pmf,
     System,
     _check_name_part,
-    connection_of,
+    _connection_weights,
     expectation,
     is_plus_minus,
     product_expectation,
@@ -182,27 +182,29 @@ def delta_p(sys: System, pid: str) -> DeltaP:
     """Smallest sum of TV distances from one distribution to a connection.
 
     +/-1 alphabets use the median characterization on the means, read
-    straight off the bunches.  Other alphabets with at most two contexts
+    off the connection's weight tuples.  Other alphabets with at most two contexts
     have the closed form 1 - max coupling probability (0 for one context),
     attained at the first marginal: by the triangle inequality no q does
     better than the two marginals' own TV distance.  Anything else solves
     the equivalent small LP (see delta_p_via_lp).
     """
-    prop = sys.property(pid)
-    if is_plus_minus(prop.alphabet):
-        means = []
-        for cid in sys.contexts_of[pid]:
-            k = sys.context(cid).properties.index(pid)
-            up = sum((w for o, w in sys.bunches[cid].items() if o[k] == 1), ZERO)
-            means.append(2 * up - 1)
-        med = median_binary(means)
+    alpha = sys.property(pid).alphabet
+    weights = _connection_weights(sys, pid)
+    if is_plus_minus(alpha):
+        up = alpha.index(1)
+        med = median_binary([2 * w[up] - 1 for w in weights])
         return DeltaP(med.delta_p, med)
-    conn = connection_of(sys, pid)
-    if len(conn.marginals) == 1:
-        return DeltaP(ZERO, conn.marginals[0])
-    if len(conn.marginals) == 2:
-        return DeltaP(ONE - max_coupling_probability(conn.marginals), conn.marginals[0])
+    if len(weights) <= 2:
+        return DeltaP(_disagreement(weights), Pmf([alpha], zip(alpha, weights[0])))
     return delta_p_via_lp(sys, pid)
+
+
+def _disagreement(weights: Sequence[tuple[Fraction, ...]]) -> Fraction:
+    """1 minus the maximal coupling probability of same-alphabet marginal
+    weight tuples; 0 for a single one."""
+    if len(weights) < 2:
+        return ZERO
+    return ONE - sum(map(min, *weights), ZERO)
 
 
 def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
@@ -213,14 +215,14 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
     q-side marginal is tied to q and its other marginal to the observed
     one, with mismatch mass as cost.
     """
-    prop = sys.property(pid)
-    conn = connection_of(sys, pid)
-    alpha = prop.alphabet
+    alpha = sys.property(pid).alphabet
+    weights = _connection_weights(sys, pid)
+    contexts = sys.contexts_of[pid]
     label = {s: _atom_label((s,)) for s in alpha}
     names: list[str] = [f"q[{label[s]}]" for s in alpha]
     cost: list[Fraction] = [ZERO] * len(alpha)
     col = {("q", s): j for j, s in enumerate(alpha)}
-    for cid in conn.contexts:
+    for cid in contexts:
         for x in alpha:
             for y in alpha:
                 col[("w", cid, x, y)] = len(names)
@@ -228,10 +230,10 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
                 cost.append(ZERO if x == y else ONE)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for cid, marg in zip(conn.contexts, conn.marginals):
-        for y in alpha:  # observed-side marginal fixed by the data
+    for cid, w in zip(contexts, weights):
+        for y, wy in zip(alpha, w):  # observed-side marginal fixed by the data
             rows.append({col[("w", cid, x, y)]: ONE for x in alpha})
-            rhs.append(marg[(y,)])
+            rhs.append(wy)
         for x in alpha:  # q-side marginal tied to the shared q block
             row = {col[("w", cid, x, y)]: ONE for y in alpha}
             row[col[("q", x)]] = NEG_ONE
@@ -260,12 +262,7 @@ def delta0_cbd(sys: System) -> Fraction:
     Each property with two or more contexts contributes 1 minus the maximal
     coupling probability of its connection.
     """
-    total = ZERO
-    for p in sys.properties:
-        conn = connection_of(sys, p.id)
-        if len(conn.marginals) >= 2:
-            total += ONE - max_coupling_probability(conn.marginals)
-    return total
+    return sum((_disagreement(_connection_weights(sys, p.id)) for p in sys.properties), ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,11 @@ METHODS = ("present", "cbd", "np", "np_inside", "fixed_model")
 
 DEFAULT_ATOM_CAP = 1 << 20
 
+# problem_sizes refuses m*n above this, before computing 4**(m*n); every
+# count it reports then also prints under Python's default int-to-str limit
+# of 4300 digits (4**7142 is the largest power of 4 that does).
+_MAX_SIZES_CONTEXTS = 4096
+
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -324,10 +329,14 @@ def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
 
     The coupling-of-all-bunches program has 4**(m*n) columns (each of the
     m*n contexts contributes a factor of 4, its number of outcome pairs).
+    Shapes with more than 4096 contexts are refused before any power is
+    computed.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     mn = m * n
+    if mn > _MAX_SIZES_CONTEXTS:
+        raise ValueError(f"m*n = {mn} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
     return [
         ProblemSizes("cbd", 4**mn, 4 * mn, 0),
         ProblemSizes("np", 2 ** (m + n + 1), 4 * mn, 0),

@@ -11,10 +11,11 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 from . import __version__
-from .builders import METHODS, build_lp, measure, problem_sizes
+from .builders import build_lp, measure, problem_sizes
 from .errors import (
     ContextualityError,
     MethodPreconditionError,
@@ -41,9 +42,7 @@ EXIT_SOLVER = 4
 ANALYZE_METHODS = ("present", "cbd", "np", "np_inside")
 
 
-def _error_exit_code(exc: ContextualityError) -> int:
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
+def _error_exit_code(exc: OSError | ContextualityError) -> int:
     if isinstance(exc, MethodPreconditionError):
         return EXIT_PRECONDITION
     if isinstance(exc, SolverError):
@@ -51,39 +50,30 @@ def _error_exit_code(exc: ContextualityError) -> int:
     return EXIT_VALIDATION
 
 
-def _emit(reports: list[dict], json_mode: bool, out_path: str | None) -> None:
-    if json_mode:
-        text = report_json(reports)
-        if out_path:
-            Path(out_path).write_text(text)
-        else:
-            sys.stdout.write(text)
+def _emit(text: str, out_path: str | None) -> None:
+    if out_path:
+        Path(out_path).write_text(text)
     else:
-        import io as _io
+        sys.stdout.write(text)
 
-        buf = _io.StringIO()
-        for i, d in enumerate(reports):
-            if i:
-                buf.write("\n")
-            report_text(d, buf)
-        if out_path:
-            Path(out_path).write_text(buf.getvalue())
-        else:
-            sys.stdout.write(buf.getvalue())
+
+def _render(reports: list[dict], json_mode: bool) -> str:
+    if json_mode:
+        return report_json(reports)
+    buf = StringIO()
+    for i, d in enumerate(reports):
+        if i:
+            buf.write("\n")
+        report_text(d, buf)
+    return buf.getvalue()
 
 
 def cmd_analyze(args) -> int:
-    try:
-        sysd = parse_system(resolve_input(args.path))
-    except (OSError, ContextualityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sysd = parse_system(resolve_input(args.path))
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for m in methods:
         if m not in ANALYZE_METHODS:
-            print(f"error: unknown method {m!r} (choose from {ANALYZE_METHODS})",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValidationError(f"unknown method {m!r} (choose from {ANALYZE_METHODS})")
     reports = []
     worst = EXIT_OK
     for m in methods:
@@ -97,7 +87,7 @@ def cmd_analyze(args) -> int:
             continue
         reports.append(report_dict(rep, time.monotonic() - t0,
                                    include_witness=args.witness))
-    _emit(reports, args.json, args.out)
+    _emit(_render(reports, args.json), args.out)
     return worst
 
 
@@ -116,36 +106,24 @@ def _parse_angles(text: str) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def cmd_approx(args) -> int:
-    try:
-        sysd = parse_system(resolve_input(args.path))
-    except (OSError, ContextualityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sysd = parse_system(resolve_input(args.path))
     extra: dict = {}
-    try:
-        if args.epr:
-            alice, bob = _parse_angles(args.angles)
-            model = epr_model(alice, bob)
-            bunches = model.system.bunches
-            if model.rounded:
-                extra["rounded_cosines"] = {
-                    cid: fmt_rational(v) for cid, v in sorted(model.rounded.items())
-                }
-        else:
-            bunches = parse_system(resolve_input(args.model)).bunches
-    except (OSError, ContextualityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _error_exit_code(exc) if isinstance(exc, ContextualityError) else EXIT_VALIDATION
+    if args.epr:
+        alice, bob = _parse_angles(args.angles)
+        model = epr_model(alice, bob)
+        bunches = model.system.bunches
+        if model.rounded:
+            extra["rounded_cosines"] = {
+                cid: fmt_rational(v) for cid, v in sorted(model.rounded.items())
+            }
+    else:
+        bunches = parse_system(resolve_input(args.model)).bunches
     t0 = time.monotonic()
-    try:
-        rep = measure(sysd, "fixed_model", model=bunches)
-    except ContextualityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _error_exit_code(exc)
+    rep = measure(sysd, "fixed_model", model=bunches)
     extra["optimal_approximation"] = rep.noncontextual
     d = report_dict(rep, time.monotonic() - t0, extra=extra,
                     include_witness=args.witness)
-    _emit([d], args.json, args.out)
+    _emit(_render([d], args.json), args.out)
     if not args.json:
         verdict = ("approximation is optimal" if rep.noncontextual
                    else "approximation is not optimal")
@@ -177,17 +155,7 @@ def cmd_sizes(args) -> int:
 
 
 def cmd_dump_lp(args) -> int:
-    try:
-        sysd = parse_system(resolve_input(args.path))
-        lp = build_lp(sysd, args.method)
-    except (OSError, ContextualityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _error_exit_code(exc) if isinstance(exc, ContextualityError) else EXIT_VALIDATION
-    text = dump_lp(lp)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dump_lp(build_lp(parse_system(resolve_input(args.path)), args.method)), args.out)
     return EXIT_OK
 
 
@@ -261,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-lp", help="write the exact program for a method")
     p.add_argument("path")
-    p.add_argument("--method", required=True, choices=METHODS[:4])
+    p.add_argument("--method", required=True, choices=ANALYZE_METHODS)
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_dump_lp)
 
@@ -276,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ContextualityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _error_exit_code(exc)
 
 
 if __name__ == "__main__":

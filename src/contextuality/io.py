@@ -23,6 +23,7 @@ from typing import Optional, TextIO, Union
 
 from .builders import MeasureReport
 from .errors import ParseError
+from .lp import fmt_rational
 from .system import Context, Pmf, Property, Symbol, System
 
 PathLike = Union[str, Path]
@@ -111,10 +112,6 @@ def parse_system_text(text: str) -> System:
 
 def parse_system(path: PathLike) -> System:
     return parse_system_text(Path(path).read_text())
-
-
-def fmt_rational(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 def write_system_text(sys: System) -> str:

@@ -83,13 +83,10 @@ class LpSolution:
     dual: tuple[Fraction, ...] | None = None
     basis: tuple[int, ...] | None = None
 
-    def named_primal(self, lp: LinearProgram, nonzero_only: bool = True) -> dict[str, Fraction]:
+    def named_primal(self, lp: LinearProgram) -> dict[str, Fraction]:
+        """Nonzero primal entries keyed by variable name."""
         assert self.status == "optimal" and self.primal is not None
-        out = {}
-        for name, v in zip(lp.variables, self.primal):
-            if v != 0 or not nonzero_only:
-                out[name] = v
-        return out
+        return {name: v for name, v in zip(lp.variables, self.primal) if v != 0}
 
 
 def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int],
@@ -328,7 +325,8 @@ def _scaled(values) -> tuple[int, list[int]]:
 # Textual dump format (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
-def _fmt(v: Fraction) -> str:
+def fmt_rational(v: Fraction) -> str:
+    """``num/den`` in lowest terms, as in dumps, system files and reports."""
     return f"{v.numerator}/{v.denominator}"
 
 
@@ -340,13 +338,13 @@ def dump_lp(lp: LinearProgram) -> str:
     out.append(f"rows {lp.row_count}")
     for j, c in enumerate(lp.cost):
         if c:
-            out.append(f"c {lp.variables[j]} {_fmt(c)}")
+            out.append(f"c {lp.variables[j]} {fmt_rational(c)}")
     for i, row in enumerate(lp.rows):
         for j in sorted(row):
-            out.append(f"a {i} {lp.variables[j]} {_fmt(row[j])}")
+            out.append(f"a {i} {lp.variables[j]} {fmt_rational(row[j])}")
     for i, b in enumerate(lp.rhs):
         if b:
-            out.append(f"rhs {i} {_fmt(b)}")
+            out.append(f"rhs {i} {fmt_rational(b)}")
     out.append("end")
     return "\n".join(out) + "\n"
 

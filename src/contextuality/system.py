@@ -38,6 +38,7 @@ PLUS_MINUS = (1, -1)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -119,9 +120,6 @@ class Pmf:
         order = {a: {s: i for i, s in enumerate(a)} for a in self.alphabets}
         key = lambda kv: tuple(order[a][s] for s, a in zip(kv[0], self.alphabets))
         return sorted(self._weights.items(), key=key)
-
-    def support(self) -> list[Outcome]:
-        return [o for o, _ in self.items()]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pmf):
@@ -300,9 +298,6 @@ class System:
         self.context(cid)
         return self.bunches[cid]
 
-    def context_alphabets(self, cid: str) -> tuple[tuple[Symbol, ...], ...]:
-        return tuple(self.property(pid).alphabet for pid in self.context(cid).properties)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, System):
             return NotImplemented
@@ -324,16 +319,29 @@ def validate_system(
     return System(properties, contexts, bunches)
 
 
+def _connection_weights(sys: System, pid: str) -> list[tuple[Fraction, ...]]:
+    """Marginal weights of `pid`, one tuple per context in `sys.contexts_of[pid]`,
+    each in alphabet order.
+
+    This is the one reader of a connection: it sums the bunches' stored
+    weights directly, with no intermediate `Pmf`.
+    """
+    index = {s: i for i, s in enumerate(sys.property(pid).alphabet)}
+    out = []
+    for cid in sys.contexts_of[pid]:
+        k = sys.contexts[sys.context_index[cid]].properties.index(pid)
+        w = [ZERO] * len(index)
+        for outcome, x in sys.bunches[cid]._weights.items():
+            w[index[outcome[k]]] += x
+        out.append(tuple(w))
+    return out
+
+
 def connection_of(sys: System, pid: str) -> Connection:
     """Marginals of property `pid` in each context containing it."""
-    sys.property(pid)
-    cids = sys.contexts_of[pid]
-    margs = []
-    for cid in cids:
-        ctx = sys.context(cid)
-        pos = ctx.properties.index(pid)
-        margs.append(sys.bunches[cid].marginal([pos]))
-    return Connection(pid, cids, tuple(margs))
+    alpha = sys.property(pid).alphabet
+    margs = tuple(Pmf([alpha], zip(alpha, w)) for w in _connection_weights(sys, pid))
+    return Connection(pid, sys.contexts_of[pid], margs)
 
 
 def consistency_report(sys: System) -> ConsistencyReport:
@@ -342,19 +350,12 @@ def consistency_report(sys: System) -> ConsistencyReport:
     The system is consistently connected iff every property's marginals
     agree exactly across its contexts (max pairwise total variation 0).
     """
-    from .analytic import tv_distance  # local import to avoid a cycle
-
     max_tv: dict[str, Fraction] = {}
-    consistent = True
     for p in sys.properties:
-        conn = connection_of(sys, p.id)
-        worst = ZERO
-        for a, b in itertools.combinations(conn.marginals, 2):
-            worst = max(worst, tv_distance(a, b))
-        max_tv[p.id] = worst
-        if worst != 0:
-            consistent = False
-    return ConsistencyReport(consistent, max_tv)
+        pairs = itertools.combinations(_connection_weights(sys, p.id), 2)
+        max_tv[p.id] = max((HALF * sum(abs(x - y) for x, y in zip(a, b))
+                            for a, b in pairs), default=ZERO)
+    return ConsistencyReport(not any(max_tv.values()), max_tv)
 
 
 def _require_plus_minus(pmf: Pmf, positions: int) -> None:

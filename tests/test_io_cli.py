@@ -163,6 +163,19 @@ def test_cli_analyze_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())[0]["measure"] == "1/2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "bundled:prbox"],
+    ["approx", "bundled:prbox", "--epr"],
+    ["dump-lp", "bundled:prbox", "--method", "np"],
+])
+def test_cli_unwritable_out_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_sizes(capsys):
     assert main(["sizes", "2", "2"]) == 0
     out = capsys.readouterr().out
@@ -177,7 +190,7 @@ def test_cli_sizes_json(capsys):
     assert present["equality_rows"] == 72
 
 
-@pytest.mark.parametrize("m,n", [("0", "2"), ("2", "-1")])
+@pytest.mark.parametrize("m,n", [("0", "2"), ("2", "-1"), ("100", "100"), ("1", "100000")])
 def test_cli_sizes_rejects_empty_shape(capsys, m, n):
     assert main(["sizes", m, n]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -14,7 +16,15 @@ from contextuality.errors import (
     UnknownProperty,
     ValidationError,
 )
+from contextuality.analytic import (
+    delta0_cbd,
+    delta_p,
+    delta_p_via_lp,
+    max_coupling_probability,
+    tv_distance,
+)
 from contextuality.examples import disjoint_support_system, pr_box
+from contextuality.oracle import SystemShape, random_pmf, random_system
 from contextuality.system import (
     Context,
     Pmf,
@@ -161,16 +171,65 @@ def test_connection_unknown_property():
         connection_of(pr_box(), "nope")
 
 
+def _mixed_system(seed, alphabets, contexts):
+    """Random bunches (inconsistent in general) over the given contexts."""
+    rng = random.Random(seed)
+    props = [Property(pid, alpha) for pid, alpha in alphabets.items()]
+    ctxs = [Context(cid, pids) for cid, pids in contexts.items()]
+    bunches = {c.id: random_pmf(rng, [alphabets[pid] for pid in c.properties])
+               for c in ctxs}
+    return System(props, ctxs, bunches)
+
+
+def _connection_systems():
+    systems = [pr_box(), disjoint_support_system()]
+    for seed, consistent in itertools.product(range(3), (False, True)):
+        systems.append(random_system(SystemShape(2, 2, alphabet_size=3,
+                                                 consistent=consistent, seed=seed)))
+        # a1 lies in three contexts
+        systems.append(random_system(SystemShape(1, 3, alphabet_size=3,
+                                                 consistent=consistent, seed=seed)))
+        systems.append(random_system(SystemShape(2, 2, consistent=consistent, seed=seed)))
+    for seed in range(3):
+        # string symbols, contexts of one to three properties
+        systems.append(_mixed_system(
+            seed, {"s": ("x", "y", "z"), "t": ("u", "v"), "r": ("lo", "mid", "hi", "top")},
+            {"c1": ("s", "t"), "c2": ("t", "r", "s"), "c3": ("r",), "c4": ("s", "r")}))
+        # a binary property declared as -1 1, in three contexts
+        systems.append(_mixed_system(
+            seed, {"p": (-1, 1), "q": (1, -1)},
+            {"c1": ("p", "q"), "c2": ("q", "p"), "c3": ("p",)}))
+    return systems
+
+
 def test_connection_marginals_rederivable():
     # re-marginalizing each bunch reproduces the reported connection
-    for sysd in (pr_box(), disjoint_support_system()):
+    for sysd in _connection_systems():
         for p in sysd.properties:
             conn = connection_of(sysd, p.id)
+            assert conn.contexts == sysd.contexts_of[p.id]
             for cid, marg in zip(conn.contexts, conn.marginals):
                 ctx = sysd.context(cid)
                 pos = ctx.properties.index(p.id)
                 assert sysd.bunch(cid).marginal([pos]) == marg
                 assert sum((w for _, w in marg.items()), F(0)) == 1
+
+
+def test_connection_readers_match_pmf_route():
+    # consistency, cbd floors and delta_p against the marginal-Pmf definitions
+    for sysd in _connection_systems():
+        rep = consistency_report(sysd)
+        cbd_floor = F(0)
+        for p in sysd.properties:
+            margs = [sysd.bunch(cid).marginal([sysd.context(cid).properties.index(p.id)])
+                     for cid in sysd.contexts_of[p.id]]
+            tvs = [tv_distance(a, b) for a, b in itertools.combinations(margs, 2)]
+            assert rep.max_tv[p.id] == max(tvs, default=F(0))
+            if len(margs) >= 2:
+                cbd_floor += 1 - max_coupling_probability(margs)
+            assert delta_p(sysd, p.id).value == delta_p_via_lp(sysd, p.id).value
+        assert rep.consistent == all(v == 0 for v in rep.max_tv.values())
+        assert delta0_cbd(sysd) == cbd_floor
 
 
 def test_consistency_pr_box():
