@@ -279,27 +279,27 @@ def _atom_label(atom: tuple) -> str:
 
 
 def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int, Fraction]],
-                    rhs: list[Fraction], prefix: str, observed: Pmf) -> list[dict[int, Fraction]]:
-    """Append a transport block between `observed` and a second side.
+                    prefix: str, alphabets: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+    """Append a transport block between an observed joint and a second side.
 
-    Adds columns ``{prefix}[u|v]`` for every pair of atoms of `observed`
-    (u observed, v the other side) with Hamming cost, and rows fixing the
-    observed marginal.  Returns the other side's marginal rows, one per v
-    in atom order, for the caller to complete and append with their
-    right-hand sides.
+    Adds columns ``{prefix}[u|v]`` for every pair of atoms over `alphabets`
+    (u observed, v the other side) with Hamming cost, and the rows of the
+    observed marginal, one per u in atom order.  Returns the other side's
+    marginal rows, one per v in atom order, for the caller to complete and
+    append.  Right-hand sides are the caller's: the observed rows take the
+    observed weights in atom order.
     """
     base = len(names)
-    atoms = list(observed.atoms())
+    atoms = list(itertools.product(*alphabets))
     labels = [_atom_label(u) for u in atoms]
-    distance = [Fraction(k) for k in range(len(observed.alphabets) + 1)]
+    distance = [Fraction(k) for k in range(len(alphabets) + 1)]
     for u, lu in zip(atoms, labels):
         for v, lv in zip(atoms, labels):
             names.append(f"{prefix}[{lu}|{lv}]")
             cost.append(distance[hamming(u, v)])
     na = len(atoms)
-    for i, u in enumerate(atoms):
+    for i in range(na):
         rows.append({base + i * na + j: ONE for j in range(na)})
-        rhs.append(observed[u])
     return [{base + i * na + j: ONE for i in range(na)} for j in range(na)]
 
 
@@ -319,10 +319,10 @@ def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
     names: list[str] = []
     cost: list[Fraction] = []
     rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    tied = _coupling_block(names, cost, rows, rhs, "w", observed)
+    tied = _coupling_block(names, cost, rows, "w", observed.alphabets)
     rows += tied
-    rhs += [approx[v] for v in observed.atoms()]
+    atoms = list(observed.atoms())
+    rhs = [observed[u] for u in atoms] + [approx[v] for v in atoms]
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 

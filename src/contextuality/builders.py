@@ -21,12 +21,24 @@ then per-context coupling blocks in context order, atoms lexicographic):
 
 ``fixed_model`` couples the data against one externally supplied
 consistently connected model (no free joint block).
+
+Each family compiles in two steps.  Names, costs and rows depend only on
+the system's shape (property ids and printed alphabets, context ids and
+members), so they form a template (``lp._Template``) that is built once
+per shape and kept in a small private cache.  Every call then adds only
+the right-hand side: each context's bunch weights in atom order, followed
+by zeros for the rows that tie a coupling block to the joint (the model's
+weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
+atom cap, np's consistency check, every floor, every solve and every
+certificate check still run on every call.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -39,7 +51,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .lp import LinearProgram, solve_certified
+from .lp import LinearProgram, _Template, solve_certified
 from .system import Pmf, System, consistency_report
 
 ZERO = Fraction(0)
@@ -53,6 +65,15 @@ DEFAULT_ATOM_CAP = 1 << 20
 # count it reports then also prints under Python's default int-to-str limit
 # of 4300 digits (4**7142 is the largest power of 4 that does).
 _MAX_SIZES_CONTEXTS = 4096
+
+# Templates of recently used shapes, least recently used first.  At most
+# _CACHE_TEMPLATES are kept, and a template with more than
+# _CACHE_MAX_NONZEROS matrix entries is never kept: it is built on every
+# call, which costs little beside solving it.
+_CACHE_TEMPLATES = 16
+_CACHE_MAX_NONZEROS = 1 << 13
+_templates: OrderedDict[tuple, _Template] = OrderedDict()
+_templates_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -87,13 +108,40 @@ class ProblemSizes:
     inequality_count: int
 
 
-def _joint_atoms(sys: System, cap: int) -> list[tuple]:
-    sizes = [len(p.alphabet) for p in sys.properties]
-    count = math.prod(sizes)
+def _shape_key(sys: System) -> tuple:
+    """Everything a template depends on: property ids with their alphabets'
+    printed labels, and context ids with their members.  Labels, not
+    symbols, because names hold labels: 1 == True, but they print apart."""
+    return (tuple((p.id, tuple(map(str, p.alphabet))) for p in sys.properties),
+            tuple((c.id, c.properties) for c in sys.contexts))
+
+
+def _cached_template(family: str, sys: System, build) -> _Template:
+    """The cached template of `family` for the shape of `sys`, or `build(sys)`."""
+    key = (family, _shape_key(sys))
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is not None:
+            _templates.move_to_end(key)
+            return template
+    template = build(sys)
+    if template.nonzeros <= _CACHE_MAX_NONZEROS:
+        with _templates_lock:
+            _templates[key] = template
+            if len(_templates) > _CACHE_TEMPLATES:
+                _templates.popitem(last=False)
+    return template
+
+
+def _check_joint(sys: System, cap: int) -> None:
+    count = math.prod(len(p.alphabet) for p in sys.properties)
     if count > cap:
         raise AlphabetTooLarge(
             f"joint over all properties has {count} atoms (cap {cap})"
         )
+
+
+def _joint_atoms(sys: System) -> list[tuple]:
     return list(itertools.product(*(p.alphabet for p in sys.properties)))
 
 
@@ -111,31 +159,37 @@ def _fibers(sys: System, cid: str, joint: list[tuple]) -> dict[tuple, list[int]]
     return fibers
 
 
-def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
-    """Program whose optimum is the minimal approximating-system distance."""
-    joint = _joint_atoms(sys, max_joint_atoms)
-    names = [f"q[{_atom_label(z)}]" for z in joint]
-    cost: list[Fraction] = [ZERO] * len(joint)
+def _joint_names(prefix: str, joint: list[tuple]) -> list[str]:
+    return [f"{prefix}[{_atom_label(z)}]" for z in joint]
+
+
+def _coupled_to_joint(sys: System, names: list[str], cost: list[Fraction],
+                      joint: list[tuple], signed: bool) -> list[dict[int, Fraction]]:
+    """One coupling block per context whose second side is the joint's
+    marginal there: q for an unsigned joint, pos - neg for a signed one."""
+    n = len(joint)
     rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
     for ctx in sys.contexts:
-        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
+        tied = _coupling_block(names, cost, rows, f"w[{ctx.id}]", sys.bunch(ctx.id).alphabets)
         for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
-            for qcol in fiber:  # approximating-side marginal = joint
-                row[qcol] = NEG_ONE
+            for j in fiber:
+                row[j] = NEG_ONE
+                if signed:
+                    row[n + j] = ONE
         rows += tied
-        rhs += [ZERO] * len(tied)
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    return rows
 
 
-def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
-    """Program whose optimum is the minimal total connection disagreement."""
+def _present_template(sys: System) -> _Template:
+    joint = _joint_atoms(sys)
+    names = _joint_names("q", joint)
+    cost: list[Fraction] = [ZERO] * len(joint)
+    rows = _coupled_to_joint(sys, names, cost, joint, signed=False)
+    return _Template(names, cost, rows)
+
+
+def _cbd_template(sys: System) -> _Template:
     ctx_atoms = [list(sys.bunch(c.id).atoms()) for c in sys.contexts]
-    count = math.prod(len(a) for a in ctx_atoms)
-    if count > max_joint_atoms:
-        raise AlphabetTooLarge(
-            f"coupling of all bunches has {count} atoms (cap {max_joint_atoms})"
-        )
     # Where each property sits inside each of its contexts.
     slots: list[list[tuple[int, int]]] = []
     for p in sys.properties:
@@ -165,14 +219,89 @@ def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> Linear
         cost.append(broken_cost[broken])
         for t, u in enumerate(assign):
             buckets[(t, u)][col] = ONE
+    rows = [buckets[(t, u)] for t, atoms in enumerate(ctx_atoms) for u in atoms]
+    return _Template(names, cost, rows)
+
+
+def _np_template(sys: System) -> _Template:
+    joint = _joint_atoms(sys)
+    n = len(joint)
+    names = _joint_names("pos", joint) + _joint_names("neg", joint)
+    cost = [ZERO] * n + [ONE] * n
     rows: list[dict[int, Fraction]] = []
+    for ctx in sys.contexts:
+        for fiber in _fibers(sys, ctx.id, joint).values():
+            row: dict[int, Fraction] = {}
+            for j in fiber:
+                row[j] = ONE
+                row[n + j] = NEG_ONE
+            rows.append(row)
+    return _Template(names, cost, rows)
+
+
+def _np_inside_template(sys: System) -> _Template:
+    joint = _joint_atoms(sys)
+    n = len(joint)
+    names = _joint_names("pos", joint) + _joint_names("neg", joint)
+    cost: list[Fraction] = [ZERO] * n + [ONE] * n
+    rows = _coupled_to_joint(sys, names, cost, joint, signed=True)
+    # The blocks' Hamming costs make up the distance row, not the objective.
+    delta_row = {j: c for j, c in enumerate(cost[2 * n:], 2 * n) if c}
+    cost[2 * n:] = [ZERO] * (len(cost) - 2 * n)
+    names.append("slack")
+    cost.append(ZERO)
+    delta_row[len(names) - 1] = ONE
+    rows.append(delta_row)
+    return _Template(names, cost, rows)
+
+
+def _fixed_model_template(sys: System) -> _Template:
+    names: list[str] = []
+    cost: list[Fraction] = []
+    rows: list[dict[int, Fraction]] = []
+    for ctx in sys.contexts:
+        tied = _coupling_block(names, cost, rows, f"w[{ctx.id}]", sys.bunch(ctx.id).alphabets)
+        rows += tied
+    return _Template(names, cost, rows)
+
+
+def _atom_weights(pmf: Pmf) -> list[Fraction]:
+    """The weight of every atom of `pmf`, in atom order."""
+    weights = pmf._weights
+    return [weights.get(u, ZERO) for u in itertools.product(*pmf.alphabets)]
+
+
+def _bunch_rhs(sys: System) -> list[Fraction]:
+    """Every context's bunch weights in atom order."""
+    return [w for ctx in sys.contexts for w in _atom_weights(sys.bunches[ctx.id])]
+
+
+def _coupled_rhs(sys: System, model: Optional[Mapping[str, Pmf]] = None) -> list[Fraction]:
+    """Every context's bunch weights, each followed by its coupling block's
+    other side: the model's weights, or zeros where it is tied to a joint."""
     rhs: list[Fraction] = []
-    for t, ctx in enumerate(sys.contexts):
-        bunch = sys.bunch(ctx.id)
-        for u in ctx_atoms[t]:
-            rows.append(buckets[(t, u)])
-            rhs.append(bunch[u])
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    for ctx in sys.contexts:
+        weights = _atom_weights(sys.bunches[ctx.id])
+        rhs += weights
+        rhs += [ZERO] * len(weights) if model is None else _atom_weights(model[ctx.id])
+    return rhs
+
+
+def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
+    """Program whose optimum is the minimal approximating-system distance."""
+    _check_joint(sys, max_joint_atoms)
+    return _cached_template("present", sys, _present_template).program(_coupled_rhs(sys))
+
+
+def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
+    """Program whose optimum is the minimal total connection disagreement."""
+    count = math.prod(len(sys.property(pid).alphabet)
+                      for c in sys.contexts for pid in c.properties)
+    if count > max_joint_atoms:
+        raise AlphabetTooLarge(
+            f"coupling of all bunches has {count} atoms (cap {max_joint_atoms})"
+        )
+    return _cached_template("cbd", sys, _cbd_template).program(_bunch_rhs(sys))
 
 
 def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
@@ -187,23 +316,8 @@ def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearP
             "a signed joint with context marginals equal to the bunches "
             "requires consistent connectedness"
         )
-    joint = _joint_atoms(sys, max_joint_atoms)
-    n = len(joint)
-    names = [f"pos[{_atom_label(z)}]" for z in joint]
-    names += [f"neg[{_atom_label(z)}]" for z in joint]
-    cost = [ZERO] * n + [ONE] * n
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for ctx in sys.contexts:
-        bunch = sys.bunch(ctx.id)
-        for v, fiber in _fibers(sys, ctx.id, joint).items():
-            row: dict[int, Fraction] = {}
-            for j in fiber:
-                row[j] = ONE
-                row[n + j] = NEG_ONE
-            rows.append(row)
-            rhs.append(bunch[v])
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    _check_joint(sys, max_joint_atoms)
+    return _cached_template("np", sys, _np_template).program(_bunch_rhs(sys))
 
 
 def build_np_inside_lp(
@@ -217,30 +331,9 @@ def build_np_inside_lp(
     coupling blocks are nonnegative, which forces every context marginal of
     the signed joint to be a proper distribution.
     """
-    joint = _joint_atoms(sys, max_joint_atoms)
-    n = len(joint)
-    names = [f"pos[{_atom_label(z)}]" for z in joint]
-    names += [f"neg[{_atom_label(z)}]" for z in joint]
-    cost: list[Fraction] = [ZERO] * n + [ONE] * n
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for ctx in sys.contexts:
-        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
-        for row, fiber in zip(tied, _fibers(sys, ctx.id, joint).values()):
-            for z in fiber:
-                row[z] = NEG_ONE
-                row[n + z] = ONE
-        rows += tied
-        rhs += [ZERO] * len(tied)
-    # The blocks' Hamming costs make up the distance row, not the objective.
-    delta_row = {j: c for j, c in enumerate(cost[2 * n:], 2 * n) if c}
-    cost[2 * n:] = [ZERO] * (len(cost) - 2 * n)
-    names.append("slack")
-    cost.append(ZERO)
-    delta_row[len(names) - 1] = ONE
-    rows.append(delta_row)
-    rhs.append(Fraction(delta0))
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    _check_joint(sys, max_joint_atoms)
+    template = _cached_template("np_inside", sys, _np_inside_template)
+    return template.program(_coupled_rhs(sys) + [Fraction(delta0)])
 
 
 def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram:
@@ -259,15 +352,8 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
         raise ModelNotConsistentlyConnected(
             "approximating model must have context-independent marginals"
         )
-    names: list[str] = []
-    cost: list[Fraction] = []
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for ctx in sys.contexts:
-        tied = _coupling_block(names, cost, rows, rhs, f"w[{ctx.id}]", sys.bunch(ctx.id))
-        rows += tied
-        rhs += [model[ctx.id][v] for v in sys.bunch(ctx.id).atoms()]
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    template = _cached_template("fixed_model", sys, _fixed_model_template)
+    return template.program(_coupled_rhs(sys, model_sys.bunches))
 
 
 def build_lp(

@@ -8,6 +8,7 @@ packaged example files (bundled:prbox, bundled:disjoint).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -71,9 +72,13 @@ def _render(reports: list[dict], json_mode: bool) -> str:
 def cmd_analyze(args) -> int:
     sysd = parse_system(resolve_input(args.path))
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise ValidationError(f"--method names no method (choose from {ANALYZE_METHODS})")
     for m in methods:
         if m not in ANALYZE_METHODS:
             raise ValidationError(f"unknown method {m!r} (choose from {ANALYZE_METHODS})")
+    if len(set(methods)) != len(methods):
+        raise ValidationError(f"--method names a method twice: {args.method!r}")
     reports = []
     worst = EXIT_OK
     for m in methods:
@@ -185,8 +190,8 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value >= 0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 

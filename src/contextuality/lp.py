@@ -22,14 +22,23 @@ and hold B^-1, so the dual is read off their reduced costs.  The public
 API is Fraction end to end.  verify_certificate re-checks every optimum
 against the program alone, independently of the tableau, in Python ints
 over common denominators.
+
+A program whose matrix does not depend on its data can be made from a
+template (``_Template``): names, costs and read-only rows checked once,
+to which each call adds only its right-hand side.  The template keeps the
+two integer forms of its rows, each computed on first use: the sparse
+rows (row lcm plus column/numerator pairs) that solve_exact seeds its
+tableau from, and verify_certificate's own scaling of the rows, derived
+from the rows by its own code and never from the solver's form.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import CertificationFailure, DimensionMismatch, Infeasible, ParseError, SolverError
 
@@ -47,22 +56,13 @@ class LinearProgram:
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = len(self.variables)
-        if len(self.cost) != n:
-            raise DimensionMismatch(f"{len(self.cost)} cost entries for {n} variables")
-        if len(self.rows) != len(self.rhs):
-            raise DimensionMismatch(
-                f"{len(self.rows)} rows but {len(self.rhs)} right-hand sides"
-            )
-        if len(set(self.variables)) != n:
-            raise DimensionMismatch("duplicate variable names")
-        for name in self.variables:
-            if name.split() != [name]:
-                raise DimensionMismatch(f"bad variable name {name!r}")
-        for i, row in enumerate(self.rows):
-            for j in row:
-                if not (0 <= j < n):
-                    raise DimensionMismatch(f"row {i} references column {j} (n={n})")
+        _check_matrix(self.variables, self.cost, self.rows)
+        _check_rhs(self.rows, self.rhs)
+
+    def __reduce__(self):
+        # Copies and pickles are plain programs, without a template.
+        rows = tuple(dict(row) for row in self.rows)
+        return LinearProgram, (self.variables, self.cost, rows, self.rhs)
 
     @property
     def column_count(self) -> int:
@@ -71,6 +71,86 @@ class LinearProgram:
     @property
     def row_count(self) -> int:
         return len(self.rows)
+
+
+def _check_matrix(variables, cost, rows) -> None:
+    n = len(variables)
+    if len(cost) != n:
+        raise DimensionMismatch(f"{len(cost)} cost entries for {n} variables")
+    if len(set(variables)) != n:
+        raise DimensionMismatch("duplicate variable names")
+    for name in variables:
+        if name.split() != [name]:
+            raise DimensionMismatch(f"bad variable name {name!r}")
+    for i, row in enumerate(rows):
+        for j in row:
+            if not (0 <= j < n):
+                raise DimensionMismatch(f"row {i} references column {j} (n={n})")
+
+
+def _check_rhs(rows, rhs) -> None:
+    if len(rows) != len(rhs):
+        raise DimensionMismatch(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+
+
+class _ReadOnlyRow(dict):
+    """A template's row: a dict whose mutating methods raise TypeError.
+    Its copies and pickles are plain dicts."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the rows of a program made from a template are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _Template:
+    """Names, costs and rows of every program of one shape, checked once.
+
+    Rows are kept read-only, so neither a template nor a program made from
+    it can be changed.  ``seed`` and ``certificate`` are
+    the integer forms of the rows used by solve_exact and
+    verify_certificate, filled in on first use.  Nothing here depends on a
+    program's right-hand side.
+    """
+
+    __slots__ = ("variables", "cost", "rows", "nonzeros", "seed", "certificate")
+
+    def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
+                 rows: Sequence[Mapping[int, Fraction]]):
+        self.variables = tuple(variables)
+        self.cost = tuple(cost)
+        self.rows = tuple(map(_ReadOnlyRow, rows))
+        _check_matrix(self.variables, self.cost, self.rows)
+        self.nonzeros = sum(map(len, self.rows))
+        self.seed = self.certificate = None
+
+    def program(self, rhs: Sequence[Fraction]) -> LinearProgram:
+        """The template's program with right-hand side ``rhs``."""
+        rhs = tuple(rhs)
+        _check_rhs(self.rows, rhs)
+        lp = object.__new__(LinearProgram)  # the matrix is already checked
+        for name, value in (("variables", self.variables), ("cost", self.cost),
+                            ("rows", self.rows), ("rhs", rhs), ("_template", self)):
+            object.__setattr__(lp, name, value)
+        return lp
+
+
+def _form(lp: LinearProgram, slot: str, make):
+    """``make(lp)``, computed once per template for programs made from one."""
+    template = getattr(lp, "_template", None)
+    if template is None:
+        return make(lp)
+    form = getattr(template, slot)
+    if form is None:
+        form = make(lp)
+        setattr(template, slot, form)
+    return form
 
 
 @dataclass(frozen=True)
@@ -176,10 +256,30 @@ def _bland(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int
         _pivot(tableau, rhs, basis, cost_rows, leave, enter)
 
 
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
+def _solver_seed(lp: LinearProgram):
+    """Each row as (lcm of its denominators, its columns, its entries times
+    that lcm), and the cost as (lcm, scaled entries)."""
+    rows = []
+    shared: dict[tuple, tuple] = {}  # rows with equal entries share one tuple
+    for entries in lp.rows:
+        values = entries.values()
+        den = lcm(*map(_denominator, values))
+        nums = tuple(map(_numerator, values) if den == 1 else
+                     (v.numerator * (den // v.denominator) for v in values))
+        rows.append((den, tuple(entries), shared.setdefault(nums, nums)))
+    cost_den, cost = _scaled(lp.cost)
+    return tuple(rows), (cost_den, tuple(cost))
+
+
 def solve_exact(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex; returns an exactly certified optimum when one exists."""
     n = lp.column_count
     m = lp.row_count
+    seed, (cost_den, cost) = _form(lp, "seed", _solver_seed)
 
     # Sign-normalize so every right-hand side is nonnegative, then append
     # the artificial identity: row i is [A_i | e_i] over the least common
@@ -187,17 +287,11 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     # is kept beside it as a reduced pair.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
     tableau: list[list[int]] = []
-    for i, entries in enumerate(lp.rows):
-        ratios = [v.as_integer_ratio() for v in entries.values()]
-        den = lcm(*(d for _, d in ratios))
+    for i, (den, cols, nums) in enumerate(seed):
         row = [0] * (n + m + 1)
         s = sign[i]
-        if den == 1:
-            for j, (a, _) in zip(entries, ratios):
-                row[j] = s * a
-        else:
-            for j, (a, d) in zip(entries, ratios):
-                row[j] = s * a * (den // d)
+        for j, a in zip(cols, nums):
+            row[j] = s * a
         row[n + i] = row[-1] = den
         tableau.append(row)
     rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
@@ -207,13 +301,12 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     # along, so it is already reduced against the final phase-one basis.
     den = lcm(*(row[-1] for row in tableau))
     cost1 = [0] * (n + m + 1)
-    for row, entries in zip(tableau, lp.rows):
+    for row, (_, cols, _) in zip(tableau, seed):
         k = den // row[-1]
-        for j in entries:
+        for j in cols:
             cost1[j] -= k * row[j]
     cost1[-1] = den
-    cost_den, cost = _scaled(lp.cost)
-    cost2 = cost + [0] * m + [cost_den]
+    cost2 = [*cost, *[0] * m, cost_den]
     status = _bland(tableau, rhs, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
@@ -288,22 +381,17 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
     if any(v < 0 for v in x):
         return False
     yd, y = _scaled(sol.dual)
-    ratios = [[v.as_integer_ratio() for v in row.values()] for row in lp.rows]
-    ad = lcm(*(d for row in ratios for _, d in row))
+    ad, matrix, (cd, c) = _form(lp, "certificate", _certificate_matrix)
     # Ax = b row by row (each row's sum is over ad * xd), while y'A
     # accumulates over ad * yd.
     pulled = [0] * n
-    for row, row_ratios, b, yi in zip(lp.rows, ratios, lp.rhs, y):
-        total = 0
-        for j, (a, d) in zip(row, row_ratios):
-            if d != ad:
-                a *= ad // d
-            total += a * x[j]
-            if yi:
-                pulled[j] += yi * a
+    for (cols, nums), b, yi in zip(matrix, lp.rhs, y):
+        total = sum(map(operator.mul, nums, map(x.__getitem__, cols)))
         if total * b.denominator != b.numerator * ad * xd:
             return False
-    cd, c = _scaled(lp.cost)
+        if yi:
+            for j, a in zip(cols, nums):
+                pulled[j] += yi * a
     if any(p * cd > cj * ad * yd for p, cj in zip(pulled, c)):
         return False
     bd, b = _scaled(lp.rhs)
@@ -312,6 +400,22 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
     obj = sol.objective
     return (primal_obj * obj.denominator == obj.numerator * cd * xd
             and dual_obj * obj.denominator == obj.numerator * yd * bd)
+
+
+def _certificate_matrix(lp: LinearProgram):
+    """The rows over one common denominator ad, as (ad, [(columns, entries
+    times ad)]), and the cost as (lcm, scaled entries).  Derived from the
+    program alone, not from the solver's seed."""
+    ad = lcm(*(v.denominator for row in lp.rows for v in row.values()))
+    matrix = []
+    shared: dict[tuple, tuple] = {}  # rows with equal entries share one tuple
+    for row in lp.rows:
+        values = row.values()
+        nums = tuple(map(_numerator, values) if ad == 1 else
+                     (v.numerator * (ad // v.denominator) for v in values))
+        matrix.append((tuple(row), shared.setdefault(nums, nums)))
+    cd, c = _scaled(lp.cost)
+    return ad, tuple(matrix), (cd, tuple(c))
 
 
 def _scaled(values) -> tuple[int, list[int]]:

@@ -8,6 +8,7 @@ is evidence against correlated bugs rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,12 +242,13 @@ def run_selftest(seed: int = 2024, count: int = 25,
     """Run every verification suite; returns (name, passed, total) rows.
 
     Raises ValidationError for a count below 1 (which would report empty
-    suites as passes) and for a negative or NaN tolerance.
+    suites as passes) and for a negative, infinite or NaN tolerance (an
+    infinite one would pass the float cross-check whatever the solvers say).
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count!r}")
-    if not tol >= 0:  # also false for NaN
-        raise ValidationError(f"tol must be >= 0, got {tol!r}")
+    if not 0 <= tol < math.inf:  # also false for NaN
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     from .analytic import (
         cyclic2_min_partial,
         delta_p,

@@ -1,8 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from contextuality import builders
 from contextuality.analytic import BinaryStats, delta0_present, per_context_min_delta
 from contextuality.builders import (
     build_cbd_lp,
@@ -22,10 +29,16 @@ from contextuality.errors import (
     ModelNotConsistentlyConnected,
     ShapeMismatch,
 )
-from contextuality.examples import ab_system, disjoint_support_system, pr_box
-from contextuality.lp import solve_exact, verify_certificate
+from contextuality.examples import ab_system, disjoint_support_system, epr_model, pr_box
+from contextuality.lp import (
+    LinearProgram,
+    _certificate_matrix,
+    dump_lp,
+    solve_exact,
+    verify_certificate,
+)
 from contextuality.oracle import FLOAT_TOL, SystemShape, random_pmf, random_system, solve_float
-from contextuality.system import Pmf, Property, System
+from contextuality.system import Context, Pmf, Property, System
 
 PM = (1, -1)
 
@@ -285,3 +298,205 @@ def test_np_inside_inconsistent_certifies_or_raises_typed_error():
         assert abs(float(rep.delta) - approx.objective) <= FLOAT_TOL, seed
         outcomes.add("optimal")
     assert "optimal" in outcomes
+
+
+# ---------------------------------------------------------------------------
+# Shape templates: built once per shape, right-hand side filled in per call
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ANALYZE_METHODS = ("present", "cbd", "np", "np_inside")
+
+
+@pytest.fixture
+def empty_cache():
+    builders._templates.clear()
+    yield
+    builders._templates.clear()
+
+
+def same_shape(sysd: System, seed: int) -> System:
+    """`sysd` with every bunch replaced by a random one over the same alphabets."""
+    rng = random.Random(seed)
+    return System(sysd.properties, sysd.contexts,
+                  {c.id: random_pmf(rng, sysd.bunch(c.id).alphabets) for c in sysd.contexts})
+
+
+def solved(lp):
+    sol = solve_exact(lp)
+    return sol.status, sol.objective, sol.primal, sol.dual, sol.basis
+
+
+@pytest.mark.parametrize("name,method", [
+    (name, method) for name in ("prbox", "disjoint") for method in ANALYZE_METHODS
+    if (name, method) != ("disjoint", "np")
+])
+def test_cached_template_matches_golden_and_fresh_build(empty_cache, name, method):
+    sysd = pr_box() if name == "prbox" else disjoint_support_system()
+    other = random_system(SystemShape(2, 2, seed=3)) if name == "prbox" else same_shape(sysd, 3)
+    warm = build_lp(other, method)  # fills the cache with other data
+    lp = build_lp(sysd, method)
+    assert lp._template is warm._template is not None
+    assert lp.rhs != warm.rhs
+    assert dump_lp(lp) == (GOLDEN / f"{name}.{method}.lp").read_text()
+    got = solved(lp)
+    builders._templates.clear()
+    fresh = build_lp(sysd, method)
+    assert fresh._template is not lp._template
+    assert dump_lp(fresh) == dump_lp(lp)
+    assert solved(fresh) == got
+
+
+def test_fixed_model_template_matches_golden(empty_cache):
+    model = epr_model([0, 90], [180, 270]).system.bunches
+    build_fixed_model_lp(random_system(SystemShape(2, 2, seed=4)), model)
+    lp = build_fixed_model_lp(pr_box(), model)
+    assert dump_lp(lp) == (GOLDEN / "prbox.fixed_model.lp").read_text()
+
+
+def test_templates_key_on_printed_labels(empty_cache):
+    # Property accepts both alphabets and they compare equal, but names
+    # print them apart, so each gets its own template.
+    def system(alphabet):
+        return System([Property("p", alphabet), Property("q", alphabet)],
+                      [Context("c", ("p", "q"))],
+                      {"c": Pmf([alphabet, alphabet], {(alphabet[0], alphabet[1]): 1})})
+
+    ints, bools = system((1, 0)), system((True, False))
+    assert ints == bools
+    for method in ANALYZE_METHODS:
+        a, b = build_lp(ints, method), build_lp(bools, method)
+        assert a._template is not b._template
+        assert any("1,0" in v for v in a.variables)
+        assert all("True" not in v for v in a.variables)
+        assert any("True" in v for v in b.variables)
+        builders._templates.clear()
+        assert dump_lp(build_lp(bools, method)) == dump_lp(b)
+        assert dump_lp(build_lp(ints, method)) == dump_lp(a)
+
+
+def test_atom_cap_applies_to_cached_shapes(empty_cache):
+    sysd = pr_box()
+    for method in ANALYZE_METHODS:
+        build_lp(sysd, method)
+    with pytest.raises(AlphabetTooLarge):
+        build_present_lp(sysd, max_joint_atoms=8)
+    with pytest.raises(AlphabetTooLarge):
+        build_cbd_lp(sysd, max_joint_atoms=100)
+    with pytest.raises(AlphabetTooLarge):
+        build_np_lp(sysd, max_joint_atoms=8)
+    with pytest.raises(AlphabetTooLarge):
+        build_np_inside_lp(sysd, delta0_present(sysd), max_joint_atoms=8)
+    with pytest.raises(AlphabetTooLarge):
+        measure(sysd, "present", max_joint_atoms=8)
+
+
+def test_template_rows_are_read_only(empty_cache):
+    for method in ANALYZE_METHODS:
+        lp = build_lp(pr_box(), method)
+        with pytest.raises(TypeError):
+            lp.rows[0][0] = F(5)
+        with pytest.raises(TypeError):
+            del lp.rows[0][next(iter(lp.rows[0]))]
+        with pytest.raises(TypeError):
+            lp.rows[-1].update({0: F(1)})
+        assert dump_lp(build_lp(pr_box(), method)) == dump_lp(lp)
+
+
+def test_template_programs_copy_as_plain_programs(empty_cache):
+    lp = build_lp(pr_box(), "present")
+    for back in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
+        assert back == lp and not hasattr(back, "_template")
+        assert all(type(row) is dict for row in back.rows)
+        assert solved(back) == solved(lp)
+    assert dataclasses.asdict(lp)["rows"] == lp.rows
+
+
+def test_large_templates_are_not_retained(empty_cache):
+    # 6561 columns and 26244 nonzeros: above the ceiling, so built per call.
+    sysd = random_system(SystemShape(2, 2, alphabet_size=3, seed=0))
+    lp = build_lp(sysd, "cbd")
+    assert sum(map(len, lp.rows)) > builders._CACHE_MAX_NONZEROS
+    assert not builders._templates
+    assert build_lp(sysd, "cbd")._template is not lp._template
+    build_lp(sysd, "present")
+    assert len(builders._templates) == 1
+
+
+def test_template_cache_is_bounded(empty_cache):
+    for k in range(builders._CACHE_TEMPLATES + 5):
+        sysd = System([Property(f"p{k}", PM)], [Context("c", (f"p{k}",))],
+                      {"c": Pmf([PM], {(1,): 1})})
+        build_present_lp(sysd)
+    assert len(builders._templates) == builders._CACHE_TEMPLATES
+
+
+def test_second_same_shape_measure_builds_nothing(empty_cache, monkeypatch):
+    first = random_system(SystemShape(2, 2, consistent=True, seed=5))
+    second = random_system(SystemShape(2, 2, consistent=True, seed=6))
+    model = epr_model([0, 90], [180, 270]).system.bunches
+    methods = ANALYZE_METHODS + ("fixed_model",)
+    expected = {}
+    for method in methods:  # each from a freshly built template
+        builders._templates.clear()
+        expected[method] = measure(second, method, model=model)
+    builders._templates.clear()
+    for method in methods:
+        measure(first, method, model=model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder block ran for a cached shape")
+
+    for name in ("_coupling_block", "_fibers", "_joint_atoms", "_cbd_template"):
+        monkeypatch.setattr(builders, name, refuse)
+    for method in methods:
+        assert measure(second, method, model=model) == expected[method]
+
+
+def test_certificate_never_reads_the_solver_seed(empty_cache):
+    lp = build_lp(pr_box(), "np_inside")
+    sol = solve_exact(lp)
+    template = lp._template
+    assert template.seed is not None
+    template.seed = "not a seed"
+    assert verify_certificate(lp, sol)
+    # Its matrix is the one a plain program with the same rows gives.
+    plain = LinearProgram(lp.variables, lp.cost, tuple(map(dict, lp.rows)), lp.rhs)
+    assert template.certificate == _certificate_matrix(plain)
+
+
+def test_template_cache_under_threads(empty_cache):
+    # More threads than cores share one cache that keeps evicting: every
+    # program stays exact and the cache stays within its bound.
+    half = F(1, 2)
+    systems = [System([Property(f"p{k}", PM), Property("q", PM)], [Context("c", (f"p{k}", "q"))],
+                      {"c": Pmf([PM, PM], {(1, 1): half, (-1, -1): half})})
+               for k in range(builders._CACHE_TEMPLATES + 4)]
+    expected = [dump_lp(build_present_lp(s)) for s in systems]
+    builders._templates.clear()
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)  # about one call in five misses and evicts
+        try:
+            for r in range(6000):
+                k = rng.randrange(len(systems))
+                lp = build_present_lp(systems[k])
+                if r % 10 == 0 and dump_lp(lp) != expected[k]:
+                    errors.append(k)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(builders._templates) <= builders._CACHE_TEMPLATES

@@ -155,6 +155,20 @@ def test_cli_analyze_unknown_method(capsys):
     assert main(["analyze", "bundled:prbox", "--method", "bogus"]) == 2
 
 
+def test_cli_analyze_rejects_empty_method_list(capsys):
+    assert main(["analyze", "bundled:prbox", "--method", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no method" in captured.err
+
+
+def test_cli_analyze_rejects_repeated_method(capsys):
+    assert main(["analyze", "bundled:prbox", "--method", "np, np"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "twice" in captured.err
+
+
 def test_cli_analyze_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["analyze", "bundled:prbox", "--method", "np", "--json",
@@ -269,7 +283,7 @@ def test_cli_selftest(capsys):
 
 
 @pytest.mark.parametrize("args", [["--count", "0"], ["--count", "-3"],
-                                  ["--tol", "nan"], ["--tol=-1e-3"]])
+                                  ["--tol", "nan"], ["--tol=-1e-3"], ["--tol", "inf"]])
 def test_cli_selftest_rejects_bad_arguments(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", *args])

@@ -141,7 +141,7 @@ def test_run_selftest_passes():
 
 
 @pytest.mark.parametrize("kwargs", [dict(count=0), dict(count=-3), dict(tol=-1e-9),
-                                    dict(tol=float("nan"))])
+                                    dict(tol=float("nan")), dict(tol=float("inf"))])
 def test_run_selftest_rejects_bad_arguments(kwargs):
     with pytest.raises(ValidationError):
         run_selftest(**kwargs)
