@@ -350,17 +350,20 @@ def test_approx_epr_json_matches_golden(capsys):
 
 def _golden_programs():
     ternary = random_system(SystemShape(2, 2, alphabet_size=3, consistent=False, seed=0))
+    # a1 is in three contexts, so measure() solves its floor through this program.
+    ternary3 = random_system(SystemShape(1, 3, alphabet_size=3, consistent=False, seed=5))
     return {
         "prbox.fixed_model": lambda: build_fixed_model_lp(
             parse_system(bundled_path("prbox")), epr_model([0, 90], [180, 270]).system.bunches),
         "ternary.delta_p": lambda: build_delta_p_lp(ternary, "a1"),
+        "ternary3.delta_p": lambda: build_delta_p_lp(ternary3, "a1"),
         "ternary.coupling_mismatch": lambda: coupling_mismatch_lp(
             ternary.bunch("a1b1"), ternary.bunch("a1b2")),
     }
 
 
 @pytest.mark.parametrize("name", ["prbox.fixed_model", "ternary.coupling_mismatch",
-                                  "ternary.delta_p"])
+                                  "ternary.delta_p", "ternary3.delta_p"])
 def test_coupling_programs_match_golden(name):
     lp = _golden_programs()[name]()
     assert dump_lp(lp) == (GOLDEN / f"{name}.lp").read_text()
