@@ -14,6 +14,11 @@ The quantities here are the building blocks of the contextuality measures:
 * the per-context minimal mismatch between a bunch and an approximating
   bunch over all couplings (closed form for two binary properties,
   otherwise an optimal-transport LP with Hamming cost).
+
+`_coupling_block` writes every transport block of the package: the
+mismatch program's, one per context of the delta_p program, and the
+builders' blocks that couple each bunch to a joint or a fixed model.
+Weights are read through `system`.
 """
 from __future__ import annotations
 
@@ -33,8 +38,10 @@ from .lp import LinearProgram, solve_certified
 from .system import (
     Pmf,
     System,
+    _atom_weights,
     _check_name_part,
     _connection_weights,
+    _disagreement,
     expectation,
     is_plus_minus,
     product_expectation,
@@ -58,10 +65,7 @@ def max_coupling_probability(marginals: Sequence[Pmf]) -> Fraction:
     for m in marginals[1:]:
         if m.alphabets != alphas:
             raise AlphabetMismatch(f"alphabets differ: {m.alphabets} vs {alphas}")
-    total = ZERO
-    for atom in marginals[0].atoms():
-        total += min(m[atom] for m in marginals)
-    return total
+    return ONE - _disagreement([_atom_weights(m) for m in marginals])
 
 
 def tv_distance(a: Pmf, b: Pmf) -> Fraction:
@@ -199,14 +203,6 @@ def delta_p(sys: System, pid: str) -> DeltaP:
     return delta_p_via_lp(sys, pid)
 
 
-def _disagreement(weights: Sequence[tuple[Fraction, ...]]) -> Fraction:
-    """1 minus the maximal coupling probability of same-alphabet marginal
-    weight tuples; 0 for a single one."""
-    if len(weights) < 2:
-        return ZERO
-    return ONE - sum(map(min, *weights), ZERO)
-
-
 def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
     """Program for delta_p over any finite alphabet.
 
@@ -216,29 +212,18 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
     one, with mismatch mass as cost.
     """
     alpha = sys.property(pid).alphabet
-    weights = _connection_weights(sys, pid)
-    contexts = sys.contexts_of[pid]
-    label = {s: _atom_label((s,)) for s in alpha}
-    names: list[str] = [f"q[{label[s]}]" for s in alpha]
-    cost: list[Fraction] = [ZERO] * len(alpha)
-    col = {("q", s): j for j, s in enumerate(alpha)}
-    for cid in contexts:
-        for x in alpha:
-            for y in alpha:
-                col[("w", cid, x, y)] = len(names)
-                names.append(f"w[{cid}][{label[x]}|{label[y]}]")
-                cost.append(ZERO if x == y else ONE)
+    names = [f"q[{_atom_label((s,))}]" for s in alpha]
+    cost = [ZERO] * len(alpha)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for cid, w in zip(contexts, weights):
-        for y, wy in zip(alpha, w):  # observed-side marginal fixed by the data
-            rows.append({col[("w", cid, x, y)]: ONE for x in alpha})
-            rhs.append(wy)
-        for x in alpha:  # q-side marginal tied to the shared q block
-            row = {col[("w", cid, x, y)]: ONE for y in alpha}
-            row[col[("q", x)]] = NEG_ONE
-            rows.append(row)
-            rhs.append(ZERO)
+    for cid, w in zip(sys.contexts_of[pid], _connection_weights(sys, pid)):
+        # q is the block's first side, so its columns read w[cid][x|y].
+        q_side: list[dict[int, Fraction]] = []
+        observed = _coupling_block(names, cost, q_side, f"w[{cid}]", [alpha])
+        for x, row in enumerate(q_side):
+            row[x] = NEG_ONE
+        rows += observed + q_side
+        rhs += list(w) + [ZERO] * len(alpha)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 
@@ -280,14 +265,13 @@ def _atom_label(atom: tuple) -> str:
 
 def _coupling_block(names: list[str], cost: list[Fraction], rows: list[dict[int, Fraction]],
                     prefix: str, alphabets: Sequence[Sequence]) -> list[dict[int, Fraction]]:
-    """Append a transport block between an observed joint and a second side.
+    """Append a transport block between two sides over the same `alphabets`.
 
-    Adds columns ``{prefix}[u|v]`` for every pair of atoms over `alphabets`
-    (u observed, v the other side) with Hamming cost, and the rows of the
-    observed marginal, one per u in atom order.  Returns the other side's
-    marginal rows, one per v in atom order, for the caller to complete and
-    append.  Right-hand sides are the caller's: the observed rows take the
-    observed weights in atom order.
+    Adds columns ``{prefix}[u|v]`` for every pair of atoms (u on the first
+    side, v on the second) with Hamming cost, and appends to `rows` the
+    first side's marginal rows, one per u in atom order.  Returns the second
+    side's marginal rows, one per v in atom order, for the caller to
+    complete and append.  Right-hand sides are the caller's.
     """
     base = len(names)
     atoms = list(itertools.product(*alphabets))
@@ -321,8 +305,7 @@ def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
     rows: list[dict[int, Fraction]] = []
     tied = _coupling_block(names, cost, rows, "w", observed.alphabets)
     rows += tied
-    atoms = list(observed.atoms())
-    rhs = [observed[u] for u in atoms] + [approx[v] for v in atoms]
+    rhs = _atom_weights(observed) + _atom_weights(approx)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 

@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, _Template, solve_certified
-from .system import Pmf, System, consistency_report
+from .system import Pmf, System, _atom_weights, _slots, consistency_report
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -190,14 +190,7 @@ def _present_template(sys: System) -> _Template:
 
 def _cbd_template(sys: System) -> _Template:
     ctx_atoms = [list(sys.bunch(c.id).atoms()) for c in sys.contexts]
-    # Where each property sits inside each of its contexts.
-    slots: list[list[tuple[int, int]]] = []
-    for p in sys.properties:
-        where = []
-        for t, ctx in enumerate(sys.contexts):
-            if p.id in ctx.properties:
-                where.append((t, ctx.properties.index(p.id)))
-        slots.append(where)
+    slots = [_slots(sys, p.id) for p in sys.properties]
     names: list[str] = []
     cost: list[Fraction] = []
     broken_cost = [Fraction(k) for k in range(len(slots) + 1)]
@@ -258,17 +251,8 @@ def _np_inside_template(sys: System) -> _Template:
 def _fixed_model_template(sys: System) -> _Template:
     names: list[str] = []
     cost: list[Fraction] = []
-    rows: list[dict[int, Fraction]] = []
-    for ctx in sys.contexts:
-        tied = _coupling_block(names, cost, rows, f"w[{ctx.id}]", sys.bunch(ctx.id).alphabets)
-        rows += tied
+    rows = _coupled_to_joint(sys, names, cost, [], signed=False)
     return _Template(names, cost, rows)
-
-
-def _atom_weights(pmf: Pmf) -> list[Fraction]:
-    """The weight of every atom of `pmf`, in atom order."""
-    weights = pmf._weights
-    return [weights.get(u, ZERO) for u in itertools.product(*pmf.alphabets)]
 
 
 def _bunch_rhs(sys: System) -> list[Fraction]:

@@ -9,6 +9,11 @@ validation rejects anything that is not a genuine probability distribution.
 Outcome symbols are arbitrary hashable values (ints after file parsing,
 but strings work too).  Binary fast paths elsewhere in the package require
 the alphabet to be exactly the pair {+1, -1} of ints.
+
+This module is also the one reader of stored weights for the rest of the
+package: a bunch's weights in atom order, a connection's marginal weights,
+where a property sits in its contexts, and the disagreement mass
+(1 - maximal coupling probability) of same-alphabet weight tuples.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ PLUS_MINUS = (1, -1)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -319,6 +323,16 @@ def validate_system(
     return System(properties, contexts, bunches)
 
 
+def _slots(sys: System, pid: str) -> list[tuple[int, int]]:
+    """Where `pid` sits: (context index, position in that context) for each
+    context in `sys.contexts_of[pid]`."""
+    slots = []
+    for cid in sys.contexts_of[pid]:
+        t = sys.context_index[cid]
+        slots.append((t, sys.contexts[t].properties.index(pid)))
+    return slots
+
+
 def _connection_weights(sys: System, pid: str) -> list[tuple[Fraction, ...]]:
     """Marginal weights of `pid`, one tuple per context in `sys.contexts_of[pid]`,
     each in alphabet order.
@@ -328,13 +342,26 @@ def _connection_weights(sys: System, pid: str) -> list[tuple[Fraction, ...]]:
     """
     index = {s: i for i, s in enumerate(sys.property(pid).alphabet)}
     out = []
-    for cid in sys.contexts_of[pid]:
-        k = sys.contexts[sys.context_index[cid]].properties.index(pid)
+    for t, k in _slots(sys, pid):
         w = [ZERO] * len(index)
-        for outcome, x in sys.bunches[cid]._weights.items():
+        for outcome, x in sys.bunches[sys.contexts[t].id]._weights.items():
             w[index[outcome[k]]] += x
         out.append(tuple(w))
     return out
+
+
+def _atom_weights(pmf: Pmf) -> list[Fraction]:
+    """The weight of every atom of `pmf`, in atom order."""
+    weights = pmf._weights
+    return [weights.get(u, ZERO) for u in itertools.product(*pmf.alphabets)]
+
+
+def _disagreement(weights: Sequence[Sequence[Fraction]]) -> Fraction:
+    """1 minus the maximal coupling probability of same-alphabet weight
+    tuples (half the L1 distance for two); 0 for a single one."""
+    if len(weights) < 2:
+        return ZERO
+    return ONE - sum(map(min, *weights), ZERO)
 
 
 def connection_of(sys: System, pid: str) -> Connection:
@@ -353,8 +380,7 @@ def consistency_report(sys: System) -> ConsistencyReport:
     max_tv: dict[str, Fraction] = {}
     for p in sys.properties:
         pairs = itertools.combinations(_connection_weights(sys, p.id), 2)
-        max_tv[p.id] = max((HALF * sum(abs(x - y) for x, y in zip(a, b))
-                            for a, b in pairs), default=ZERO)
+        max_tv[p.id] = max(map(_disagreement, pairs), default=ZERO)
     return ConsistencyReport(not any(max_tv.values()), max_tv)
 
 
