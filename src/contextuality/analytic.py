@@ -39,7 +39,7 @@ from .system import (
     Pmf,
     System,
     _atom_weights,
-    _check_name_part,
+    _check_symbols,
     _connection_weights,
     _disagreement,
     expectation,
@@ -291,15 +291,15 @@ def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
     """Transport program between two same-alphabet joints, Hamming cost.
 
     Bare pmfs skip the symbol check of `Property`, so it is made here:
-    a symbol holding a name delimiter is a ValidationError.
+    a symbol holding a name delimiter, or two symbols that print alike,
+    is a ValidationError.
     """
     if observed.alphabets != approx.alphabets:
         raise AlphabetMismatch(
             f"alphabets differ: {observed.alphabets} vs {approx.alphabets}"
         )
     for alpha in observed.alphabets:
-        for sym in alpha:
-            _check_name_part(str(sym), "symbol")
+        _check_symbols(alpha, "symbol")
     names: list[str] = []
     cost: list[Fraction] = []
     rows: list[dict[int, Fraction]] = []

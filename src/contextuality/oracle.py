@@ -60,8 +60,12 @@ class CrossCheck:
 def solve_float(lp: LinearProgram, tol: float = FLOAT_TOL) -> FloatSolution:
     """Floating-point solve of the same standard-form program via HiGHS."""
     # Imported here so that exact-only use of the package never loads scipy.
-    import numpy as np
-    from scipy.optimize import linprog
+    try:
+        import numpy as np
+        from scipy.optimize import linprog
+    except ImportError as exc:
+        raise NumericalFailure(f"the float solver needs {exc.name}, "
+                               f"which cannot be imported ({exc})") from exc
 
     n, m = lp.column_count, lp.row_count
     c = np.array([float(v) for v in lp.cost])

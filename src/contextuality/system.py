@@ -7,8 +7,9 @@ containing it.  Everything is exact: weights are `fractions.Fraction` and
 validation rejects anything that is not a genuine probability distribution.
 
 Outcome symbols are arbitrary hashable values (ints after file parsing,
-but strings work too).  Binary fast paths elsewhere in the package require
-the alphabet to be exactly the pair {+1, -1} of ints.
+but strings work too), and no two symbols of an alphabet may print alike.
+Binary fast paths elsewhere in the package require the alphabet to be
+exactly the pair {+1, -1} of ints.
 
 This module is also the one reader of stored weights for the rest of the
 package: a bunch's weights in atom order, a connection's marginal weights,
@@ -175,8 +176,7 @@ class Property:
             raise ValidationError(f"property {self.id}: alphabet must have >= 2 symbols")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise DuplicateOutcome(f"property {self.id}: duplicate symbols")
-        for s in self.alphabet:
-            _check_name_part(str(s), f"property {self.id}: symbol")
+        _check_symbols(self.alphabet, f"property {self.id}: symbol")
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,17 @@ def _check_name_part(text: str, what: str) -> None:
     bad = next((ch for ch in text if ch.isspace() or ch in ",;|[]"), None)
     if bad is not None:
         raise ValidationError(f"{what} {text!r} contains {bad!r}, which LP names cannot hold")
+
+
+def _check_symbols(alphabet: Sequence[Symbol], what: str) -> None:
+    """Symbols are printed into LP variable names, so each must print as a
+    valid name part and no two may print alike (1 and '1' would share names)."""
+    labels = [str(s) for s in alphabet]
+    for label in labels:
+        _check_name_part(label, what)
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"{what}s {alphabet!r} include two that print alike, "
+                              "which LP names cannot tell apart")
 
 
 @dataclass(frozen=True)

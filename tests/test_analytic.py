@@ -318,6 +318,14 @@ def test_coupling_program_rejects_name_delimiters_in_bare_pmfs():
             min_mismatch(b, b, force_lp=True)
 
 
+def test_coupling_program_rejects_symbols_that_print_alike_in_bare_pmfs():
+    clash = Pmf([(1, "1"), PM], {(1, 1): F(1, 2), ("1", -1): F(1, 2)})
+    with pytest.raises(ValidationError, match="print alike"):
+        coupling_mismatch_lp(clash, clash)
+    with pytest.raises(ValidationError, match="print alike"):
+        min_mismatch(clash, clash)
+
+
 def test_bunch_set_distance_is_a_metric():
     rng = random.Random(11)
     for trial in range(15):

@@ -410,6 +410,9 @@ def test_template_programs_copy_as_plain_programs(empty_cache):
         assert all(type(row) is dict for row in back.rows)
         assert solved(back) == solved(lp)
     assert dataclasses.asdict(lp)["rows"] == lp.rows
+    row = lp.rows[0]
+    for back in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+        assert type(back) is dict and back == row
 
 
 def test_large_templates_are_not_retained(empty_cache):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from contextuality import cli
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
 from contextuality.builders import build_fixed_model_lp
 from contextuality.cli import main
@@ -18,7 +19,7 @@ from contextuality.io import (
 )
 from contextuality.lp import dump_lp, parse_lp
 from contextuality.oracle import SystemShape, random_system
-from contextuality.system import consistency_report
+from contextuality.system import Context, Pmf, Property, System, consistency_report
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,20 @@ def test_cli_rejects_name_delimiters_in_symbols(tmp_path, capsys, command):
     assert main([command, str(path), "--method", "present"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "','" in err
+
+
+def test_cli_analyze_rejects_symbols_that_print_alike(monkeypatch, capsys):
+    # A system file cannot hold such an alphabet (a symbol that reads as an
+    # integer becomes one), so the parse step hands over an API-built system.
+    def parse_clash(path):
+        return System([Property("p", (1, "1"))], [Context("c", ("p",))],
+                      {"c": Pmf([(1, "1")], {(1,): 1})})
+
+    monkeypatch.setattr(cli, "parse_system", parse_clash)
+    assert main(["analyze", "clash.system", "--method", "present"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "print alike" in captured.err
 
 
 def test_cli_witness_flag(capsys):

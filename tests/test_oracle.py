@@ -155,3 +155,16 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_selftest_without_numpy_is_a_solver_error():
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from contextuality.cli import main; "
+            "sys.exit(main(['selftest', '--count', '1']))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 4
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and "numpy" in run.stderr

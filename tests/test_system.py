@@ -95,6 +95,13 @@ def test_validate_rejects_name_delimiters(ch):
             make()
 
 
+def test_validate_rejects_symbols_that_print_alike():
+    # 1 and '1' would both be labelled "1" in variable names
+    for alphabet in [(1, "1"), ("a", 2, "2"), (F(1, 2), "1/2")]:
+        with pytest.raises(ValidationError, match="print alike"):
+            Property("p", alphabet)
+
+
 def test_validate_rejects_float_weights():
     with pytest.raises(ValidationError):
         Pmf([PM], {(1,): 0.5, (-1,): 0.5})
