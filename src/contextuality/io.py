@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from .builders import MeasureReport
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .lp import fmt_rational
 from .system import Context, Pmf, Property, Symbol, System
 
@@ -135,11 +135,20 @@ def write_system(sys: System, path: PathLike) -> None:
 
 
 def bundled_path(name: str) -> Path:
-    """Path of a packaged example file (e.g. 'prbox', 'disjoint')."""
-    if not name.endswith(".system"):
-        name += ".system"
-    ref = resources.files("contextuality").joinpath("data", name)
-    return Path(str(ref))
+    """Path of a packaged example file (e.g. 'prbox', 'disjoint').
+
+    Only the names of the packaged examples are accepted, so a name can
+    never reach outside the package's data directory; any other name
+    raises ValidationError.
+    """
+    data = resources.files("contextuality").joinpath("data")
+    names = sorted(f.name.removesuffix(".system") for f in data.iterdir()
+                   if f.name.endswith(".system"))
+    stem = name.removesuffix(".system")
+    if stem not in names:
+        raise ValidationError(f"no packaged example {name!r}; "
+                              f"the packaged examples are {', '.join(names)}")
+    return Path(str(data.joinpath(stem + ".system")))
 
 
 def resolve_input(path: str) -> Path:

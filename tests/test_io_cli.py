@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -150,6 +151,22 @@ def test_cli_analyze_text_mode_renders_errors(capsys, methods, errors):
 
 def test_cli_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent.system"]) == 2
+
+
+def test_cli_bundled_names_stay_in_the_package(tmp_path, capsys):
+    # At the package's data directory, the escape names a readable file.
+    outside = tmp_path / "outside.system"
+    outside.write_text(write_system_text(pr_box()))
+    data = bundled_path("prbox").parent
+    escape = os.path.relpath(tmp_path / "outside", data)
+    assert (data / (escape + ".system")).resolve() == outside.resolve()
+    for name in (escape, escape.replace("/", "\\"), "../data/prbox", "..", "nope"):
+        assert main(["analyze", f"bundled:{name}", "--method", "np"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no packaged example")
+        assert "disjoint, prbox" in captured.err
+    assert main(["analyze", "bundled:prbox.system", "--method", "np"]) == 0
 
 
 def test_cli_analyze_unknown_method(capsys):
