@@ -1,35 +1,52 @@
 """Exact rational linear programming.
 
 Standard form only: minimize c'x subject to Ax = b, x >= 0, with equality
-rows and named columns.  The solver is a dense two-phase simplex over exact
+rows and named columns.  The solver is a two-phase simplex over exact
 rationals with Bland's pivoting rule (anti-cycling, deterministic given the
 column order).  Optimal solutions carry a primal vector, a dual vector, and
 the optimal basis, so optimality can be re-verified independently:
 primal feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
-Internally each tableau row holds the matrix part (B^-1 A | B^-1) as a
-list of Python int numerators over one positive int denominator.  A row
-is brought to lowest terms when its denominator changes (the pivot row
-always is); an update that keeps the denominator takes no gcd.  The
-right-hand side is not in the row: each row's entry of B^-1 b is a
-separate reduced (numerator, denominator) pair.  The right-hand sides of
-this package's programs are probabilities, so a row holding its own
-would almost never have denominator 1; without it the matrix part nearly
-always does, and a row update then touches only the pivot row's
-nonzeros.  Ratio tests compare by cross-multiplication.  The phase-one
-artificial columns stay in the tableau (they never re-enter in phase two)
-and hold B^-1, so the dual is read off their reduced costs.  The public
-API is Fraction end to end.  verify_certificate re-checks every optimum
-against the program alone, independently of the tableau, in Python ints
-over common denominators.
+Two kernels carry the pivots; both take the same pivots and return the
+same solution.  Each keeps its rows as lists of Python int numerators over
+one positive int denominator.  A row is brought to lowest terms when its
+denominator changes (the pivot row always is); an update that keeps the
+denominator takes no gcd.  Each row's entry of B^-1 b is kept beside it
+as a separate reduced (numerator, denominator) pair: the right-hand sides
+of this package's programs are probabilities, so a row holding its own
+would almost never have denominator 1, and without it the rows nearly
+always do.  The phase-one artificial columns stay (they never re-enter in
+phase two) and hold B^-1, so the dual is read off their reduced costs.
+
+- The tableau (_Tableau) keeps every row of (B^-1 A | B^-1).  A pivot
+  updates each row with a nonzero in the entering column across the pivot
+  row's nonzeros.
+- The revised kernel (``_revised.Revised``) keeps only B^-1, which is the
+  tableau's artificial block, and the full cost rows.  A pivot builds the
+  entering column from B^-1 and the program's columns, updates the rows
+  of B^-1 with a nonzero in it, and adds the pivot row, a sum of the
+  program's rows weighted by the pivot's row of B^-1, into the cost rows.
+
+Bland's entering scan, the cross-multiplied ratio test with its
+basis-index tie-break, the right-hand-side update and the row update are
+shared.  solve_exact runs the revised kernel on programs with at least
+_WIDE = 3 times as many columns as rows.  There the tableau spends most of
+each pivot on columns that the pivot barely touches; on narrower programs
+the revised kernel's own work per pivot (the entering column and the
+pivot row, rebuilt from the program each time) costs more than it saves.
+The measurement is beside _WIDE.  The public API is Fraction end to end.
+verify_certificate re-checks every optimum against the program alone,
+independently of either kernel, in Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
-to which each call adds only its right-hand side.  The template keeps the
-two integer forms of its rows, each computed on first use: the sparse
+to which each call adds only its right-hand side.  The template keeps
+three integer forms of its rows, each computed on first use: the sparse
 rows (row lcm plus column/numerator pairs) that solve_exact seeds its
-tableau from, and verify_certificate's own scaling of the rows, derived
-from the rows by its own code and never from the solver's form.
+kernels from, the same rows by row and by column that the revised kernel
+prices and builds columns from, and verify_certificate's own scaling of
+the rows, derived from the rows by its own code and never from the
+solver's forms.
 """
 from __future__ import annotations
 
@@ -113,13 +130,13 @@ class _Template:
     """Names, costs and rows of every program of one shape, checked once.
 
     Rows are kept read-only, so neither a template nor a program made from
-    it can be changed.  ``seed`` and ``certificate`` are
-    the integer forms of the rows used by solve_exact and
-    verify_certificate, filled in on first use.  Nothing here depends on a
-    program's right-hand side.
+    it can be changed.  ``seed`` and ``columns`` are the integer forms of
+    the rows used by solve_exact (``columns`` by its revised kernel only),
+    ``certificate`` the one used by verify_certificate, each filled in on
+    first use.  Nothing here depends on a program's right-hand side.
     """
 
-    __slots__ = ("variables", "cost", "rows", "nonzeros", "seed", "certificate")
+    __slots__ = ("variables", "cost", "rows", "nonzeros", "seed", "columns", "certificate")
 
     def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
                  rows: Sequence[Mapping[int, Fraction]]):
@@ -128,7 +145,7 @@ class _Template:
         self.rows = tuple(map(_ReadOnlyRow, rows))
         _check_matrix(self.variables, self.cost, self.rows)
         self.nonzeros = sum(map(len, self.rows))
-        self.seed = self.certificate = None
+        self.seed = self.columns = self.certificate = None
 
     def program(self, rhs: Sequence[Fraction]) -> LinearProgram:
         """The template's program with right-hand side ``rhs``."""
@@ -169,17 +186,95 @@ class LpSolution:
         return {name: v for name, v in zip(lp.variables, self.primal) if v != 0}
 
 
-def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int],
-           cost_rows: list[list[int]], leave: int, enter: int) -> None:
-    """Make column ``enter`` basic in row ``leave``; rows are updated in place.
+# solve_exact runs the revised kernel on programs with at least _WIDE
+# times as many columns as rows, and the tableau on the rest.  Measured as
+# the tableau's time over the revised kernel's (best of three, x86_64,
+# Python 3.11) on 114 present, np, np_inside, cbd and ternary delta_p
+# programs of random systems from 1x3 to 4x4: below 2.5 times as wide as
+# tall, 0.58 to 0.94; from 2.5 to 3 times, 0.68 to 1.15 on present and np
+# but 1.17 to 1.34 on 2x2 np_inside; from 3 to 4 times, 0.92 to 1.69; from
+# 4 times on, 1.20 to 3.68, apart from one 1x4 np program of under a
+# millisecond at 0.36 (1.10 in an earlier run).
+_WIDE = 3
+
+
+class _Tableau:
+    """The full tableau (B^-1 A | B^-1), one list per row.
+
+    Row i starts as A's row i, sign-normalized, then e_i, over the lcm of
+    the row's denominators (which leaves it in lowest terms).
+    """
+
+    def __init__(self, lp: LinearProgram, seed, sign: list[int]):
+        n, m = lp.column_count, lp.row_count
+        self.rows = []
+        for i, (den, cols, nums) in enumerate(seed):
+            row = [0] * (n + m + 1)
+            s = sign[i]
+            for j, a in zip(cols, nums):
+                row[j] = s * a
+            row[n + i] = row[-1] = den
+            self.rows.append(row)
+
+    def column(self, j: int) -> list[int]:
+        """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
+        return [row[j] for row in self.rows]
+
+    def row(self, i: int) -> list[int]:
+        """Row i of B^-1 A, times a positive number, in its first n entries."""
+        return self.rows[i]
+
+    def pivot(self, leave: int, column: list[int], cost_rows: list[list[int]],
+              enter: int) -> None:
+        """Eliminate column ``enter``, whose entries are ``column``, from
+        every row but row ``leave`` and from the cost rows; _pivot has
+        divided row ``leave`` by its entry already."""
+        prow = self.rows[leave]
+        nz = list(itertools.compress(range(len(prow) - 1), prow))
+        _eliminate(zip(self.rows, column), prow, nz)
+        _eliminate([(row, row[enter]) for row in cost_rows], prow, nz)
+
+
+def _eliminate(pairs, prow: list[int], nz: list[int]) -> None:
+    """row/d - (f/d) * prow/pd in place, for each (row, f) of ``pairs``
+    with f != 0 and row not prow; d and pd are the rows' last entries,
+    prow is in lowest terms and nz lists its nonzero entries before the
+    last.  Rescaled rows are left in lowest terms."""
+    pd = prow[-1]
+    for row, f in pairs:
+        if not f or row is prow:
+            continue
+        d = row[-1]
+        g = gcd(f, pd)
+        s, t = pd // g, f // g
+        if s == 1:
+            for j in nz:
+                row[j] -= t * prow[j]
+        else:
+            row[:] = [v * s - t * p for v, p in zip(row, prow)]
+            row[-1] = d * s
+            # prow is in lowest terms and s divides pd, so no prime of s
+            # divides every new entry: a common factor must divide d.
+            if d != 1:
+                g = gcd(d, *row)
+                if g != 1:
+                    row[:] = [v // g for v in row]
+
+
+def _pivot(state, rhs: list[tuple[int, int]], basis: list[int], cost_rows: list[list[int]],
+           leave: int, enter: int, column: list[int]) -> None:
+    """Make column ``enter`` basic in row ``leave``, given the column's
+    entries ``column``; the kernel state, ``rhs`` and the cost rows are
+    updated in place.
 
     Every row stores integer numerators followed by one positive integer
-    denominator, and ``rhs`` holds each row's right-hand side as a separate
-    (numerator, positive denominator) pair.  The pivot row, every rescaled
-    row and every right-hand side are left in lowest terms.
+    denominator, and ``rhs`` holds each row's right-hand side as a
+    separate (numerator, positive denominator) pair.  The pivot row and
+    every right-hand side are left in lowest terms.
     """
-    prow = tableau[leave]
-    piv = prow[enter]
+    rows = state.rows
+    prow = rows[leave]
+    piv = column[leave]
     # Dividing by piv/d leaves the numerators over piv and scales b by d/piv.
     bn, bd = rhs[leave]
     bn *= prow[-1]
@@ -195,39 +290,20 @@ def _pivot(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int
     g = gcd(bn, bd)
     bn, bd = bn // g, bd // g
     rhs[leave] = (bn, bd)
-    pd = prow[-1]
-    nz = list(itertools.compress(range(len(prow) - 1), prow))
-    m = len(tableau)
-    for i, row in enumerate(itertools.chain(tableau, cost_rows)):
-        f = row[enter]
-        if not f or row is prow:
-            continue
-        d = row[-1]
-        if bn and i < m:
-            # b_i - (f/d) * bn/bd
-            cn, cd = rhs[i]
-            num, den = cn * d * bd - f * bn * cd, cd * d * bd
-            g = gcd(num, den)
-            rhs[i] = (num // g, den // g)
-        # row/d - (f/d) * prow/pd  ==  (row * s - t * prow) / (d * s)
-        g = gcd(f, pd)
-        s, t = pd // g, f // g
-        if s == 1:
-            for j in nz:
-                row[j] -= t * prow[j]
-        else:
-            row[:] = [v * s - t * p for v, p in zip(row, prow)]
-            row[-1] = d * s
-            # prow is in lowest terms and s divides pd, so no prime of s
-            # divides every new entry: a common factor must divide d.
-            if d != 1:
-                g = gcd(d, *row)
-                if g != 1:
-                    row[:] = [v // g for v in row]
+    if bn:
+        for i in itertools.compress(range(len(column)), column):
+            if i != leave:
+                # b_i - (f/d) * bn/bd
+                f, d = column[i], rows[i][-1]
+                cn, cd = rhs[i]
+                num, den = cn * d * bd - f * bn * cd, cd * d * bd
+                g = gcd(num, den)
+                rhs[i] = (num // g, den // g)
+    state.pivot(leave, column, cost_rows, enter)
     basis[leave] = enter
 
 
-def _bland(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int],
+def _bland(state, rhs: list[tuple[int, int]], basis: list[int],
            cost_rows: list[list[int]], ncols: int) -> str:
     """Run simplex iterations until optimal or unbounded (Bland's rule).
 
@@ -235,25 +311,27 @@ def _bland(tableau: list[list[int]], rhs: list[tuple[int, int]], basis: list[int
     along through the pivots.
     """
     cost_row = cost_rows[0]
+    rows = state.rows
     while True:
         enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
         if enter < 0:
             return "optimal"
+        column = state.column(enter)
         # Row i's ratio is (bn/bd) / (a/d) = (bn*d) / (bd*a); rows compare
         # by cross-multiplying (a > 0 and bd > 0 on candidates).
         leave = -1
         best_n = best_d = 0
-        for i, row in enumerate(tableau):
-            a = row[enter]
+        for i in itertools.compress(range(len(column)), column):
+            a = column[i]
             if a > 0:
                 bn, bd = rhs[i]
-                num, den = bn * row[-1], bd * a
+                num, den = bn * rows[i][-1], bd * a
                 lhs, r = num * best_d, best_n * den
                 if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
                     leave, best_n, best_d = i, num, den
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, rhs, basis, cost_rows, leave, enter)
+        _pivot(state, rhs, basis, cost_rows, leave, enter, column)
 
 
 _numerator = operator.attrgetter("numerator")
@@ -277,37 +355,38 @@ def _solver_seed(lp: LinearProgram):
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex; returns an exactly certified optimum when one exists."""
+    if lp.column_count < _WIDE * lp.row_count:
+        return _solve(lp, _Tableau)
+    from ._revised import Revised  # compiled on the first wide program only
+    return _solve(lp, Revised)
+
+
+def _solve(lp: LinearProgram, kernel) -> LpSolution:
+    """solve_exact on ``kernel`` (_Tableau or _revised.Revised); both take
+    the same pivots and give the same solution."""
     n = lp.column_count
     m = lp.row_count
     seed, (cost_den, cost) = _form(lp, "seed", _solver_seed)
 
-    # Sign-normalize so every right-hand side is nonnegative, then append
-    # the artificial identity: row i is [A_i | e_i] over the least common
-    # denominator of its entries (which leaves it in lowest terms), and b_i
-    # is kept beside it as a reduced pair.
+    # Sign-normalize so every right-hand side is nonnegative; b_i is kept
+    # beside its row as a reduced pair.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
-    tableau: list[list[int]] = []
-    for i, (den, cols, nums) in enumerate(seed):
-        row = [0] * (n + m + 1)
-        s = sign[i]
-        for j, a in zip(cols, nums):
-            row[j] = s * a
-        row[n + i] = row[-1] = den
-        tableau.append(row)
+    state = kernel(lp, seed, sign)
     rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
     basis = list(range(n, n + m))
 
-    # Phase one minimizes the artificial mass.  The phase-two cost row rides
-    # along, so it is already reduced against the final phase-one basis.
-    den = lcm(*(row[-1] for row in tableau))
+    # Phase one minimizes the artificial mass: its cost row is minus the sum
+    # of the sign-normalized rows, over their lcm.  The phase-two cost row
+    # rides along, so it is already reduced against the final phase-one basis.
+    den = lcm(*(d for d, _, _ in seed))
     cost1 = [0] * (n + m + 1)
-    for row, (_, cols, _) in zip(tableau, seed):
-        k = den // row[-1]
-        for j in cols:
-            cost1[j] -= k * row[j]
+    for s, (d, cols, nums) in zip(sign, seed):
+        k = s * (den // d)
+        for j, a in zip(cols, nums):
+            cost1[j] -= k * a
     cost1[-1] = den
     cost2 = [*cost, *[0] * m, cost_den]
-    status = _bland(tableau, rhs, basis, [cost1, cost2], n + m)
+    status = _bland(state, rhs, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
     if any(bi >= n and b[0] for bi, b in zip(basis, rhs)):
@@ -317,12 +396,13 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     # column left is redundant: its artificial stays basic at level zero.
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if tableau[i][j]), -1)
+            row = state.row(i)
+            enter = next((j for j in range(n) if row[j]), -1)
             if enter >= 0:
-                _pivot(tableau, rhs, basis, [cost2], i, enter)
+                _pivot(state, rhs, basis, [cost2], i, enter, state.column(enter))
 
     # Phase two over the original columns; artificials never re-enter.
-    if _bland(tableau, rhs, basis, [cost2], n) == "unbounded":
+    if _bland(state, rhs, basis, [cost2], n) == "unbounded":
         return LpSolution(status="unbounded")
 
     # c'x = sum of cost[bi] * bn / bd over the basic columns, all over

@@ -4,7 +4,8 @@
 ``lp.solve_exact`` must reproduce pivot for pivot: same entering scan, same
 ratio test and basis-index tie-break, same handling of leftover
 artificials.  It returns no dual; the solver's dual is checked by
-``verify_certificate`` instead.
+``verify_certificate`` instead.  Given a list ``path``, it appends each
+pivot as (entering column, leaving column).
 
 ``reference_verify_certificate`` is the certificate check written with one
 ``Fraction`` per term; ``lp.verify_certificate`` must give the same verdict.
@@ -28,7 +29,9 @@ class ReferenceSolution(NamedTuple):
     basis: Optional[tuple[int, ...]] = None
 
 
-def _pivot(tableau, basis, cost_row, leave, enter):
+def _pivot(tableau, basis, cost_row, leave, enter, path):
+    if path is not None:
+        path.append((enter, basis[leave]))
     prow = tableau[leave]
     piv = prow[enter]
     if piv != 1:
@@ -46,7 +49,7 @@ def _pivot(tableau, basis, cost_row, leave, enter):
     basis[leave] = enter
 
 
-def _bland(tableau, basis, cost_row, ncols):
+def _bland(tableau, basis, cost_row, ncols, path):
     while True:
         enter = -1
         for j in range(ncols):
@@ -68,10 +71,10 @@ def _bland(tableau, basis, cost_row, ncols):
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, cost_row, leave, enter)
+        _pivot(tableau, basis, cost_row, leave, enter, path)
 
 
-def reference_solve(lp: LinearProgram) -> ReferenceSolution:
+def reference_solve(lp: LinearProgram, path: Optional[list] = None) -> ReferenceSolution:
     n = lp.column_count
     m = lp.row_count
 
@@ -91,7 +94,7 @@ def reference_solve(lp: LinearProgram) -> ReferenceSolution:
             if row[j]:
                 cost_row[j] -= row[j]
         cost_row[-1] -= row[-1]
-    assert _bland(tableau, basis, cost_row, n + m) == "optimal"
+    assert _bland(tableau, basis, cost_row, n + m, path) == "optimal"
     if cost_row[-1] != 0:
         return ReferenceSolution("infeasible")
 
@@ -101,7 +104,7 @@ def reference_solve(lp: LinearProgram) -> ReferenceSolution:
             enter = next((j for j in range(n) if tableau[i][j]), -1)
             if enter < 0:
                 continue  # zero row: redundant constraint
-            _pivot(tableau, basis, cost_row, i, enter)
+            _pivot(tableau, basis, cost_row, i, enter, path)
         keep.append(i)
 
     tab2 = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
@@ -114,7 +117,7 @@ def reference_solve(lp: LinearProgram) -> ReferenceSolution:
             for j in range(n + 1):
                 if tab2[i][j]:
                     cost_row[j] -= cb * tab2[i][j]
-    if _bland(tab2, basis2, cost_row, n) == "unbounded":
+    if _bland(tab2, basis2, cost_row, n, path) == "unbounded":
         return ReferenceSolution("unbounded")
 
     primal = [ZERO] * n

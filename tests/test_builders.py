@@ -466,6 +466,29 @@ def test_certificate_never_reads_the_solver_seed(empty_cache):
     # Its matrix is the one a plain program with the same rows gives.
     plain = LinearProgram(lp.variables, lp.cost, tuple(map(dict, lp.rows)), lp.rhs)
     assert template.certificate == _certificate_matrix(plain)
+    # Nor the revised kernel's column form: the cbd program is wide, so
+    # solve_exact fills it in.
+    builders._templates.clear()
+    lp = build_lp(pr_box(), "cbd")
+    sol = solve_exact(lp)
+    template = lp._template
+    assert template.columns is not None
+    step = F(1, 64)
+    certificates = [sol, dataclasses.replace(sol, objective=sol.objective + step)]
+    for k in range(len(sol.dual)):
+        dual = list(sol.dual)
+        dual[k] += step
+        certificates.append(dataclasses.replace(sol, dual=tuple(dual)))
+    verdicts = [verify_certificate(lp, s) for s in certificates]
+    assert verdicts[0] and not all(verdicts)
+    template.columns = "not a column form"
+    assert [verify_certificate(lp, s) for s in certificates] == verdicts
+    # A template above the cache ceiling is still not kept once solved.
+    ternary = build_lp(random_system(SystemShape(2, 2, alphabet_size=3, seed=0)), "cbd")
+    assert ternary._template.nonzeros == 26244
+    assert solve_exact(ternary).status == "optimal"
+    assert ternary._template.columns is not None
+    assert list(builders._templates.values()) == [template]
 
 
 def test_template_cache_under_threads(empty_cache):

@@ -1,15 +1,20 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from reference_simplex import reference_solve, reference_verify_certificate
 
+from contextuality import lp as lp_module
+from contextuality._revised import Revised
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp
 from contextuality.errors import DimensionMismatch, ParseError
 from contextuality.lp import (
     LinearProgram,
+    _solve,
+    _Tableau,
     dump_lp,
     parse_lp,
     solve_certified,
@@ -260,23 +265,47 @@ def _perturbed_certificates(sol):
     j = next((j for j, v in enumerate(sol.primal) if v), 0)
     k = next((k for k, v in enumerate(sol.dual) if v), 0)
     for delta in (step, -step):
-        primal = list(sol.primal)
-        primal[j] += delta
-        yield dataclasses.replace(sol, primal=tuple(primal))
-        dual = list(sol.dual)
-        dual[k] += delta
-        yield dataclasses.replace(sol, dual=tuple(dual))
+        if sol.primal:
+            primal = list(sol.primal)
+            primal[j] += delta
+            yield dataclasses.replace(sol, primal=tuple(primal))
+        if sol.dual:
+            dual = list(sol.dual)
+            dual[k] += delta
+            yield dataclasses.replace(sol, dual=tuple(dual))
         yield dataclasses.replace(sol, objective=sol.objective + delta)
-    primal = list(sol.primal)
-    primal[j] = -primal[j]
-    yield dataclasses.replace(sol, primal=tuple(primal))
+    if sol.primal:
+        primal = list(sol.primal)
+        primal[j] = -primal[j]
+        yield dataclasses.replace(sol, primal=tuple(primal))
+
+
+def _kernel_path(lp, kernel):
+    """``kernel``'s solution of lp, and its pivots as (entering column,
+    leaving column)."""
+    path = []
+    pivot = lp_module._pivot
+
+    def traced(state, rhs, basis, cost_rows, leave, enter, column):
+        path.append((enter, basis[leave]))
+        pivot(state, rhs, basis, cost_rows, leave, enter, column)
+
+    with mock.patch.object(lp_module, "_pivot", traced):
+        return _solve(lp, kernel), path
 
 
 def assert_matches_reference(lp):
+    """solve_exact, the tableau and the revised kernel return one solution,
+    each takes the reference's pivots, and the certificate check agrees
+    with the reference's on the optimum and on perturbed copies."""
+    path = []
+    ref = reference_solve(lp, path)
     sol = solve_exact(lp)
-    ref = reference_solve(lp)
+    for kernel in (_Tableau, Revised):
+        assert _kernel_path(lp, kernel) == (sol, path)
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
     if sol.status == "optimal":
+        assert len(sol.dual) == lp.row_count
         verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
         assert verdicts[0]
         assert not all(verdicts)
@@ -327,3 +356,53 @@ def test_ternary_floor_programs_match_reference(consistent):
     sysd = random_system(SystemShape(2, 2, alphabet_size=3, consistent=consistent, seed=0))
     for prop in sysd.properties:
         assert_matches_reference(build_delta_p_lp(sysd, prop.id))
+
+
+def _wide_lps(seed, count, denominators=()):
+    """Random programs with four to six times as many columns as rows and
+    right-hand sides of either sign; entries are 0 or +-1, or with
+    ``denominators`` small integers each divided by one drawn from it."""
+    rng = random.Random(seed)
+
+    def entry():
+        if denominators:
+            return F(rng.randint(-3, 3), rng.choice(denominators))
+        return F(rng.choice((-1, 0, 0, 1, 1)))
+
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = rng.randint(4 * m, 6 * m)
+        names = tuple(f"x{j}" for j in range(n))
+        cost = tuple(F(rng.randint(-1, 4)) for _ in range(n))
+        rows = tuple({j: v for j in range(n) if (v := entry())} for _ in range(m))
+        rhs = tuple(F(rng.randint(-2, 6)) * abs(entry() or 1) for _ in range(m))
+        yield LinearProgram(names, cost, rows, rhs)
+
+
+@pytest.mark.parametrize("denominators", [(), FRACTIONAL])
+def test_wide_programs_match_reference(denominators):
+    lps = list(_wide_lps(23, 80, denominators))
+    assert all(lp.column_count >= lp_module._WIDE * lp.row_count for lp in lps)
+    statuses = [assert_matches_reference(lp) for lp in lps]
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+
+
+EDGE_PROGRAMS = [
+    pytest.param(lp_of(["x", "y"], [1, 0], [], []), "optimal", id="no rows"),
+    pytest.param(lp_of(["x", "y"], [1, -1], [], []), "unbounded", id="no rows unbounded"),
+    pytest.param(LinearProgram((), (), ({},), (F(0),)), "optimal", id="no columns"),
+    pytest.param(LinearProgram((), (), ({},), (F(1),)), "infeasible", id="no columns infeasible"),
+    pytest.param(lp_of(["x", "y", "z", "w", "v"], [1, 2, 3, 0, 1], [{0: 1, 1: 1, 3: -1}], [1]),
+                 "optimal", id="empty column"),
+    pytest.param(lp_of(["x", "y", "z", "w", "v"], [1, 2, -3, 0, 1], [{0: 1, 1: 1, 3: -1}], [1]),
+                 "unbounded", id="empty column unbounded"),
+    # The zero row's artificial stays basic; its dual entry must survive.
+    pytest.param(lp_of([f"x{j}" for j in range(12)], [2, 1, 3, 1] + [5] * 8,
+                       [{0: 1, 1: 1, 4: F(1, 2)}, {}, {2: 1, 3: -1, 5: 3}], [1, 0, F(-1, 2)]),
+                 "optimal", id="zero row"),
+]
+
+
+@pytest.mark.parametrize("lp,status", EDGE_PROGRAMS)
+def test_edge_programs_match_reference(lp, status):
+    assert assert_matches_reference(lp) == status
