@@ -28,15 +28,18 @@ phase two) and hold B^-1, so the dual is read off their reduced costs.
   program's rows weighted by the pivot's row of B^-1, into the cost rows.
 
 Bland's entering scan, the cross-multiplied ratio test with its
-basis-index tie-break, the right-hand-side update and the row update are
-shared.  solve_exact runs the revised kernel on programs with at least
-_WIDE = 3 times as many columns as rows.  There the tableau spends most of
-each pivot on columns that the pivot barely touches; on narrower programs
-the revised kernel's own work per pivot (the entering column and the
-pivot row, rebuilt from the program each time) costs more than it saves.
-The measurement is beside _WIDE.  The public API is Fraction end to end.
-verify_certificate re-checks every optimum against the program alone,
-independently of either kernel, in Python ints over common denominators.
+basis-index tie-break, the right-hand-side update, the pivot row's
+division and the row update are shared; the revised kernel repeats the
+row update inline for rows that keep their denominator, where it also
+tracks which entries of B^-1 are nonzero.  solve_exact runs the revised
+kernel on programs with at least _WIDE = 3 times as many columns as rows.
+There the tableau spends most of each pivot on columns that the pivot
+barely touches; on narrower programs the revised kernel's own work per
+pivot (the entering column and the pivot row, rebuilt from the program
+each time) costs more than it saves.  The measurement is beside _WIDE.
+The public API is Fraction end to end.  verify_certificate re-checks
+every optimum against the program alone, independently of either kernel,
+in Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
