@@ -362,6 +362,16 @@ def test_analyze_json_matches_golden(capsys, name):
     assert text == (GOLDEN / f"{name}.analyze.json").read_text()
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("prbox.analyze", ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"]),
+])
+def test_text_report_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith("seconds "))
+    assert text == (GOLDEN / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("name,method", [
     (name, method) for name in ("prbox", "disjoint")
     for method in ALL_METHODS.split(",") if (name, method) != ("disjoint", "np")
