@@ -309,32 +309,26 @@ def coupling_mismatch_lp(observed: Pmf, approx: Pmf) -> LinearProgram:
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 
-def min_mismatch(observed: Pmf, approx: Pmf, force_lp: bool = False) -> Fraction:
+def min_mismatch(observed: Pmf, approx: Pmf) -> Fraction:
     """Minimal expected number of disagreeing positions over all couplings.
 
-    Single variables reduce to TV distance; two +/-1-valued variables use
-    the cyclic-2 closed form; everything else (or force_lp=True) solves the
-    transport LP.
+    The alphabets choose the route: a single variable reduces to TV
+    distance, two +/-1-valued variables use the cyclic-2 closed form, and
+    everything else solves the transport LP `coupling_mismatch_lp`.  That
+    LP is also the reference the closed forms are tested against.
     """
     if observed.alphabets != approx.alphabets:
         raise AlphabetMismatch(
             f"alphabets differ: {observed.alphabets} vs {approx.alphabets}"
         )
-    if not force_lp:
-        if len(observed.alphabets) == 1:
-            return tv_distance(observed, approx)
-        if len(observed.alphabets) == 2 and all(
-            is_plus_minus(a) for a in observed.alphabets
-        ):
-            return cyclic2_min_partial(
-                BinaryStats.from_pmf(approx), BinaryStats.from_pmf(observed)
-            )
+    if len(observed.alphabets) == 1:
+        return tv_distance(observed, approx)
+    if len(observed.alphabets) == 2 and all(is_plus_minus(a) for a in observed.alphabets):
+        return cyclic2_min_partial(BinaryStats.from_pmf(approx), BinaryStats.from_pmf(observed))
     return solve_certified(coupling_mismatch_lp(observed, approx)).objective
 
 
-def per_context_min_delta(
-    sys: System, q_joint: Pmf, cid: str, force_lp: bool = False
-) -> Fraction:
+def per_context_min_delta(sys: System, q_joint: Pmf, cid: str) -> Fraction:
     """Minimal mismatch sum in one context against a joint approximator.
 
     `q_joint` must be a distribution over the full property tuple in
@@ -349,10 +343,10 @@ def per_context_min_delta(
         )
     ctx = sys.context(cid)
     positions = [sys.property_index[pid] for pid in ctx.properties]
-    return min_mismatch(sys.bunch(cid), q_joint.marginal(positions), force_lp)
+    return min_mismatch(sys.bunch(cid), q_joint.marginal(positions))
 
 
-def bunch_set_distance(a: System, b: System, force_lp: bool = False) -> Fraction:
+def bunch_set_distance(a: System, b: System) -> Fraction:
     """Sum over contexts of the per-context minimal mismatch.
 
     This is a metric on systems sharing properties and contexts: zero iff
@@ -361,6 +355,6 @@ def bunch_set_distance(a: System, b: System, force_lp: bool = False) -> Fraction
     if [c.id for c in a.contexts] != [c.id for c in b.contexts]:
         raise ShapeMismatch("systems have different contexts")
     return sum(
-        (min_mismatch(a.bunch(c.id), b.bunch(c.id), force_lp) for c in a.contexts),
+        (min_mismatch(a.bunch(c.id), b.bunch(c.id)) for c in a.contexts),
         ZERO,
     )

@@ -31,6 +31,11 @@ by zeros for the rows that tie a coupling block to the joint (the model's
 weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
 certificate check still run on every call.
+
+The atom cap is the module constant ``ATOM_CAP``: a joint over all
+properties (``present``, ``np``, ``np_inside``) or a coupling of all
+bunches (``cbd``) with more atoms is refused with ``AlphabetTooLarge``
+before its template is looked up or built.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ ONE = Fraction(1)
 
 METHODS = ("present", "cbd", "np", "np_inside", "fixed_model")
 
-DEFAULT_ATOM_CAP = 1 << 20
+ATOM_CAP = 1 << 20
 
 # problem_sizes refuses m*n above this, before computing 4**(m*n); every
 # count it reports then also prints under Python's default int-to-str limit
@@ -133,12 +138,14 @@ def _cached_template(family: str, sys: System, build) -> _Template:
     return template
 
 
-def _check_joint(sys: System, cap: int) -> None:
-    count = math.prod(len(p.alphabet) for p in sys.properties)
-    if count > cap:
-        raise AlphabetTooLarge(
-            f"joint over all properties has {count} atoms (cap {cap})"
-        )
+def _check_atoms(count: int, what: str) -> None:
+    if count > ATOM_CAP:
+        raise AlphabetTooLarge(f"{what} has {count} atoms (cap {ATOM_CAP})")
+
+
+def _check_joint(sys: System) -> None:
+    _check_atoms(math.prod(len(p.alphabet) for p in sys.properties),
+                 "joint over all properties")
 
 
 def _joint_atoms(sys: System) -> list[tuple]:
@@ -271,24 +278,21 @@ def _coupled_rhs(sys: System, model: Optional[Mapping[str, Pmf]] = None) -> list
     return rhs
 
 
-def build_present_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
+def build_present_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal approximating-system distance."""
-    _check_joint(sys, max_joint_atoms)
+    _check_joint(sys)
     return _cached_template("present", sys, _present_template).program(_coupled_rhs(sys))
 
 
-def build_cbd_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
+def build_cbd_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal total connection disagreement."""
-    count = math.prod(len(sys.property(pid).alphabet)
-                      for c in sys.contexts for pid in c.properties)
-    if count > max_joint_atoms:
-        raise AlphabetTooLarge(
-            f"coupling of all bunches has {count} atoms (cap {max_joint_atoms})"
-        )
+    _check_atoms(math.prod(len(sys.property(pid).alphabet)
+                           for c in sys.contexts for pid in c.properties),
+                 "coupling of all bunches")
     return _cached_template("cbd", sys, _cbd_template).program(_bunch_rhs(sys))
 
 
-def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearProgram:
+def build_np_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal negative mass of a signed joint.
 
     Only defined for consistently connected systems.  The unit-total-mass
@@ -300,13 +304,11 @@ def build_np_lp(sys: System, max_joint_atoms: int = DEFAULT_ATOM_CAP) -> LinearP
             "a signed joint with context marginals equal to the bunches "
             "requires consistent connectedness"
         )
-    _check_joint(sys, max_joint_atoms)
+    _check_joint(sys)
     return _cached_template("np", sys, _np_template).program(_bunch_rhs(sys))
 
 
-def build_np_inside_lp(
-    sys: System, delta0: Fraction, max_joint_atoms: int = DEFAULT_ATOM_CAP
-) -> LinearProgram:
+def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
     """Minimal negative mass over optimally-approximating signed joints.
 
     `delta0` must be the per-property floor of the system; the distance
@@ -315,7 +317,7 @@ def build_np_inside_lp(
     coupling blocks are nonnegative, which forces every context marginal of
     the signed joint to be a proper distribution.
     """
-    _check_joint(sys, max_joint_atoms)
+    _check_joint(sys)
     template = _cached_template("np_inside", sys, _np_inside_template)
     return template.program(_coupled_rhs(sys) + [Fraction(delta0)])
 
@@ -341,20 +343,17 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
 
 
 def build_lp(
-    sys: System,
-    method: str,
-    model: Optional[Mapping[str, Pmf]] = None,
-    max_joint_atoms: int = DEFAULT_ATOM_CAP,
+    sys: System, method: str, model: Optional[Mapping[str, Pmf]] = None
 ) -> LinearProgram:
     """Build the program for any supported method (dispatch helper)."""
     if method == "present":
-        return build_present_lp(sys, max_joint_atoms)
+        return build_present_lp(sys)
     if method == "cbd":
-        return build_cbd_lp(sys, max_joint_atoms)
+        return build_cbd_lp(sys)
     if method == "np":
-        return build_np_lp(sys, max_joint_atoms)
+        return build_np_lp(sys)
     if method == "np_inside":
-        return build_np_inside_lp(sys, delta0_present(sys), max_joint_atoms)
+        return build_np_inside_lp(sys, delta0_present(sys))
     if method == "fixed_model":
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")
@@ -363,10 +362,7 @@ def build_lp(
 
 
 def measure(
-    sys: System,
-    method: str,
-    model: Optional[Mapping[str, Pmf]] = None,
-    max_joint_atoms: int = DEFAULT_ATOM_CAP,
+    sys: System, method: str, model: Optional[Mapping[str, Pmf]] = None
 ) -> MeasureReport:
     """Build, solve exactly, certify, and compare against the baseline.
 
@@ -374,7 +370,7 @@ def measure(
     the optimal distance over the floor forced by the marginals alone; for
     ``np``/``np_inside`` it is the minimal negative mass (baseline zero).
     """
-    lp = build_lp(sys, method, model=model, max_joint_atoms=max_joint_atoms)
+    lp = build_lp(sys, method, model=model)
     if method in ("present", "fixed_model"):
         delta0 = delta0_present(sys)
     elif method == "cbd":

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .analytic import BinaryStats
 from .builders import build_lp, measure
 from .errors import NumericalFailure, TooLarge, ValidationError
-from .lp import LinearProgram, solve_exact, verify_certificate
+from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, System
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ class CrossCheck:
     agree: bool
 
 
-def solve_float(lp: LinearProgram, tol: float = FLOAT_TOL) -> FloatSolution:
+def solve_float(lp: LinearProgram) -> FloatSolution:
     """Floating-point solve of the same standard-form program via HiGHS."""
     # Imported here so that exact-only use of the package never loads scipy.
     try:
@@ -90,7 +90,7 @@ def cross_check(sys: System, method: str, tol: float = FLOAT_TOL) -> CrossCheck:
     lp = build_lp(sys, method)
     sol = solve_exact(lp)
     certified = verify_certificate(lp, sol)
-    approx = solve_float(lp, tol)
+    approx = solve_float(lp)
     if sol.status != "optimal" or approx.status != "optimal":
         raise NumericalFailure(
             f"cross_check needs an optimal instance, got {sol.status}/{approx.status}"
@@ -159,10 +159,10 @@ def _composition(rng: random.Random, total: int, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def random_pmf(rng: random.Random, alphabets: Sequence[Sequence], denominator: int = DENOMINATOR_CAP) -> Pmf:
+def random_pmf(rng: random.Random, alphabets: Sequence[Sequence]) -> Pmf:
     atoms = list(itertools.product(*alphabets))
-    parts = _composition(rng, denominator, len(atoms))
-    return Pmf(alphabets, {a: Fraction(w, denominator) for a, w in zip(atoms, parts)})
+    parts = _composition(rng, DENOMINATOR_CAP, len(atoms))
+    return Pmf(alphabets, {a: Fraction(w, DENOMINATOR_CAP) for a, w in zip(atoms, parts)})
 
 
 def random_binary_stats(rng: random.Random) -> BinaryStats:
@@ -254,12 +254,12 @@ def run_selftest(seed: int = 2024, count: int = 25,
     if not 0 <= tol < math.inf:  # also false for NaN
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     from .analytic import (
+        coupling_mismatch_lp,
         cyclic2_min_partial,
         delta_p,
         delta_p_via_lp,
         max_coupling_probability,
         median_binary,
-        min_mismatch,
         pmf_from_mean,
         tv_distance,
     )
@@ -299,7 +299,7 @@ def run_selftest(seed: int = 2024, count: int = 25,
     for _ in range(count):
         q, r = random_binary_stats(rng), random_binary_stats(rng)
         closed = cyclic2_min_partial(q, r)
-        lp_val = min_mismatch(r.to_pmf(), q.to_pmf(), force_lp=True)
+        lp_val = solve_certified(coupling_mismatch_lp(r.to_pmf(), q.to_pmf())).objective
         if closed == lp_val:
             passed += 1
     results.append(("cyclic-2 closed form vs transport LP", passed, count))

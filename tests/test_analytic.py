@@ -29,6 +29,7 @@ from contextuality.errors import (
     ValidationError,
 )
 from contextuality.examples import ab_system, disjoint_support_system, pr_box
+from contextuality.lp import solve_certified
 from contextuality.oracle import SystemShape, random_pmf, random_system
 from contextuality.system import Context, Pmf, Property, System, connection_of
 
@@ -77,6 +78,9 @@ def test_tv_is_one_minus_max_coupling():
         b = random_pmf(rng, [(0, 1, 2)])
         assert max_coupling_probability([a, b]) == 1 - tv_distance(a, b)
         assert tv_distance(a, b) == tv_distance(b, a)
+        # one position takes min_mismatch's TV branch; the transport LP agrees
+        lp_value = solve_certified(coupling_mismatch_lp(a, b)).objective
+        assert min_mismatch(a, b) == tv_distance(a, b) == lp_value
 
 
 def test_tv_binary_equals_half_mean_gap():
@@ -294,7 +298,7 @@ def test_per_context_lp_equals_closed_form():
         q = random_pmf(rng, [PM, PM])
         for cid in ("c1", "c2", "c3", "c4"):
             fast = per_context_min_delta(sysd, q, cid)
-            via_lp = per_context_min_delta(sysd, q, cid, force_lp=True)
+            via_lp = solve_certified(coupling_mismatch_lp(sysd.bunch(cid), q)).objective
             assert fast == via_lp
 
 
@@ -315,7 +319,7 @@ def test_coupling_program_rejects_name_delimiters_in_bare_pmfs():
     for bad in " ;|[]":
         b = Pmf([("x", "y" + bad)], {("x",): 1})
         with pytest.raises(ValidationError):
-            min_mismatch(b, b, force_lp=True)
+            coupling_mismatch_lp(b, b)
 
 
 def test_coupling_program_rejects_symbols_that_print_alike_in_bare_pmfs():

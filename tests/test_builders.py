@@ -240,11 +240,18 @@ def test_problem_sizes_crossover():
     assert s["present"].variable_count < s["np"].variable_count < s["cbd"].variable_count
 
 
-def test_alphabet_cap():
-    with pytest.raises(AlphabetTooLarge):
-        build_present_lp(pr_box(), max_joint_atoms=8)
-    with pytest.raises(AlphabetTooLarge):
-        build_cbd_lp(pr_box(), max_joint_atoms=100)
+JOINT_OVER_CAP = r"^joint over all properties has 16 atoms \(cap 8\)$"
+
+
+def test_alphabet_cap(monkeypatch):
+    monkeypatch.setattr(builders, "ATOM_CAP", 8)
+    with pytest.raises(AlphabetTooLarge, match=JOINT_OVER_CAP):
+        build_present_lp(pr_box())
+    # the present program's 16-atom joint fits; the cbd coupling's 256 atoms do not
+    monkeypatch.setattr(builders, "ATOM_CAP", 100)
+    assert build_present_lp(pr_box()).column_count == 80
+    with pytest.raises(AlphabetTooLarge, match=r"^coupling of all bunches has 256 atoms \(cap 100\)$"):
+        build_cbd_lp(pr_box())
 
 
 def test_unknown_method():
@@ -375,20 +382,21 @@ def test_templates_key_on_printed_labels(empty_cache):
         assert dump_lp(build_lp(ints, method)) == dump_lp(a)
 
 
-def test_atom_cap_applies_to_cached_shapes(empty_cache):
+def test_atom_cap_applies_to_cached_shapes(empty_cache, monkeypatch):
     sysd = pr_box()
     for method in ANALYZE_METHODS:
         build_lp(sysd, method)
-    with pytest.raises(AlphabetTooLarge):
-        build_present_lp(sysd, max_joint_atoms=8)
-    with pytest.raises(AlphabetTooLarge):
-        build_cbd_lp(sysd, max_joint_atoms=100)
-    with pytest.raises(AlphabetTooLarge):
-        build_np_lp(sysd, max_joint_atoms=8)
-    with pytest.raises(AlphabetTooLarge):
-        build_np_inside_lp(sysd, delta0_present(sysd), max_joint_atoms=8)
-    with pytest.raises(AlphabetTooLarge):
-        measure(sysd, "present", max_joint_atoms=8)
+    monkeypatch.setattr(builders, "ATOM_CAP", 8)
+    with pytest.raises(AlphabetTooLarge, match=JOINT_OVER_CAP):
+        build_present_lp(sysd)
+    with pytest.raises(AlphabetTooLarge, match=r"^coupling of all bunches has 256 atoms \(cap 8\)$"):
+        build_cbd_lp(sysd)
+    with pytest.raises(AlphabetTooLarge, match=JOINT_OVER_CAP):
+        build_np_lp(sysd)
+    with pytest.raises(AlphabetTooLarge, match=JOINT_OVER_CAP):
+        build_np_inside_lp(sysd, delta0_present(sysd))
+    with pytest.raises(AlphabetTooLarge, match=JOINT_OVER_CAP):
+        measure(sysd, "present")
 
 
 def test_template_rows_are_read_only(empty_cache):
