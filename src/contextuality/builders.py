@@ -358,7 +358,7 @@ def build_lp(
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")
         return build_fixed_model_lp(sys, model)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def measure(
@@ -395,14 +395,14 @@ def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
 
     The coupling-of-all-bunches program has 4**(m*n) columns (each of the
     m*n contexts contributes a factor of 4, its number of outcome pairs).
-    Shapes with more than 4096 contexts are refused before any power is
-    computed.
+    An empty shape, or one with more than 4096 contexts, is refused with
+    ValidationError before any power is computed.
     """
     if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
+        raise ValidationError("m and n must be >= 1")
     mn = m * n
     if mn > _MAX_SIZES_CONTEXTS:
-        raise ValueError(f"m*n = {mn} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
+        raise ValidationError(f"m*n = {mn} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
     return [
         ProblemSizes("cbd", 4**mn, 4 * mn, 0),
         ProblemSizes("np", 2 ** (m + n + 1), 4 * mn, 0),

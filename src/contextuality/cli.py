@@ -137,11 +137,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_sizes(args) -> int:
-    try:
-        rows = problem_sizes(args.m, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    rows = problem_sizes(args.m, args.n)
     if args.json:
         import json
 

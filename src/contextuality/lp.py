@@ -604,16 +604,29 @@ def parse_lp(text: str) -> LinearProgram:
             raise ParseError(f"row {i} out of range", lineno)
         return i
 
+    given: set[tuple] = set()  # entries read so far; dump_lp writes each once
+
+    def once(key: tuple, lineno: int) -> None:
+        if key in given:
+            raise ParseError(f"repeated entry {' '.join(tok[:-1])!r}", lineno)
+        given.add(key)
+
     while True:
         lineno, tok = take()
         if tok == ["end"]:
             break
         if tok[0] == "c" and len(tok) == 3:
-            cost[column(tok[1], lineno)] = rational(tok[2], lineno)
+            j = column(tok[1], lineno)
+            once(("c", j), lineno)
+            cost[j] = rational(tok[2], lineno)
         elif tok[0] == "a" and len(tok) == 4:
-            rows[rowref(tok[1], lineno)][column(tok[2], lineno)] = rational(tok[3], lineno)
+            i, j = rowref(tok[1], lineno), column(tok[2], lineno)
+            once(("a", i, j), lineno)
+            rows[i][j] = rational(tok[3], lineno)
         elif tok[0] == "rhs" and len(tok) == 3:
-            rhs[rowref(tok[1], lineno)] = rational(tok[2], lineno)
+            i = rowref(tok[1], lineno)
+            once(("rhs", i), lineno)
+            rhs[i] = rational(tok[2], lineno)
         else:
             raise ParseError(f"unrecognized line {' '.join(tok)!r}", lineno)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))

@@ -40,8 +40,6 @@ Symbol = Union[int, str]
 Outcome = tuple  # tuple of Symbol
 RationalLike = Union[Fraction, int, str]
 
-PLUS_MINUS = (1, -1)
-
 ONE = Fraction(1)
 ZERO = Fraction(0)
 

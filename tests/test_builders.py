@@ -28,6 +28,7 @@ from contextuality.errors import (
     InconsistentlyConnected,
     ModelNotConsistentlyConnected,
     ShapeMismatch,
+    ValidationError,
 )
 from contextuality.examples import ab_system, disjoint_support_system, epr_model, pr_box
 from contextuality.lp import (
@@ -255,8 +256,12 @@ def test_alphabet_cap(monkeypatch):
 
 
 def test_unknown_method():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown method 'nope'"):
         build_lp(pr_box(), "nope")
+    with pytest.raises(ValidationError, match="unknown method 'nope'"):
+        measure(pr_box(), "nope")
+    with pytest.raises(ValidationError, match="m and n must be >= 1"):
+        problem_sizes(0, 1)
     with pytest.raises(ShapeMismatch):
         build_lp(pr_box(), "fixed_model")
 

@@ -179,6 +179,27 @@ def test_parse_rejects_malformed():
         parse_lp(ok.replace("1/1", "1/0"))
 
 
+OK_DUMP = dump_lp(lp_of(["x"], [1], [{0: 1}], [1]))  # one line per entry, "end" on line 9
+
+
+@pytest.mark.parametrize("text,line", [
+    (OK_DUMP.replace("end", "c x 5/1\nend"), 9),  # repeated cost
+    (OK_DUMP.replace("end", "a 0 x 2/1\nend"), 9),  # repeated matrix entry
+    (OK_DUMP.replace("end", "rhs 0 3/1\nend"), 9),  # repeated right-hand side
+    (OK_DUMP.replace("minimize\n", ""), 2),
+    (OK_DUMP.replace("vars 1", "vars one"), 3),  # bad count
+    (OK_DUMP.replace("rows 1", "rows -1"), 5),  # negative count
+    (OK_DUMP.replace("vars 1\nvar x\n", ""), 3),  # missing vars
+    (OK_DUMP.replace("vars 1\nvar x", "vars 2\nvar x\nvar x"), 5),  # duplicate name
+    (OK_DUMP.replace("end", "b 0 x 1/1\nend"), 9),  # unrecognized line
+])
+def test_parse_lp_refusals_name_their_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_lp(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
 @pytest.mark.parametrize("sep", [" ", "\x1c"])
 def test_whitespace_in_names_rejected(sep):
     ok = dump_lp(lp_of(["x"], [1], [{0: 1}], [1]))
