@@ -200,11 +200,19 @@ def report_text(d: dict, out: TextIO) -> None:
         if key not in ("method", "delta", "delta0", "measure", "noncontextual",
                        "certified", "seconds", "witness"):
             val = d[key]
+            if isinstance(val, dict):
+                _write_mapping(key, val, out)
+                continue
             if isinstance(val, bool):
                 val = str(val).lower()
             out.write(f"{key:15}: {val}\n")
     if "witness" in d:
-        out.write("witness        :\n")
-        for k, v in d["witness"].items():
-            out.write(f"  {k} = {v}\n")
+        _write_mapping("witness", d["witness"], out)
     out.write(f"seconds        : {d['seconds']}\n")
+
+
+def _write_mapping(key: str, mapping: dict, out: TextIO) -> None:
+    """A header line, then one indented ``name = value`` line per entry."""
+    out.write(f"{key:15}:\n")
+    for k, v in mapping.items():
+        out.write(f"  {k} = {v}\n")

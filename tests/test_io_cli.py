@@ -9,7 +9,7 @@ from contextuality import cli
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
 from contextuality.builders import build_fixed_model_lp
 from contextuality.cli import main
-from contextuality.errors import ParseError
+from contextuality.errors import ParseError, UnknownProperty
 from contextuality.examples import disjoint_support_system, epr_model, pr_box
 from contextuality.io import (
     bundled_path,
@@ -66,6 +66,37 @@ def test_parse_rejects_duplicate_bunch():
 def test_parse_rejects_stray_line():
     with pytest.raises(ParseError):
         parse_system_text("1 1 1/2\n")
+
+
+PROP = "property p 1 -1\n"
+
+
+@pytest.mark.parametrize("text,error,line", [
+    ("property p 1\n", ParseError, 1),  # short property line
+    (PROP + PROP, ParseError, 2),  # duplicate property
+    (PROP + "context c\n", ParseError, 2),  # short context line
+    (PROP + "context c p\ncontext c p\n", ParseError, 3),  # duplicate context
+    (PROP + "context c p\nbunch c c\n", ParseError, 3),  # bunch with extra token
+    (PROP + "context c p\nbunch d\n", ParseError, 3),  # bunch for undeclared context
+    (PROP + "context c q\nbunch c\n1 1/1\n", UnknownProperty, None),
+])
+def test_parse_system_refusals(text, error, line):
+    with pytest.raises(error) as err:
+        parse_system_text(text)
+    if line is not None:
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_cli_parse_error_is_one_line(tmp_path, capsys):
+    path = tmp_path / "short.system"
+    path.write_text("property p 1\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_decimal_probabilities_parse_exactly():
@@ -293,6 +324,15 @@ def test_cli_approx_rounded_cosines(tmp_path, capsys):
     assert report["optimal_approximation"] is True
 
 
+@pytest.mark.parametrize("angles", ["x;1", ";90", "0,90"])
+def test_cli_approx_rejects_bad_angles(capsys, angles):
+    assert main(["approx", "bundled:prbox", "--epr", "--angles", angles]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_selftest(capsys):
     code = main(["selftest", "--count", "4", "--seed", "5"])
     out = capsys.readouterr().out
@@ -364,6 +404,8 @@ def test_analyze_json_matches_golden(capsys, name):
 
 @pytest.mark.parametrize("name,argv", [
     ("prbox.analyze", ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"]),
+    # the verdict line, and rounded cosines as name = value lines
+    ("prbox.approx_rounded", ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"]),
 ])
 def test_text_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0
