@@ -1,55 +1,37 @@
 """Exact rational linear programming.
 
 Standard form only: minimize c'x subject to Ax = b, x >= 0, with equality
-rows and named columns.  The solver is a two-phase simplex over exact
-rationals with Bland's pivoting rule (anti-cycling, deterministic given the
-column order).  Optimal solutions carry a primal vector, a dual vector, and
-the optimal basis, so optimality can be re-verified independently:
-primal feasibility, dual feasibility (y'A <= c'), and zero duality gap.
+rows and named columns.  The solver is a two-phase revised simplex over
+exact rationals with Bland's pivoting rule (anti-cycling, deterministic
+given the column order).  Optimal solutions carry a primal vector, a dual
+vector, and the optimal basis, so optimality can be re-verified
+independently: primal feasibility, dual feasibility (y'A <= c'), and zero
+duality gap.
 
-Two kernels carry the pivots; both take the same pivots and return the
-same solution.  Each keeps its rows as lists of Python int numerators over
-one positive int denominator.  A row is brought to lowest terms when its
-denominator changes (the pivot row always is); an update that keeps the
-denominator takes no gcd.  Each row's entry of B^-1 b is kept beside it
-as a separate reduced (numerator, denominator) pair: the right-hand sides
-of this package's programs are probabilities, so a row holding its own
-would almost never have denominator 1, and without it the rows nearly
-always do.  The phase-one artificial columns stay (they never re-enter in
-phase two) and hold B^-1, so the dual is read off their reduced costs.
-
-- The tableau (_Tableau) keeps every row of (B^-1 A | B^-1).  A pivot
-  updates each row with a nonzero in the entering column across the pivot
-  row's nonzeros.
-- The revised kernel (``_revised.Revised``) keeps only B^-1, which is the
-  tableau's artificial block, and the full cost rows.  A pivot builds the
-  entering column from B^-1 and the program's columns, updates the rows
-  of B^-1 with a nonzero in it, and adds the pivot row, a sum of the
-  program's rows weighted by the pivot's row of B^-1, into the cost rows.
-
-Bland's entering scan, the cross-multiplied ratio test with its
-basis-index tie-break, the right-hand-side update, the pivot row's
-division and the row update are shared; the revised kernel repeats the
-row update inline for rows that keep their denominator, where it also
-tracks which entries of B^-1 are nonzero.  solve_exact runs the revised
-kernel on programs with at least _WIDE = 3 times as many columns as rows.
-There the tableau spends most of each pivot on columns that the pivot
-barely touches; on narrower programs the revised kernel's own work per
-pivot (the entering column and the pivot row, rebuilt from the program
-each time) costs more than it saves.  The measurement is beside _WIDE.
+The kernel (Revised) keeps only the basis inverse B^-1 and the full cost
+rows, each row a list of Python int numerators over one positive int
+denominator.  A pivot builds the entering column from B^-1 and the
+program's columns, updates the rows of B^-1 with a nonzero in it, and
+adds the pivot row, a sum of the program's rows weighted by the pivot's
+row of B^-1, into the cost rows.  A row is brought to lowest terms when
+its denominator changes (the pivot row always is); an update that keeps
+the denominator takes no gcd.  Each row's entry of B^-1 b is kept beside
+it as a separate reduced (numerator, denominator) pair: the right-hand
+sides of this package's programs are probabilities, so a row holding its
+own would almost never have denominator 1, and without it the rows
+nearly always do.  The cost rows keep the phase-one artificial columns
+(which never re-enter in phase two), whose reduced costs give the dual.
 The public API is Fraction end to end.  verify_certificate re-checks
-every optimum against the program alone, independently of either kernel,
+every optimum against the program alone, independently of the solver,
 in Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
 to which each call adds only its right-hand side.  The template keeps
-three integer forms of its rows, each computed on first use: the sparse
-rows (row lcm plus column/numerator pairs) that solve_exact seeds its
-kernels from, the same rows by row and by column that the revised kernel
-prices and builds columns from, and verify_certificate's own scaling of
-the rows, derived from the rows by its own code and never from the
-solver's forms.
+two integer forms of its rows, each computed on first use: the solver's
+(each row's lcm, and the scaled rows by row and by column, with the
+scaled cost) and verify_certificate's own scaling of the rows, derived
+from the rows by its own code and never from the solver's form.
 """
 from __future__ import annotations
 
@@ -133,13 +115,13 @@ class _Template:
     """Names, costs and rows of every program of one shape, checked once.
 
     Rows are kept read-only, so neither a template nor a program made from
-    it can be changed.  ``seed`` and ``columns`` are the integer forms of
-    the rows used by solve_exact (``columns`` by its revised kernel only),
-    ``certificate`` the one used by verify_certificate, each filled in on
-    first use.  Nothing here depends on a program's right-hand side.
+    it can be changed.  ``solver`` is the integer form of the rows used by
+    solve_exact and ``certificate`` the one used by verify_certificate,
+    each filled in on first use.  Nothing here depends on a program's
+    right-hand side.
     """
 
-    __slots__ = ("variables", "cost", "rows", "nonzeros", "seed", "columns", "certificate")
+    __slots__ = ("variables", "cost", "rows", "nonzeros", "solver", "certificate")
 
     def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
                  rows: Sequence[Mapping[int, Fraction]]):
@@ -148,7 +130,7 @@ class _Template:
         self.rows = tuple(map(_ReadOnlyRow, rows))
         _check_matrix(self.variables, self.cost, self.rows)
         self.nonzeros = sum(map(len, self.rows))
-        self.seed = self.columns = self.certificate = None
+        self.solver = self.certificate = None
 
     def program(self, rhs: Sequence[Fraction]) -> LinearProgram:
         """The template's program with right-hand side ``rhs``."""
@@ -189,83 +171,132 @@ class LpSolution:
         return {name: v for name, v in zip(lp.variables, self.primal) if v != 0}
 
 
-# solve_exact runs the revised kernel on programs with at least _WIDE
-# times as many columns as rows, and the tableau on the rest.  Measured as
-# the tableau's time over the revised kernel's (best of three, x86_64,
-# Python 3.11) on 114 present, np, np_inside, cbd and ternary delta_p
-# programs of random systems from 1x3 to 4x4: below 2.5 times as wide as
-# tall, 0.58 to 0.94; from 2.5 to 3 times, 0.68 to 1.15 on present and np
-# but 1.17 to 1.34 on 2x2 np_inside; from 3 to 4 times, 0.92 to 1.69; from
-# 4 times on, 1.20 to 3.68, apart from one 1x4 np program of under a
-# millisecond at 0.36 (1.10 in an earlier run).
-_WIDE = 3
+class Revised:
+    """The basis inverse alone, as M = B^-1 S D^-1, one list per row.
 
-
-class _Tableau:
-    """The full tableau (B^-1 A | B^-1), one list per row.
-
-    Row i starts as A's row i, sign-normalized, then e_i, over the lcm of
-    the row's denominators (which leaves it in lowest terms).
+    S is the sign normalization and D holds each row's lcm, so the solver
+    form's integer rows are D A and B^-1 A = M (D A).  Row i of M starts
+    as s_i e_i over D_i.  ``support[k]`` holds the rows where column k of
+    M is nonzero.  The entering column is a sum of M's columns, weighted
+    by the column form of D A.  The pivot row of (B^-1 A | B^-1) is a sum
+    of the rows of D A weighted by the pivot's row of M; it is never
+    stored, each cost row takes it entry by entry.
     """
 
-    def __init__(self, lp: LinearProgram, seed, sign: list[int]):
-        n, m = lp.column_count, lp.row_count
+    def __init__(self, lp: LinearProgram, form, sign: list[int]):
+        dens, self.by_row, self.by_column, _ = form
+        self.n = lp.column_count
+        self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
         self.rows = []
-        for i, (den, cols, nums) in enumerate(seed):
-            row = [0] * (n + m + 1)
-            s = sign[i]
-            for j, a in zip(cols, nums):
-                row[j] = s * a
-            row[n + i] = row[-1] = den
+        for i, d in enumerate(dens):
+            row = [0] * (len(dens) + 1)
+            row[i], row[-1] = sign[i], d
             self.rows.append(row)
+        self.support = [{k} for k in range(len(dens))]
 
     def column(self, j: int) -> list[int]:
         """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
-        return [row[j] for row in self.rows]
+        rows, support = self.rows, self.support
+        out = [0] * len(rows)
+        if j >= self.n:  # artificial column j - n, a column of B^-1
+            k = j - self.n
+            for i in support[k]:
+                out[i] = rows[i][k] * self.scale[k]
+            return out
+        plus, minus, other = self.by_column[j]
+        for k in plus:
+            for i in support[k]:
+                out[i] += rows[i][k]
+        for k in minus:
+            for i in support[k]:
+                out[i] -= rows[i][k]
+        for k, a in other:
+            for i in support[k]:
+                out[i] += a * rows[i][k]
+        return out
 
     def row(self, i: int) -> list[int]:
         """Row i of B^-1 A, times a positive number, in its first n entries."""
-        return self.rows[i]
+        out = [0] * (self.n + len(self.rows) + 1)
+        self._subtract(out, -1, self.rows[i])
+        return out
 
     def pivot(self, leave: int, column: list[int], cost_rows: list[list[int]],
               enter: int) -> None:
         """Eliminate column ``enter``, whose entries are ``column``, from
-        every row but row ``leave`` and from the cost rows; _pivot has
-        divided row ``leave`` by its entry already."""
-        prow = self.rows[leave]
-        nz = list(itertools.compress(range(len(prow) - 1), prow))
-        _eliminate(zip(self.rows, column), prow, nz)
-        _eliminate([(row, row[enter]) for row in cost_rows], prow, nz)
+        every row of M but row ``leave`` and from the cost rows; _pivot
+        has divided row ``leave`` by its entry already, leaving it in
+        lowest terms.  Each row becomes row/d - (f/d) * mrow/pd, with f its
+        entry in the column, and d and pd the rows' denominators."""
+        rows, support = self.rows, self.support
+        mrow = rows[leave]
+        nz = list(itertools.compress(range(len(mrow) - 1), mrow))
+        pd = mrow[-1]
+        entries = [(k, mrow[k], support[k]) for k in nz]
+        for i in itertools.compress(range(len(column)), column):
+            if i == leave:
+                continue
+            row = rows[i]
+            f = column[i]
+            if f % pd:  # the row is rescaled by s = pd / gcd(f, pd) > 1
+                g = gcd(f, pd)
+                s, t = pd // g, f // g
+                d = row[-1]
+                row[:] = [v * s - t * p for v, p in zip(row, mrow)]
+                row[-1] = d * s
+                # mrow is in lowest terms and s divides pd, so no prime of s
+                # divides every new entry: a common factor must divide d.
+                if d != 1:
+                    g = gcd(d, *row)
+                    if g != 1:
+                        row[:] = [v // g for v in row]
+                for k, _, sup in entries:
+                    if row[k]:
+                        sup.add(i)
+                    else:
+                        sup.discard(i)
+            else:  # the denominator stays: no gcd, and the supports follow
+                t = f // pd
+                for k, p, sup in entries:
+                    v = row[k]
+                    row[k] = w = v - t * p
+                    if not w:
+                        sup.discard(i)
+                    elif not v:
+                        sup.add(i)
+        # Each cost row becomes (row * s - t * mrow (D A | S D)) / (d * s)
+        # and is then brought to lowest terms.
+        for row in cost_rows:
+            f = row[enter]
+            if f:
+                g = gcd(f, pd)
+                s, t = pd // g, f // g
+                if s != 1:
+                    row[:] = [v * s for v in row]
+                self._subtract(row, t, mrow)
+                if s != 1:
+                    g = gcd(*row)
+                    if g != 1:
+                        row[:] = [v // g for v in row]
+
+    def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
+        """row -= t * mrow (D A | S D) in place; entries of mrow past the
+        m-th are unused."""
+        n, by_row, scale = self.n, self.by_row, self.scale
+        for k in itertools.compress(range(len(by_row)), mrow):
+            c = t * mrow[k]
+            plus, minus, other = by_row[k]
+            for j in plus:
+                row[j] -= c
+            for j in minus:
+                row[j] += c
+            for j, a in other:
+                row[j] -= c * a
+            row[n + k] -= c * scale[k]
 
 
-def _eliminate(pairs, prow: list[int], nz: list[int]) -> None:
-    """row/d - (f/d) * prow/pd in place, for each (row, f) of ``pairs``
-    with f != 0 and row not prow; d and pd are the rows' last entries,
-    prow is in lowest terms and nz lists its nonzero entries before the
-    last.  Rescaled rows are left in lowest terms."""
-    pd = prow[-1]
-    for row, f in pairs:
-        if not f or row is prow:
-            continue
-        d = row[-1]
-        g = gcd(f, pd)
-        s, t = pd // g, f // g
-        if s == 1:
-            for j in nz:
-                row[j] -= t * prow[j]
-        else:
-            row[:] = [v * s - t * p for v, p in zip(row, prow)]
-            row[-1] = d * s
-            # prow is in lowest terms and s divides pd, so no prime of s
-            # divides every new entry: a common factor must divide d.
-            if d != 1:
-                g = gcd(d, *row)
-                if g != 1:
-                    row[:] = [v // g for v in row]
-
-
-def _pivot(state, rhs: list[tuple[int, int]], basis: list[int], cost_rows: list[list[int]],
-           leave: int, enter: int, column: list[int]) -> None:
+def _pivot(state: Revised, rhs: list[tuple[int, int]], basis: list[int],
+           cost_rows: list[list[int]], leave: int, enter: int, column: list[int]) -> None:
     """Make column ``enter`` basic in row ``leave``, given the column's
     entries ``column``; the kernel state, ``rhs`` and the cost rows are
     updated in place.
@@ -306,7 +337,7 @@ def _pivot(state, rhs: list[tuple[int, int]], basis: list[int], cost_rows: list[
     basis[leave] = enter
 
 
-def _bland(state, rhs: list[tuple[int, int]], basis: list[int],
+def _bland(state: Revised, rhs: list[tuple[int, int]], basis: list[int],
            cost_rows: list[list[int]], ncols: int) -> str:
     """Run simplex iterations until optimal or unbounded (Bland's rule).
 
@@ -337,57 +368,53 @@ def _bland(state, rhs: list[tuple[int, int]], basis: list[int],
         _pivot(state, rhs, basis, cost_rows, leave, enter, column)
 
 
-_numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
-
-
-def _solver_seed(lp: LinearProgram):
-    """Each row as (lcm of its denominators, its columns, its entries times
-    that lcm), and the cost as (lcm, scaled entries)."""
-    rows = []
-    shared: dict[tuple, tuple] = {}  # rows with equal entries share one tuple
-    for entries in lp.rows:
-        values = entries.values()
-        den = lcm(*map(_denominator, values))
-        nums = tuple(map(_numerator, values) if den == 1 else
-                     (v.numerator * (den // v.denominator) for v in values))
-        rows.append((den, tuple(entries), shared.setdefault(nums, nums)))
+def _solver_form(lp: LinearProgram):
+    """The rows as D A, with D holding each row's lcm: (D's entries, the
+    rows of D A, its columns, (cost lcm, scaled cost)).  Each row and
+    column is given as the indices of its entries 1, the indices of its
+    entries -1, and its other (index, entry) pairs."""
+    dens = []
+    by_row = []
+    columns: list[list] = [[] for _ in range(lp.column_count)]
+    for k, entries in enumerate(lp.rows):
+        den, nums = _scaled(entries.values())
+        pairs = tuple(zip(entries, nums))
+        for j, a in pairs:
+            columns[j].append((k, a))
+        dens.append(den)
+        by_row.append(_signed(pairs))
     cost_den, cost = _scaled(lp.cost)
-    return tuple(rows), (cost_den, tuple(cost))
+    return tuple(dens), tuple(by_row), tuple(map(_signed, columns)), (cost_den, tuple(cost))
+
+
+def _signed(pairs) -> tuple[tuple, tuple, tuple]:
+    pairs = tuple(pairs)
+    return (tuple(i for i, a in pairs if a == 1), tuple(i for i, a in pairs if a == -1),
+            tuple((i, a) for i, a in pairs if a != 1 and a != -1))
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex; returns an exactly certified optimum when one exists."""
-    if lp.column_count < _WIDE * lp.row_count:
-        return _solve(lp, _Tableau)
-    from ._revised import Revised  # compiled on the first wide program only
-    return _solve(lp, Revised)
-
-
-def _solve(lp: LinearProgram, kernel) -> LpSolution:
-    """solve_exact on ``kernel`` (_Tableau or _revised.Revised); both take
-    the same pivots and give the same solution."""
     n = lp.column_count
     m = lp.row_count
-    seed, (cost_den, cost) = _form(lp, "seed", _solver_seed)
+    form = _form(lp, "solver", _solver_form)
+    dens, _, _, (cost_den, cost) = form
 
     # Sign-normalize so every right-hand side is nonnegative; b_i is kept
     # beside its row as a reduced pair.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
-    state = kernel(lp, seed, sign)
+    state = Revised(lp, form, sign)
     rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
     basis = list(range(n, n + m))
 
-    # Phase one minimizes the artificial mass: its cost row is minus the sum
-    # of the sign-normalized rows, over their lcm.  The phase-two cost row
-    # rides along, so it is already reduced against the final phase-one basis.
-    den = lcm(*(d for d, _, _ in seed))
-    cost1 = [0] * (n + m + 1)
-    for s, (d, cols, nums) in zip(sign, seed):
-        k = s * (den // d)
-        for j, a in zip(cols, nums):
-            cost1[j] -= k * a
-    cost1[-1] = den
+    # Phase one minimizes the artificial mass: its cost row is (0 | 1) minus
+    # the sum of the sign-normalized rows (s_k A_k | e_k), over their lcm,
+    # that is, less the rows (D A | S D) weighted by s_k * den / D_k.  The
+    # phase-two cost row rides along, so it is already reduced against the
+    # final phase-one basis.
+    den = lcm(*dens)
+    cost1 = [0] * n + [den] * (m + 1)
+    state._subtract(cost1, 1, [s * (den // d) for s, d in zip(sign, dens)])
     cost2 = [*cost, *[0] * m, cost_den]
     status = _bland(state, rhs, basis, [cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
@@ -485,10 +512,14 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
             and dual_obj * obj.denominator == obj.numerator * yd * bd)
 
 
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
+
+
 def _certificate_matrix(lp: LinearProgram):
     """The rows over one common denominator ad, as (ad, [(columns, entries
     times ad)]), and the cost as (lcm, scaled entries).  Derived from the
-    program alone, not from the solver's seed."""
+    program alone, not from the solver's form."""
     ad = lcm(*(v.denominator for row in lp.rows for v in row.values()))
     matrix = []
     shared: dict[tuple, tuple] = {}  # rows with equal entries share one tuple
@@ -569,15 +600,13 @@ def parse_lp(text: str) -> LinearProgram:
     if len(tok) != 2 or tok[0] != "vars":
         raise ParseError("expected 'vars <count>'", lineno)
     nvars = count(tok[1], lineno)
-    names: list[str] = []
-    for _ in range(nvars):
+    col: dict[str, int] = {}
+    for j in range(nvars):
         lineno, tok = take()
         if len(tok) != 2 or tok[0] != "var":
             raise ParseError("expected 'var <name>'", lineno)
-        names.append(tok[1])
-    col = {name: j for j, name in enumerate(names)}
-    if len(col) != nvars:
-        raise ParseError("duplicate variable name", lineno)
+        if col.setdefault(tok[1], j) != j:
+            raise ParseError("duplicate variable name", lineno)
     lineno, tok = take()
     if len(tok) != 2 or tok[0] != "rows":
         raise ParseError("expected 'rows <count>'", lineno)
@@ -629,4 +658,4 @@ def parse_lp(text: str) -> LinearProgram:
             rhs[i] = rational(tok[2], lineno)
         else:
             raise ParseError(f"unrecognized line {' '.join(tok)!r}", lineno)
-    return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
+    return LinearProgram(tuple(col), tuple(cost), tuple(rows), tuple(rhs))

@@ -38,9 +38,9 @@ class SystemShape:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be >= 1")
+            raise ValidationError("m and n must be >= 1")
         if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+            raise ValidationError("alphabet_size must be >= 2")
 
 
 @dataclass(frozen=True)

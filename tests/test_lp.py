@@ -7,14 +7,11 @@ import pytest
 from reference_simplex import reference_solve, reference_verify_certificate
 
 from contextuality import lp as lp_module
-from contextuality._revised import Revised
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp
 from contextuality.errors import DimensionMismatch, ParseError
 from contextuality.lp import (
     LinearProgram,
-    _solve,
-    _Tableau,
     dump_lp,
     parse_lp,
     solve_certified,
@@ -191,6 +188,7 @@ OK_DUMP = dump_lp(lp_of(["x"], [1], [{0: 1}], [1]))  # one line per entry, "end"
     (OK_DUMP.replace("rows 1", "rows -1"), 5),  # negative count
     (OK_DUMP.replace("vars 1\nvar x\n", ""), 3),  # missing vars
     (OK_DUMP.replace("vars 1\nvar x", "vars 2\nvar x\nvar x"), 5),  # duplicate name
+    (OK_DUMP.replace("vars 1\nvar x", "vars 3\nvar x\nvar x\nvar y"), 5),  # repeat, then more
     (OK_DUMP.replace("end", "b 0 x 1/1\nend"), 9),  # unrecognized line
 ])
 def test_parse_lp_refusals_name_their_line(text, line):
@@ -301,8 +299,8 @@ def _perturbed_certificates(sol):
         yield dataclasses.replace(sol, primal=tuple(primal))
 
 
-def _kernel_path(lp, kernel):
-    """``kernel``'s solution of lp, and its pivots as (entering column,
+def _traced_solve(lp):
+    """solve_exact's solution of lp, and its pivots as (entering column,
     leaving column)."""
     path = []
     pivot = lp_module._pivot
@@ -312,18 +310,17 @@ def _kernel_path(lp, kernel):
         pivot(state, rhs, basis, cost_rows, leave, enter, column)
 
     with mock.patch.object(lp_module, "_pivot", traced):
-        return _solve(lp, kernel), path
+        return solve_exact(lp), path
 
 
 def assert_matches_reference(lp):
-    """solve_exact, the tableau and the revised kernel return one solution,
-    each takes the reference's pivots, and the certificate check agrees
-    with the reference's on the optimum and on perturbed copies."""
-    path = []
-    ref = reference_solve(lp, path)
-    sol = solve_exact(lp)
-    for kernel in (_Tableau, Revised):
-        assert _kernel_path(lp, kernel) == (sol, path)
+    """solve_exact takes the reference's pivots to the reference's
+    solution, and the certificate check agrees with the reference's on the
+    optimum and on perturbed copies."""
+    ref_path = []
+    ref = reference_solve(lp, ref_path)
+    sol, path = _traced_solve(lp)
+    assert path == ref_path
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
     if sol.status == "optimal":
         assert len(sol.dual) == lp.row_count
@@ -402,9 +399,7 @@ def _wide_lps(seed, count, denominators=()):
 
 @pytest.mark.parametrize("denominators", [(), FRACTIONAL])
 def test_wide_programs_match_reference(denominators):
-    lps = list(_wide_lps(23, 80, denominators))
-    assert all(lp.column_count >= lp_module._WIDE * lp.row_count for lp in lps)
-    statuses = [assert_matches_reference(lp) for lp in lps]
+    statuses = [assert_matches_reference(lp) for lp in _wide_lps(23, 80, denominators)]
     assert set(statuses) == {"optimal", "infeasible", "unbounded"}
 
 

@@ -147,6 +147,13 @@ def test_run_selftest_rejects_bad_arguments(kwargs):
         run_selftest(**kwargs)
 
 
+@pytest.mark.parametrize("args,kwargs", [((0, 1), {}), ((1, 0), {}),
+                                         ((2, 2), dict(alphabet_size=1))])
+def test_system_shape_rejects_bad_sizes(args, kwargs):
+    with pytest.raises(ValidationError):
+        SystemShape(*args, **kwargs)
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(contextuality.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
