@@ -251,6 +251,29 @@ def test_cli_sizes_json(capsys):
     present = next(r for r in rows if r["method"] == "present")
     assert present["variables"] == 208
     assert present["equality_rows"] == 72
+    assert main(["sizes", "2", "2", "--json"]) == 0
+    assert capsys.readouterr().out == """\
+[
+  {
+    "method": "cbd",
+    "variables": 256,
+    "equality_rows": 16,
+    "inequality_rows": 0
+  },
+  {
+    "method": "np",
+    "variables": 32,
+    "equality_rows": 16,
+    "inequality_rows": 0
+  },
+  {
+    "method": "present",
+    "variables": 80,
+    "equality_rows": 32,
+    "inequality_rows": 0
+  }
+]
+"""
 
 
 @pytest.mark.parametrize("m,n", [("0", "2"), ("2", "-1"), ("100", "100"), ("1", "100000")])
@@ -402,13 +425,16 @@ def test_analyze_json_matches_golden(capsys, name):
     assert text == (GOLDEN / f"{name}.analyze.json").read_text()
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("prbox.analyze", ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"]),
+@pytest.mark.parametrize("name,argv,code", [
+    ("prbox.analyze", ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"], 0),
+    # np's InconsistentlyConnected and np_inside's Infeasible error blocks
+    ("disjoint.analyze", ["analyze", "bundled:disjoint", "--method", ALL_METHODS, "--witness"], 3),
     # the verdict line, and rounded cosines as name = value lines
-    ("prbox.approx_rounded", ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"]),
+    ("prbox.approx_rounded", ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"],
+     0),
 ])
-def test_text_report_matches_golden(capsys, name, argv):
-    assert main(argv) == 0
+def test_text_report_matches_golden(capsys, name, argv, code):
+    assert main(argv) == code
     lines = capsys.readouterr().out.splitlines(keepends=True)
     text = "".join(line for line in lines if not line.startswith("seconds "))
     assert text == (GOLDEN / f"{name}.txt").read_text()
