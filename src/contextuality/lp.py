@@ -8,19 +8,21 @@ vector, and the optimal basis, so optimality can be re-verified
 independently: primal feasibility, dual feasibility (y'A <= c'), and zero
 duality gap.
 
-The kernel (Revised) keeps only the basis inverse B^-1 and the full cost
-rows, each row a list of Python int numerators over one positive int
-denominator.  A pivot builds the entering column from B^-1 and the
-program's columns, updates the rows of B^-1 with a nonzero in it, and
-adds the pivot row, a sum of the program's rows weighted by the pivot's
-row of B^-1, into the cost rows.  A row is brought to lowest terms when
-its denominator changes (the pivot row always is); an update that keeps
-the denominator takes no gcd.  Each row's entry of B^-1 b is kept beside
-it as a separate reduced (numerator, denominator) pair: the right-hand
-sides of this package's programs are probabilities, so a row holding its
-own would almost never have denominator 1, and without it the rows
-nearly always do.  The cost rows keep the phase-one artificial columns
-(which never re-enter in phase two), whose reduced costs give the dual.
+One state object (Revised) holds the whole simplex state: the basis
+inverse B^-1, each row's entry of B^-1 b, and the basis.  Its rows, and
+the full cost rows beside it, are lists of Python int numerators over
+one positive int denominator.  A pivot is one method of the state.  It
+updates the rows of B^-1 with a nonzero in the entering column (built
+from B^-1 and the program's columns) and their right-hand sides, adds
+the pivot row, a sum of the program's rows weighted by the pivot's row
+of B^-1, into the cost rows, and updates the basis.  A row is brought to
+lowest terms when its denominator changes (the pivot row always is); an
+update that keeps the denominator takes no gcd.  Each entry of B^-1 b is
+a separate reduced (numerator, denominator) pair: the right-hand sides
+of this package's programs are probabilities, so a row holding its own
+would almost never have denominator 1, and without it the rows nearly
+always do.  The cost rows keep the phase-one artificial columns (which
+never re-enter in phase two), whose reduced costs give the dual.
 The public API is Fraction end to end.  verify_certificate re-checks
 every optimum against the program alone, independently of the solver,
 in Python ints over common denominators.
@@ -172,15 +174,18 @@ class LpSolution:
 
 
 class Revised:
-    """The basis inverse alone, as M = B^-1 S D^-1, one list per row.
+    """The simplex state: the basis inverse as M = B^-1 S D^-1, one list
+    per row, each row's entry of B^-1 b, and the basis.
 
     S is the sign normalization and D holds each row's lcm, so the solver
     form's integer rows are D A and B^-1 A = M (D A).  Row i of M starts
     as s_i e_i over D_i.  ``support[k]`` holds the rows where column k of
-    M is nonzero.  The entering column is a sum of M's columns, weighted
-    by the column form of D A.  The pivot row of (B^-1 A | B^-1) is a sum
-    of the rows of D A weighted by the pivot's row of M; it is never
-    stored, each cost row takes it entry by entry.
+    M is nonzero.  ``rhs[i]`` is row i's right-hand side as a reduced
+    (numerator, positive denominator) pair, and ``basis[i]`` the column
+    basic in row i, first the artificial n + i.  The entering column is a
+    sum of M's columns, weighted by the column form of D A.  The pivot row
+    of (B^-1 A | B^-1) is a sum of the rows of D A weighted by the pivot's
+    row of M; it is never stored, each cost row takes it entry by entry.
     """
 
     def __init__(self, lp: LinearProgram, form, sign: list[int]):
@@ -193,6 +198,8 @@ class Revised:
             row[i], row[-1] = sign[i], d
             self.rows.append(row)
         self.support = [{k} for k in range(len(dens))]
+        self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
+        self.basis = list(range(self.n, self.n + len(dens)))
 
     def column(self, j: int) -> list[int]:
         """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
@@ -221,27 +228,52 @@ class Revised:
         self._subtract(out, -1, self.rows[i])
         return out
 
-    def pivot(self, leave: int, column: list[int], cost_rows: list[list[int]],
-              enter: int) -> None:
-        """Eliminate column ``enter``, whose entries are ``column``, from
-        every row of M but row ``leave`` and from the cost rows; _pivot
-        has divided row ``leave`` by its entry already, leaving it in
-        lowest terms.  Each row becomes row/d - (f/d) * mrow/pd, with f its
-        entry in the column, and d and pd the rows' denominators."""
-        rows, support = self.rows, self.support
+    def pivot(self, leave: int, enter: int, column: list[int],
+              cost_rows: list[list[int]]) -> None:
+        """Make column ``enter``, whose entries are ``column``, basic in row
+        ``leave``; the rows, their right-hand sides, the cost rows and the
+        basis are updated in place.
+
+        Row ``leave`` is divided by its entry and brought to lowest terms.
+        Every other row becomes row/d - (f/d) * mrow/pd, with f its entry
+        in the column, and d and pd the rows' denominators, and its
+        right-hand side b_i becomes b_i - (f/d) * b_leave.  Every
+        right-hand side is left in lowest terms.
+        """
+        rows, support, rhs = self.rows, self.support, self.rhs
         mrow = rows[leave]
-        nz = list(itertools.compress(range(len(mrow) - 1), mrow))
+        piv = column[leave]
+        # Dividing by piv/d leaves the numerators over piv and scales b by d/piv.
+        bn, bd = rhs[leave]
+        bn *= mrow[-1]
+        bd *= piv
+        mrow[-1] = piv
+        if piv < 0:
+            mrow[:] = [-v for v in mrow]
+            bn, bd = -bn, -bd
+        if mrow[-1] != 1:
+            g = gcd(*mrow)
+            if g != 1:
+                mrow[:] = [v // g for v in mrow]
+        g = gcd(bn, bd)
+        bn, bd = bn // g, bd // g
+        rhs[leave] = (bn, bd)
         pd = mrow[-1]
-        entries = [(k, mrow[k], support[k]) for k in nz]
+        entries = [(k, mrow[k], support[k])
+                   for k in itertools.compress(range(len(mrow) - 1), mrow)]
         for i in itertools.compress(range(len(column)), column):
             if i == leave:
                 continue
             row = rows[i]
-            f = column[i]
+            f, d = column[i], row[-1]
+            if bn:  # b_i - (f/d) * bn/bd, over the row's denominator before the update
+                cn, cd = rhs[i]
+                num, den = cn * d * bd - f * bn * cd, cd * d * bd
+                g = gcd(num, den)
+                rhs[i] = (num // g, den // g)
             if f % pd:  # the row is rescaled by s = pd / gcd(f, pd) > 1
                 g = gcd(f, pd)
                 s, t = pd // g, f // g
-                d = row[-1]
                 row[:] = [v * s - t * p for v, p in zip(row, mrow)]
                 row[-1] = d * s
                 # mrow is in lowest terms and s divides pd, so no prime of s
@@ -278,6 +310,37 @@ class Revised:
                     g = gcd(*row)
                     if g != 1:
                         row[:] = [v // g for v in row]
+        self.basis[leave] = enter
+
+    def bland(self, cost_rows: list[list[int]], ncols: int) -> str:
+        """Run simplex iterations until optimal or unbounded (Bland's rule),
+        entering only columns below ``ncols``.
+
+        ``cost_rows[0]`` chooses the entering column; any further rows ride
+        along through the pivots.
+        """
+        cost_row = cost_rows[0]
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        while True:
+            enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
+            if enter < 0:
+                return "optimal"
+            column = self.column(enter)
+            # Row i's ratio is (bn/bd) / (a/d) = (bn*d) / (bd*a); rows compare
+            # by cross-multiplying (a > 0 and bd > 0 on candidates).
+            leave = -1
+            best_n = best_d = 0
+            for i in itertools.compress(range(len(column)), column):
+                a = column[i]
+                if a > 0:
+                    bn, bd = rhs[i]
+                    num, den = bn * rows[i][-1], bd * a
+                    lhs, r = num * best_d, best_n * den
+                    if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
+                        leave, best_n, best_d = i, num, den
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter, column, cost_rows)
 
     def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
         """row -= t * mrow (D A | S D) in place; entries of mrow past the
@@ -293,79 +356,6 @@ class Revised:
             for j, a in other:
                 row[j] -= c * a
             row[n + k] -= c * scale[k]
-
-
-def _pivot(state: Revised, rhs: list[tuple[int, int]], basis: list[int],
-           cost_rows: list[list[int]], leave: int, enter: int, column: list[int]) -> None:
-    """Make column ``enter`` basic in row ``leave``, given the column's
-    entries ``column``; the kernel state, ``rhs`` and the cost rows are
-    updated in place.
-
-    Every row stores integer numerators followed by one positive integer
-    denominator, and ``rhs`` holds each row's right-hand side as a
-    separate (numerator, positive denominator) pair.  The pivot row and
-    every right-hand side are left in lowest terms.
-    """
-    rows = state.rows
-    prow = rows[leave]
-    piv = column[leave]
-    # Dividing by piv/d leaves the numerators over piv and scales b by d/piv.
-    bn, bd = rhs[leave]
-    bn *= prow[-1]
-    bd *= piv
-    prow[-1] = piv
-    if piv < 0:
-        prow[:] = [-v for v in prow]
-        bn, bd = -bn, -bd
-    if prow[-1] != 1:
-        g = gcd(*prow)
-        if g != 1:
-            prow[:] = [v // g for v in prow]
-    g = gcd(bn, bd)
-    bn, bd = bn // g, bd // g
-    rhs[leave] = (bn, bd)
-    if bn:
-        for i in itertools.compress(range(len(column)), column):
-            if i != leave:
-                # b_i - (f/d) * bn/bd
-                f, d = column[i], rows[i][-1]
-                cn, cd = rhs[i]
-                num, den = cn * d * bd - f * bn * cd, cd * d * bd
-                g = gcd(num, den)
-                rhs[i] = (num // g, den // g)
-    state.pivot(leave, column, cost_rows, enter)
-    basis[leave] = enter
-
-
-def _bland(state: Revised, rhs: list[tuple[int, int]], basis: list[int],
-           cost_rows: list[list[int]], ncols: int) -> str:
-    """Run simplex iterations until optimal or unbounded (Bland's rule).
-
-    ``cost_rows[0]`` chooses the entering column; any further rows ride
-    along through the pivots.
-    """
-    cost_row = cost_rows[0]
-    rows = state.rows
-    while True:
-        enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
-        if enter < 0:
-            return "optimal"
-        column = state.column(enter)
-        # Row i's ratio is (bn/bd) / (a/d) = (bn*d) / (bd*a); rows compare
-        # by cross-multiplying (a > 0 and bd > 0 on candidates).
-        leave = -1
-        best_n = best_d = 0
-        for i in itertools.compress(range(len(column)), column):
-            a = column[i]
-            if a > 0:
-                bn, bd = rhs[i]
-                num, den = bn * rows[i][-1], bd * a
-                lhs, r = num * best_d, best_n * den
-                if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
-                    leave, best_n, best_d = i, num, den
-        if leave < 0:
-            return "unbounded"
-        _pivot(state, rhs, basis, cost_rows, leave, enter, column)
 
 
 def _solver_form(lp: LinearProgram):
@@ -400,12 +390,9 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     form = _form(lp, "solver", _solver_form)
     dens, _, _, (cost_den, cost) = form
 
-    # Sign-normalize so every right-hand side is nonnegative; b_i is kept
-    # beside its row as a reduced pair.
+    # Sign-normalize so every right-hand side is nonnegative.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
     state = Revised(lp, form, sign)
-    rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
-    basis = list(range(n, n + m))
 
     # Phase one minimizes the artificial mass: its cost row is (0 | 1) minus
     # the sum of the sign-normalized rows (s_k A_k | e_k), over their lcm,
@@ -416,30 +403,30 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     cost1 = [0] * n + [den] * (m + 1)
     state._subtract(cost1, 1, [s * (den // d) for s, d in zip(sign, dens)])
     cost2 = [*cost, *[0] * m, cost_den]
-    status = _bland(state, rhs, basis, [cost1, cost2], n + m)
+    status = state.bland([cost1, cost2], n + m)
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
-    if any(bi >= n and b[0] for bi, b in zip(basis, rhs)):
+    if any(bi >= n and b[0] for bi, b in zip(state.basis, state.rhs)):
         return LpSolution(status="infeasible")
 
     # Drive leftover artificials out of the basis.  A row with no original
     # column left is redundant: its artificial stays basic at level zero.
     for i in range(m):
-        if basis[i] >= n:
+        if state.basis[i] >= n:
             row = state.row(i)
             enter = next((j for j in range(n) if row[j]), -1)
             if enter >= 0:
-                _pivot(state, rhs, basis, [cost2], i, enter, state.column(enter))
+                state.pivot(i, enter, state.column(enter), [cost2])
 
     # Phase two over the original columns; artificials never re-enter.
-    if _bland(state, rhs, basis, [cost2], n) == "unbounded":
+    if state.bland([cost2], n) == "unbounded":
         return LpSolution(status="unbounded")
 
     # c'x = sum of cost[bi] * bn / bd over the basic columns, all over
     # cost_den; the terms are summed in ints over the lcm of their bd.
     primal = [Fraction(0)] * n
     terms = []
-    for (bn, bd), bi in zip(rhs, basis):
+    for (bn, bd), bi in zip(state.rhs, state.basis):
         if bi < n:
             primal[bi] = Fraction(bn, bd)
             if bn and cost[bi]:
@@ -453,7 +440,7 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         objective=objective,
         primal=tuple(primal),
         dual=dual,
-        basis=tuple(sorted(b for b in basis if b < n)),
+        basis=tuple(sorted(b for b in state.basis if b < n)),
     )
 
 

@@ -303,13 +303,13 @@ def _traced_solve(lp):
     """solve_exact's solution of lp, and its pivots as (entering column,
     leaving column)."""
     path = []
-    pivot = lp_module._pivot
+    pivot = lp_module.Revised.pivot
 
-    def traced(state, rhs, basis, cost_rows, leave, enter, column):
-        path.append((enter, basis[leave]))
-        pivot(state, rhs, basis, cost_rows, leave, enter, column)
+    def traced(state, leave, enter, column, cost_rows):
+        path.append((enter, state.basis[leave]))
+        pivot(state, leave, enter, column, cost_rows)
 
-    with mock.patch.object(lp_module, "_pivot", traced):
+    with mock.patch.object(lp_module.Revised, "pivot", traced):
         return solve_exact(lp), path
 
 
