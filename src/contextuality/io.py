@@ -185,34 +185,17 @@ def report_json(reports: list[dict]) -> str:
     return json.dumps(reports, indent=2) + "\n"
 
 
+_TEXT_LAST = {"witness": 1, "seconds": 2}
+
+
 def report_text(d: dict, out: TextIO) -> None:
-    out.write(f"method         : {d['method']}\n")
-    if "error" in d:
-        out.write(f"error          : {d['error']}\n")
-        out.write(f"error_type     : {d['error_type']}\n")
-        return
-    out.write(f"delta          : {d['delta']}\n")
-    out.write(f"delta0         : {d['delta0']}\n")
-    out.write(f"measure        : {d['measure']}\n")
-    out.write(f"noncontextual  : {str(d['noncontextual']).lower()}\n")
-    out.write(f"certified      : {str(d['certified']).lower()}\n")
-    for key in d:
-        if key not in ("method", "delta", "delta0", "measure", "noncontextual",
-                       "certified", "seconds", "witness"):
-            val = d[key]
-            if isinstance(val, dict):
-                _write_mapping(key, val, out)
-                continue
-            if isinstance(val, bool):
-                val = str(val).lower()
-            out.write(f"{key:15}: {val}\n")
-    if "witness" in d:
-        _write_mapping("witness", d["witness"], out)
-    out.write(f"seconds        : {d['seconds']}\n")
-
-
-def _write_mapping(key: str, mapping: dict, out: TextIO) -> None:
-    """A header line, then one indented ``name = value`` line per entry."""
-    out.write(f"{key:15}:\n")
-    for k, v in mapping.items():
-        out.write(f"  {k} = {v}\n")
+    """One ``key: value`` line per field of ``d`` in its order, a dict as
+    a header and one indented ``name = value`` line per entry; the
+    witness and then ``seconds`` come last."""
+    for key in sorted(d, key=lambda k: _TEXT_LAST.get(k, 0)):
+        val = d[key]
+        if isinstance(val, dict):
+            out.write(f"{key:15}:\n")
+            out.writelines(f"  {k} = {v}\n" for k, v in val.items())
+        else:
+            out.write(f"{key:15}: {str(val).lower() if isinstance(val, bool) else val}\n")
