@@ -139,14 +139,12 @@ def cmd_approx(args) -> int:
 def cmd_sizes(args) -> int:
     rows = problem_sizes(args.m, args.n)
     if args.json:
-        import json
-
-        sys.stdout.write(json.dumps([
+        sys.stdout.write(report_json([
             {"method": r.method, "variables": r.variable_count,
              "equality_rows": r.equality_count,
              "inequality_rows": r.inequality_count}
             for r in rows
-        ], indent=2) + "\n")
+        ]))
     else:
         print(f"{'method':<10}{'variables':>12}{'eq rows':>10}{'ineq rows':>11}")
         for r in rows:
