@@ -2,21 +2,38 @@
 
 Naming convention for paired systems: Alice's properties are ``a1..am``,
 Bob's are ``b1..bn``, and the context measuring (ai, bj) is ``a{i}b{j}``
-with the pair ordered (Alice, Bob).  All alphabets are {+1, -1}.
+with the pair ordered (Alice, Bob).  ``_paired_system`` writes this
+layout for ``ab_system`` and ``oracle.random_system``.  The examples
+here are binary, over {+1, -1}.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .analytic import BinaryStats
 from .errors import UnrealizableStats
-from .system import Context, Property, System
+from .system import Context, Pmf, Property, System
 
 PM = (1, -1)
 HALF = Fraction(1, 2)
+
+
+def _paired_system(m: int, n: int, alphabet: Sequence, bunch: Callable[[int, int], Pmf]) -> System:
+    """The m-by-n paired system over ``alphabet`` whose context a{i}b{j}
+    has the bunch ``bunch(i, j)``; bunches are made row by row."""
+    props = [Property(f"a{i}", alphabet) for i in range(1, m + 1)]
+    props += [Property(f"b{j}", alphabet) for j in range(1, n + 1)]
+    contexts = []
+    bunches = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            cid = f"a{i}b{j}"
+            contexts.append(Context(cid, (f"a{i}", f"b{j}")))
+            bunches[cid] = bunch(i, j)
+    return System(props, contexts, bunches)
 
 
 def ab_system(m: int, n: int, stats: Mapping[tuple[int, int], BinaryStats]) -> System:
@@ -25,16 +42,7 @@ def ab_system(m: int, n: int, stats: Mapping[tuple[int, int], BinaryStats]) -> S
     `stats` maps 1-based (alice_setting, bob_setting) to the context's
     means/product triple.
     """
-    props = [Property(f"a{i}", PM) for i in range(1, m + 1)]
-    props += [Property(f"b{j}", PM) for j in range(1, n + 1)]
-    contexts = []
-    bunches = {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cid = f"a{i}b{j}"
-            contexts.append(Context(cid, (f"a{i}", f"b{j}")))
-            bunches[cid] = stats[(i, j)].to_pmf()
-    return System(props, contexts, bunches)
+    return _paired_system(m, n, PM, lambda i, j: stats[(i, j)].to_pmf())
 
 
 def pr_box() -> System:

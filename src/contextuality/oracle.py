@@ -14,9 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .analytic import BinaryStats
+from .analytic import (
+    BinaryStats,
+    coupling_mismatch_lp,
+    cyclic2_min_partial,
+    delta_p,
+    delta_p_via_lp,
+    max_coupling_probability,
+    median_binary,
+    pmf_from_mean,
+    tv_distance,
+)
 from .builders import build_lp, measure
 from .errors import NumericalFailure, TooLarge, ValidationError
+from .examples import _paired_system, disjoint_support_system, pr_box
 from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, System
 
@@ -207,34 +218,26 @@ def random_system(shape: SystemShape) -> System:
     rng = random.Random(shape.seed)
     s = shape.alphabet_size
     alpha = (1, -1) if s == 2 else tuple(range(s))
-    props = [Property(f"a{i}", alpha) for i in range(1, shape.m + 1)]
-    props += [Property(f"b{j}", alpha) for j in range(1, shape.n + 1)]
     marg: dict[str, list[Fraction]] = {}
-    if shape.consistent:
-        for p in props:
+    if shape.consistent:  # every marginal, a1..am then b1..bn, before any bunch
+        for pid in ([f"a{i}" for i in range(1, shape.m + 1)]
+                    + [f"b{j}" for j in range(1, shape.n + 1)]):
             if s == 2:
-                marg[p.id] = [Fraction(rng.randint(0, 16), 16)]
+                marg[pid] = [Fraction(rng.randint(0, 16), 16)]
             else:
                 parts = _composition(rng, 8, s)
-                marg[p.id] = [Fraction(w, 8) for w in parts]
-    contexts = []
-    bunches = {}
-    for i in range(1, shape.m + 1):
-        for j in range(1, shape.n + 1):
-            cid = f"a{i}b{j}"
-            contexts.append(Context(cid, (f"a{i}", f"b{j}")))
-            if not shape.consistent:
-                bunches[cid] = random_pmf(rng, [alpha, alpha])
-            elif s == 2:
-                bunches[cid] = _consistent_pair_pmf(rng, marg[f"a{i}"][0], marg[f"b{j}"][0])
-            else:
-                wa, wb = marg[f"a{i}"], marg[f"b{j}"]
-                bunches[cid] = Pmf(
-                    [alpha, alpha],
-                    {(x, y): wa[xi] * wb[yi]
-                     for xi, x in enumerate(alpha) for yi, y in enumerate(alpha)},
-                )
-    return System(props, contexts, bunches)
+                marg[pid] = [Fraction(w, 8) for w in parts]
+
+    def bunch(i: int, j: int) -> Pmf:
+        if not shape.consistent:
+            return random_pmf(rng, [alpha, alpha])
+        wa, wb = marg[f"a{i}"], marg[f"b{j}"]
+        if s == 2:
+            return _consistent_pair_pmf(rng, wa[0], wb[0])
+        return Pmf([alpha, alpha], {(x, y): wa[xi] * wb[yi]
+                                    for xi, x in enumerate(alpha) for yi, y in enumerate(alpha)})
+
+    return _paired_system(shape.m, shape.n, alpha, bunch)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +256,6 @@ def run_selftest(seed: int = 2024, count: int = 25,
         raise ValidationError(f"count must be >= 1, got {count!r}")
     if not 0 <= tol < math.inf:  # also false for NaN
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-    from .analytic import (
-        coupling_mismatch_lp,
-        cyclic2_min_partial,
-        delta_p,
-        delta_p_via_lp,
-        max_coupling_probability,
-        median_binary,
-        pmf_from_mean,
-        tv_distance,
-    )
-    from .examples import disjoint_support_system, pr_box
-
     rng = random.Random(seed)
     results: list[tuple[str, int, int]] = []
 
@@ -345,8 +336,6 @@ def run_selftest(seed: int = 2024, count: int = 25,
 
 def _connection_system(means) -> System:
     """One binary property observed in len(means) single-property contexts."""
-    from .analytic import pmf_from_mean
-
     contexts = [Context(f"c{i}", ("p",)) for i in range(len(means))]
     bunches = {f"c{i}": pmf_from_mean(m) for i, m in enumerate(means)}
     return System([Property("p", (1, -1))], contexts, bunches)
