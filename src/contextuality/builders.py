@@ -89,7 +89,8 @@ class MeasureReport:
     methods the baseline is zero, so the measure is the negative mass
     itself.  ``witness`` is the nonzero part of the optimal primal point,
     keyed by variable name.  Reports are only emitted after the exact
-    certificate check passes, so ``certified`` is always True.
+    certificate check passes, so ``certified`` is always True.  It is kept
+    because the goldens, the reports and the benchmark's checks read it.
     """
 
     method: str
@@ -107,6 +108,13 @@ class MeasureReport:
 
 @dataclass(frozen=True)
 class ProblemSizes:
+    """One method's program dimensions for an m-by-n paired binary system.
+
+    Every program is in equality form, so ``inequality_count`` is always
+    0.  It is kept because the ``sizes`` table and JSON, and the
+    benchmark's checks, read it.
+    """
+
     method: str
     variable_count: int
     equality_count: int

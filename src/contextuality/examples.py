@@ -21,7 +21,8 @@ PM = (1, -1)
 HALF = Fraction(1, 2)
 
 
-def _paired_system(m: int, n: int, alphabet: Sequence, bunch: Callable[[int, int], Pmf]) -> System:
+def _paired_system(m: int, n: int, alphabet: Sequence,
+                   bunch: Callable[[int, int], Pmf]) -> System:
     """The m-by-n paired system over ``alphabet`` whose context a{i}b{j}
     has the bunch ``bunch(i, j)``; bunches are made row by row."""
     props = [Property(f"a{i}", alphabet) for i in range(1, m + 1)]

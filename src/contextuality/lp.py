@@ -258,15 +258,15 @@ class Revised:
         g = gcd(bn, bd)
         bn, bd = bn // g, bd // g
         rhs[leave] = (bn, bd)
+        nz = list(itertools.compress(range(len(mrow) - 1), mrow))
         pd = mrow[-1]
-        entries = [(k, mrow[k], support[k])
-                   for k in itertools.compress(range(len(mrow) - 1), mrow)]
+        entries = [(k, mrow[k], support[k]) for k in nz]
         for i in itertools.compress(range(len(column)), column):
             if i == leave:
                 continue
             row = rows[i]
             f, d = column[i], row[-1]
-            if bn:  # b_i - (f/d) * bn/bd, over the row's denominator before the update
+            if bn:  # b_i - (f/d) * bn/bd, with d the row's denominator before the update
                 cn, cd = rhs[i]
                 num, den = cn * d * bd - f * bn * cd, cd * d * bd
                 g = gcd(num, den)

@@ -425,13 +425,19 @@ def test_analyze_json_matches_golden(capsys, name):
     assert text == (GOLDEN / f"{name}.analyze.json").read_text()
 
 
+# The ids are pytest's defaults for (name, argv), which the exit code would change.
 @pytest.mark.parametrize("name,argv,code", [
-    ("prbox.analyze", ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"], 0),
-    # np's InconsistentlyConnected and np_inside's Infeasible error blocks
-    ("disjoint.analyze", ["analyze", "bundled:disjoint", "--method", ALL_METHODS, "--witness"], 3),
+    pytest.param("prbox.analyze",
+                 ["analyze", "bundled:prbox", "--method", ALL_METHODS, "--witness"], 0,
+                 id="prbox.analyze-argv0"),
     # the verdict line, and rounded cosines as name = value lines
-    ("prbox.approx_rounded", ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"],
-     0),
+    pytest.param("prbox.approx_rounded",
+                 ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"], 0,
+                 id="prbox.approx_rounded-argv1"),
+    # np's InconsistentlyConnected and np_inside's Infeasible error blocks
+    pytest.param("disjoint.analyze",
+                 ["analyze", "bundled:disjoint", "--method", ALL_METHODS, "--witness"], 3,
+                 id="disjoint.analyze-argv2"),
 ])
 def test_text_report_matches_golden(capsys, name, argv, code):
     assert main(argv) == code
