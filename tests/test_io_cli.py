@@ -464,6 +464,11 @@ def test_approx_epr_json_matches_golden(capsys):
     assert text == (GOLDEN / "prbox.approx_epr.json").read_text()
 
 
+def test_selftest_matches_golden(capsys):
+    assert main(["selftest", "--seed", "2024", "--count", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "selftest.txt").read_text()
+
+
 def _golden_programs():
     ternary = random_system(SystemShape(2, 2, alphabet_size=3, consistent=False, seed=0))
     # a1 is in three contexts, so measure() solves its floor through this program.
