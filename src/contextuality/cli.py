@@ -8,7 +8,6 @@ packaged example files (bundled:prbox, bundled:disjoint).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from fractions import Fraction
@@ -53,7 +52,7 @@ def _error_exit_code(exc: OSError | ContextualityError) -> int:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -159,7 +158,7 @@ def cmd_dump_lp(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(seed=args.seed, count=args.count, tol=args.tol)
+    results = run_selftest(seed=args.seed, count=args.count)
     ok = True
     for name, passed, total in results:
         status = "pass" if passed == total else "FAIL"
@@ -173,16 +172,6 @@ def _case_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
     return int(text)
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value < math.inf:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the oracle and equivalence verification suites")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--count", type=_case_count, default=25, help="cases per suite")
-    p.add_argument("--tol", type=_tolerance, default=1e-7,
-                   help="float cross-check tolerance on objectives")
     p.set_defaults(fn=cmd_selftest)
     return ap
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .analytic import BinaryStats
-from .errors import UnrealizableStats
+from .errors import UnrealizableStats, ValidationError
 from .system import Context, Pmf, Property, System
 
 PM = (1, -1)
@@ -41,8 +41,14 @@ def ab_system(m: int, n: int, stats: Mapping[tuple[int, int], BinaryStats]) -> S
     """Assemble an m-by-n paired binary system from per-context statistics.
 
     `stats` maps 1-based (alice_setting, bob_setting) to the context's
-    means/product triple.
+    means/product triple, and must hold exactly the pairs in 1..m x 1..n.
     """
+    pairs = {(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
+    if stats.keys() != pairs:
+        raise ValidationError(
+            f"stats for a {m}x{n} system must hold exactly the pairs in "
+            f"1..{m} x 1..{n}; missing {sorted(pairs - stats.keys())}, "
+            f"extra {sorted(stats.keys() - pairs, key=repr)}")
     return _paired_system(m, n, PM, lambda i, j: stats[(i, j)].to_pmf())
 
 

@@ -111,7 +111,18 @@ def parse_system_text(text: str) -> System:
 
 
 def parse_system(path: PathLike) -> System:
-    return parse_system_text(Path(path).read_text())
+    """Parse a UTF-8 system file; a byte that is not UTF-8 is a ParseError
+    at its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # numbered as parse_system_text numbers lines; the "x" stands for
+        # the bad byte, so a line break just before it starts a new line
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})", line) from None
+    return parse_system_text(text)
 
 
 def write_system_text(sys: System) -> str:
@@ -131,7 +142,7 @@ def write_system_text(sys: System) -> str:
 
 
 def write_system(sys: System, path: PathLike) -> None:
-    Path(path).write_text(write_system_text(sys))
+    Path(path).write_text(write_system_text(sys), encoding="utf-8")
 
 
 def bundled_path(name: str) -> Path:

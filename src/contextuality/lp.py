@@ -500,7 +500,6 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
 
 
 _numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
 
 
 def _certificate_matrix(lp: LinearProgram):

@@ -8,7 +8,6 @@ is evidence against correlated bugs rather than a tautology.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,7 +95,7 @@ def solve_float(lp: LinearProgram) -> FloatSolution:
     raise NumericalFailure(f"linprog failed: status {res.status} ({res.message})")
 
 
-def cross_check(sys: System, method: str, tol: float = FLOAT_TOL) -> CrossCheck:
+def cross_check(sys: System, method: str) -> CrossCheck:
     """Exact-vs-float agreement on the raw optimal distance for one method."""
     lp = build_lp(sys, method)
     sol = solve_exact(lp)
@@ -106,7 +105,7 @@ def cross_check(sys: System, method: str, tol: float = FLOAT_TOL) -> CrossCheck:
         raise NumericalFailure(
             f"cross_check needs an optimal instance, got {sol.status}/{approx.status}"
         )
-    agree = certified and abs(float(sol.objective) - approx.objective) <= tol
+    agree = certified and abs(float(sol.objective) - approx.objective) <= FLOAT_TOL
     return CrossCheck(exact=sol.objective, approx=approx.objective, agree=agree)
 
 
@@ -152,9 +151,7 @@ def build_max_coupling_lp(marginals: Sequence[Pmf]) -> LinearProgram:
 def brute_force_max_coupling(marginals: Sequence[Pmf]) -> Fraction:
     """Maximal all-equal mass by direct LP over the full coupling joint."""
     lp = build_max_coupling_lp(marginals)
-    sol = solve_exact(lp)
-    assert sol.status == "optimal" and verify_certificate(lp, sol)
-    return -sol.objective
+    return -solve_certified(lp).objective
 
 
 # ---------------------------------------------------------------------------
@@ -244,94 +241,77 @@ def random_system(shape: SystemShape) -> System:
 # Self-test suites (shared by the CLI selftest command)
 # ---------------------------------------------------------------------------
 
-def run_selftest(seed: int = 2024, count: int = 25,
-                 tol: float = FLOAT_TOL) -> list[tuple[str, int, int]]:
+def run_selftest(seed: int = 2024, count: int = 25) -> list[tuple[str, int, int]]:
     """Run every verification suite; returns (name, passed, total) rows.
 
-    Raises ValidationError for a count below 1 (which would report empty
-    suites as passes) and for a negative, infinite or NaN tolerance (an
-    infinite one would pass the float cross-check whatever the solvers say).
+    Each suite is a (name, total, check) entry; ``check(t)`` runs case t
+    and says whether it passed.  The checks draw from one
+    ``random.Random(seed)`` in table order.  Raises ValidationError for a
+    count below 1 (which would report empty suites as passes).
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count!r}")
-    if not 0 <= tol < math.inf:  # also false for NaN
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     rng = random.Random(seed)
-    results: list[tuple[str, int, int]] = []
+    k = max(2, count // 4)
 
-    passed = 0
-    for _ in range(count):
-        k = rng.randint(2, 4)
-        size = rng.randint(2, 4)
-        alpha = tuple(range(size))
-        margs = [random_pmf(rng, [alpha]) for _ in range(k)]
-        if brute_force_max_coupling(margs) == max_coupling_probability(margs):
-            passed += 1
-    results.append(("max-coupling closed form vs brute-force LP", passed, count))
+    def max_coupling(t: int) -> bool:
+        n_margs = rng.randint(2, 4)
+        alpha = tuple(range(rng.randint(2, 4)))
+        margs = [random_pmf(rng, [alpha]) for _ in range(n_margs)]
+        return brute_force_max_coupling(margs) == max_coupling_probability(margs)
 
-    passed = 0
-    for _ in range(count):
+    def binary_tv(t: int) -> bool:
         m1, m2 = random_means(rng, 2)
-        if tv_distance(pmf_from_mean(m1), pmf_from_mean(m2)) == abs(m1 - m2) / 2:
-            passed += 1
-    results.append(("binary TV equals half the mean gap", passed, count))
+        return tv_distance(pmf_from_mean(m1), pmf_from_mean(m2)) == abs(m1 - m2) / 2
 
-    passed = 0
-    for _ in range(count):
+    def median_floor(t: int) -> bool:
         means = random_means(rng, rng.randint(2, 5))
         sysd = _connection_system(means)
-        med = delta_p(sysd, "p").value
-        via_lp = delta_p_via_lp(sysd, "p").value
-        if med == via_lp == median_binary(means).delta_p:
-            passed += 1
-    results.append(("median floor equals LP floor", passed, count))
+        return (delta_p(sysd, "p").value == delta_p_via_lp(sysd, "p").value
+                == median_binary(means).delta_p)
 
-    passed = 0
-    for _ in range(count):
+    def cyclic2(t: int) -> bool:
         q, r = random_binary_stats(rng), random_binary_stats(rng)
-        closed = cyclic2_min_partial(q, r)
-        lp_val = solve_certified(coupling_mismatch_lp(r.to_pmf(), q.to_pmf())).objective
-        if closed == lp_val:
-            passed += 1
-    results.append(("cyclic-2 closed form vs transport LP", passed, count))
+        lp = coupling_mismatch_lp(r.to_pmf(), q.to_pmf())
+        return cyclic2_min_partial(q, r) == solve_certified(lp).objective
 
-    k = max(2, count // 4)
-    passed = 0
-    for t in range(k):
-        shape = SystemShape(2, 2, consistent=bool(t % 2), seed=seed + 1000 + t)
-        sysd = random_system(shape)
-        if measure(sysd, "present").measure == measure(sysd, "cbd").measure:
-            passed += 1
-    results.append(("present measure equals CbD measure (rank-2 systems)", passed, k))
+    def present_cbd(t: int) -> bool:
+        sysd = random_system(SystemShape(2, 2, consistent=bool(t % 2), seed=seed + 1000 + t))
+        return measure(sysd, "present").measure == measure(sysd, "cbd").measure
 
-    passed = 0
-    for t in range(k):
+    def np_inside(t: int) -> bool:
         sysd = random_system(SystemShape(2, 2, consistent=True, seed=seed + 2000 + t))
-        if measure(sysd, "np").measure == measure(sysd, "np_inside").measure:
-            passed += 1
-    results.append(("np measure equals np-inside measure (consistent)", passed, k))
+        return measure(sysd, "np").measure == measure(sysd, "np_inside").measure
 
-    passed = 0
-    for t in range(k):
+    def float_agree(t: int) -> bool:
         sysd = random_system(SystemShape(2, 2, consistent=bool(t % 2), seed=seed + 3000 + t))
-        if cross_check(sysd, "present", tol).agree and cross_check(sysd, "cbd", tol).agree:
-            passed += 1
-    results.append((f"float cross-check within {tol:g}", passed, k))
+        return cross_check(sysd, "present").agree and cross_check(sysd, "cbd").agree
 
-    golden = 0
-    d = disjoint_support_system()
-    rep = measure(d, "present")
-    if (rep.delta, rep.delta0, rep.measure) == (3, 2, 1):
-        golden += 1
-    if measure(d, "cbd").measure == 0:
-        golden += 1
-    p = pr_box()
-    if measure(p, "present").measure == 1 and measure(p, "cbd").measure == 1:
-        golden += 1
-    if measure(p, "np").measure == measure(p, "np_inside").measure == Fraction(1, 2):
-        golden += 1
-    results.append(("golden example systems", golden, 4))
-    return results
+    suites = [
+        ("max-coupling closed form vs brute-force LP", count, max_coupling),
+        ("binary TV equals half the mean gap", count, binary_tv),
+        ("median floor equals LP floor", count, median_floor),
+        ("cyclic-2 closed form vs transport LP", count, cyclic2),
+        ("present measure equals CbD measure (rank-2 systems)", k, present_cbd),
+        ("np measure equals np-inside measure (consistent)", k, np_inside),
+        (f"float cross-check within {FLOAT_TOL:g}", k, float_agree),
+        ("golden example systems", 4, _golden_example),
+    ]
+    return [(name, sum(check(t) for t in range(total)), total)
+            for name, total, check in suites]
+
+
+def _golden_example(t: int) -> bool:
+    """Condition t of the four known values on the bundled examples."""
+    d, p = disjoint_support_system(), pr_box()
+    if t == 0:
+        rep = measure(d, "present")
+        return (rep.delta, rep.delta0, rep.measure) == (3, 2, 1)
+    if t == 1:
+        return measure(d, "cbd").measure == 0
+    if t == 2:
+        return measure(p, "present").measure == 1 and measure(p, "cbd").measure == 1
+    return measure(p, "np").measure == measure(p, "np_inside").measure == Fraction(1, 2)
 
 
 def _connection_system(means) -> System:

