@@ -32,10 +32,11 @@ weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
 certificate check still run on every call.
 
-The atom cap is the module constant ``ATOM_CAP``: a joint over all
-properties (``present``, ``np``, ``np_inside``) or a coupling of all
-bunches (``cbd``) with more atoms is refused with ``AlphabetTooLarge``
-before its template is looked up or built.
+The atom cap is the module constant ``ATOM_CAP``.  Before a template is
+looked up or built, ``AlphabetTooLarge`` refuses the joint over all
+properties (``present``, ``np``, ``np_inside``) or the coupling of all
+bunches (``cbd``) with more atoms, and then each context's coupling block
+``w[c]`` with |A_c|^2 atoms (``present``, ``np_inside``, ``fixed_model``).
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from typing import Mapping, Optional
 from .analytic import NEG_ONE, _atom_label, _coupling_block, delta0_cbd, delta0_present
 from .errors import (
     AlphabetTooLarge,
+    CertificationFailure,
     InconsistentlyConnected,
     ModelNotConsistentlyConnected,
     ShapeMismatch,
@@ -102,8 +104,9 @@ class MeasureReport:
     certified: bool
 
     def __post_init__(self):
-        assert self.measure == self.delta - self.delta0 >= 0
-        assert self.noncontextual == (self.measure == 0)
+        if not (self.measure == self.delta - self.delta0 >= 0
+                and self.noncontextual == (self.measure == 0)):
+            raise ValidationError(f"inconsistent {self.method} report (measure {self.measure})")
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,7 @@ def _shape_key(sys: System) -> tuple:
 
 def _cached_template(family: str, sys: System, build) -> _Template:
     """The cached template of `family` for the shape of `sys`, or `build(sys)`."""
+    _check_blocks(family, sys)
     key = (family, _shape_key(sys))
     with _templates_lock:
         template = _templates.get(key)
@@ -146,14 +150,18 @@ def _cached_template(family: str, sys: System, build) -> _Template:
     return template
 
 
-def _check_atoms(count: int, what: str) -> None:
-    if count > ATOM_CAP:
-        raise AlphabetTooLarge(f"{what} has {count} atoms (cap {ATOM_CAP})")
-
-
-def _check_joint(sys: System) -> None:
-    _check_atoms(math.prod(len(p.alphabet) for p in sys.properties),
-                 "joint over all properties")
+def _check_blocks(family: str, sys: System) -> None:
+    """Refuse a block of `family`'s template with more than ATOM_CAP atoms:
+    the joint or the coupling of all bunches first, then each w[c]."""
+    width = {c.id: math.prod(map(len, sys.bunches[c.id].alphabets)) for c in sys.contexts}
+    joint = math.prod(len(p.alphabet) for p in sys.properties)
+    blocks = {"cbd": [("coupling of all bunches", math.prod(width.values()))],
+              "fixed_model": []}.get(family, [("joint over all properties", joint)])
+    if family not in ("cbd", "np"):
+        blocks += [(f"coupling block of context {c}", k * k) for c, k in width.items()]
+    for what, count in blocks:
+        if count > ATOM_CAP:
+            raise AlphabetTooLarge(f"{what} has {count} atoms (cap {ATOM_CAP})")
 
 
 def _joint_atoms(sys: System) -> list[tuple]:
@@ -209,10 +217,7 @@ def _cbd_template(sys: System) -> _Template:
     names: list[str] = []
     cost: list[Fraction] = []
     broken_cost = [Fraction(k) for k in range(len(slots) + 1)]
-    buckets: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    for t, atoms in enumerate(ctx_atoms):
-        for u in atoms:
-            buckets[(t, u)] = {}
+    buckets = {(t, u): {} for t, atoms in enumerate(ctx_atoms) for u in atoms}
     ctx_labels = [[_atom_label(u) for u in atoms] for atoms in ctx_atoms]
     columns = zip(itertools.product(*ctx_atoms), itertools.product(*ctx_labels))
     for col, (assign, labels) in enumerate(columns):
@@ -288,15 +293,11 @@ def _coupled_rhs(sys: System, model: Optional[Mapping[str, Pmf]] = None) -> list
 
 def build_present_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal approximating-system distance."""
-    _check_joint(sys)
     return _cached_template("present", sys, _present_template).program(_coupled_rhs(sys))
 
 
 def build_cbd_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal total connection disagreement."""
-    _check_atoms(math.prod(len(sys.property(pid).alphabet)
-                           for c in sys.contexts for pid in c.properties),
-                 "coupling of all bunches")
     return _cached_template("cbd", sys, _cbd_template).program(_bunch_rhs(sys))
 
 
@@ -312,7 +313,6 @@ def build_np_lp(sys: System) -> LinearProgram:
             "a signed joint with context marginals equal to the bunches "
             "requires consistent connectedness"
         )
-    _check_joint(sys)
     return _cached_template("np", sys, _np_template).program(_bunch_rhs(sys))
 
 
@@ -325,7 +325,6 @@ def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
     coupling blocks are nonnegative, which forces every context marginal of
     the signed joint to be a proper distribution.
     """
-    _check_joint(sys)
     template = _cached_template("np_inside", sys, _np_inside_template)
     return template.program(_coupled_rhs(sys) + [Fraction(delta0)])
 
@@ -361,6 +360,7 @@ def build_lp(
     if method == "np":
         return build_np_lp(sys)
     if method == "np_inside":
+        _check_blocks(method, sys)  # before the floor, whose LP blocks are no larger
         return build_np_inside_lp(sys, delta0_present(sys))
     if method == "fixed_model":
         if model is None:
@@ -387,6 +387,8 @@ def measure(
         delta0 = ZERO
     sol = solve_certified(lp)
     delta = sol.objective
+    if delta < delta0:
+        raise CertificationFailure(f"certified optimum {delta} is below the floor {delta0}")
     return MeasureReport(
         method=method,
         delta=delta,

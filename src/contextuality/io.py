@@ -43,11 +43,24 @@ def _parse_probability(tok: str, lineno: int) -> Fraction:
         raise ParseError(f"bad probability {tok!r}", lineno) from exc
 
 
+def _at_line(lineno: int, prefix: str, make, *args):
+    """``make(*args)``, with a ValidationError re-raised as a ParseError at
+    `lineno` whose message starts with `prefix`."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ParseError(prefix + str(exc), lineno) from exc
+
+
 def parse_system_text(text: str) -> System:
-    """Parse a system description; raises ParseError with line numbers."""
+    """Parse a system description; raises ParseError with line numbers.
+
+    A property or context that fails validation is reported at its record's
+    line, and a bunch that does at its ``bunch`` line."""
     properties: list[Property] = []
     contexts: list[Context] = []
     weights: dict[str, list[tuple[tuple, Fraction]]] = {}
+    bunch_line: dict[str, int] = {}
     current_bunch: Optional[str] = None
     prop_by_id: dict[str, Property] = {}
     ctx_by_id: dict[str, Context] = {}
@@ -60,7 +73,7 @@ def parse_system_text(text: str) -> System:
         if kind == "property":
             if len(tok) < 4:
                 raise ParseError("property needs an id and >= 2 symbols", lineno)
-            p = Property(tok[1], tuple(_parse_symbol(s) for s in tok[2:]))
+            p = _at_line(lineno, "", Property, tok[1], tuple(_parse_symbol(s) for s in tok[2:]))
             if p.id in prop_by_id:
                 raise ParseError(f"duplicate property {p.id!r}", lineno)
             prop_by_id[p.id] = p
@@ -69,7 +82,7 @@ def parse_system_text(text: str) -> System:
         elif kind == "context":
             if len(tok) < 3:
                 raise ParseError("context needs an id and >= 1 property", lineno)
-            c = Context(tok[1], tuple(tok[2:]))
+            c = _at_line(lineno, "", Context, tok[1], tuple(tok[2:]))
             if c.id in ctx_by_id:
                 raise ParseError(f"duplicate context {c.id!r}", lineno)
             ctx_by_id[c.id] = c
@@ -84,6 +97,7 @@ def parse_system_text(text: str) -> System:
                 raise ParseError(f"duplicate bunch for context {tok[1]!r}", lineno)
             current_bunch = tok[1]
             weights[current_bunch] = []
+            bunch_line[current_bunch] = lineno
         else:
             if current_bunch is None:
                 raise ParseError(f"unexpected line {line!r}", lineno)
@@ -106,7 +120,7 @@ def parse_system_text(text: str) -> System:
                 break
             alphabets.append(prop_by_id[pid].alphabet)
         if alphabets is not None:
-            bunches[cid] = Pmf(alphabets, items)
+            bunches[cid] = _at_line(bunch_line[cid], f"bunch {cid}: ", Pmf, alphabets, items)
     return System(properties, contexts, bunches)
 
 

@@ -169,7 +169,8 @@ class LpSolution:
 
     def named_primal(self, lp: LinearProgram) -> dict[str, Fraction]:
         """Nonzero primal entries keyed by variable name."""
-        assert self.status == "optimal" and self.primal is not None
+        if self.status != "optimal" or self.primal is None:
+            raise SolverError(f"no primal point in a solution of status {self.status!r}")
         return {name: v for name, v in zip(lp.variables, self.primal) if v != 0}
 
 

@@ -25,7 +25,7 @@ from .analytic import (
     tv_distance,
 )
 from .builders import build_lp, measure
-from .errors import NumericalFailure, TooLarge, ValidationError
+from .errors import AlphabetMismatch, NumericalFailure, TooLarge, ValidationError
 from .examples import _paired_system, disjoint_support_system, pr_box
 from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, System
@@ -120,13 +120,13 @@ def build_max_coupling_lp(marginals: Sequence[Pmf]) -> LinearProgram:
     marginals over at most 6 atoms each.
     """
     if len(marginals) < 2:
-        raise TooLarge("need at least two marginals")
+        raise AlphabetMismatch("need at least two marginals")
     if len(marginals) > 4:
         raise TooLarge(f"{len(marginals)} marginals exceeds the brute-force cap of 4")
     alphas = marginals[0].alphabets
     for p in marginals[1:]:
         if p.alphabets != alphas:
-            raise TooLarge(f"alphabets differ: {p.alphabets} vs {alphas}")
+            raise AlphabetMismatch(f"alphabets differ: {p.alphabets} vs {alphas}")
     atoms = list(marginals[0].atoms())
     if len(atoms) > 6:
         raise TooLarge(f"{len(atoms)} atoms exceeds the brute-force cap of 6")

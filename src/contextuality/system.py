@@ -268,6 +268,8 @@ class System:
         missing = [p.id for p in props if p.id not in used]
         if missing:
             raise ValidationError(f"properties in no context: {missing}")
+        if not ctxs:
+            raise ValidationError("a system needs at least one context")
         fixed: dict[str, Pmf] = {}
         for c in ctxs:
             if c.id not in bunches:

@@ -411,6 +411,50 @@ def test_atom_cap_applies_to_cached_shapes(empty_cache, monkeypatch):
         measure(sysd, "present")
 
 
+def one_context(count: int) -> System:
+    """One context over `count` binary properties, all mass on (1, ..., 1)."""
+    props = [Property(f"p{i:02d}", PM) for i in range(count)]
+    return System(props, [Context("c", tuple(p.id for p in props))],
+                  {"c": Pmf([PM] * count, {(1,) * count: 1})})
+
+
+def test_atom_cap_bounds_every_coupling_block(empty_cache, monkeypatch):
+    # a 4-atom joint, and a 16-atom block w[c] coupling the bunch to it
+    sysd = one_context(2)
+    refused = [build_present_lp, lambda s: build_np_inside_lp(s, delta0_present(s)),
+               lambda s: build_fixed_model_lp(s, s.bunches)]
+    for build in refused:  # cached at the real cap first
+        build(sysd)
+    monkeypatch.setattr(builders, "ATOM_CAP", 8)
+    for build in refused:
+        with pytest.raises(AlphabetTooLarge,
+                           match=r"^coupling block of context c has 16 atoms \(cap 8\)$"):
+            build(sysd)
+    assert build_np_lp(sysd).column_count == 8
+    assert build_cbd_lp(sysd).column_count == 4
+
+
+def test_np_inside_is_refused_before_its_floor(monkeypatch):
+    monkeypatch.setattr(builders, "delta0_present",
+                        lambda sysd: pytest.fail("the floor ran before the size gate"))
+    monkeypatch.setattr(builders, "ATOM_CAP", 8)
+    with pytest.raises(AlphabetTooLarge, match="coupling block of context c"):
+        build_lp(one_context(2), "np_inside")
+
+
+def test_atom_cap_admits_np_and_cbd_over_a_wide_context(empty_cache):
+    # 11 binary properties: a 2048-atom joint, but 2048**2 atoms in w[c]
+    sysd = one_context(11)
+    assert build_np_lp(sysd).column_count == 2 * 2048
+    assert build_cbd_lp(sysd).column_count == 2048
+    block = r"^coupling block of context c has 4194304 atoms \(cap 1048576\)$"
+    for method in ("present", "np_inside"):
+        with pytest.raises(AlphabetTooLarge, match=block):
+            build_lp(sysd, method)
+    with pytest.raises(AlphabetTooLarge, match=block):
+        build_fixed_model_lp(sysd, sysd.bunches)
+
+
 def test_template_rows_are_read_only(empty_cache):
     for method in ANALYZE_METHODS:
         lp = build_lp(pr_box(), method)

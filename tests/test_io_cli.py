@@ -7,9 +7,14 @@ import pytest
 
 from contextuality import cli
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
-from contextuality.builders import build_fixed_model_lp
+from contextuality.builders import build_fixed_model_lp, measure
 from contextuality.cli import main
-from contextuality.errors import ParseError, UnknownProperty
+from contextuality.errors import (
+    CertificationFailure,
+    ParseError,
+    UnknownProperty,
+    ValidationError,
+)
 from contextuality.examples import disjoint_support_system, epr_model, pr_box
 from contextuality.io import (
     bundled_path,
@@ -79,6 +84,12 @@ PROP = "property p 1 -1\n"
     (PROP + "context c p\nbunch c c\n", ParseError, 3),  # bunch with extra token
     (PROP + "context c p\nbunch d\n", ParseError, 3),  # bunch for undeclared context
     (PROP + "context c q\nbunch c\n1 1/1\n", UnknownProperty, None),
+    ("", ValidationError, None),  # no context
+    ("# comments only\n\n", ValidationError, None),  # no context
+    ("property p 1 1\n", ParseError, 1),  # repeated symbol
+    (PROP + "context c p p\n", ParseError, 2),  # repeated property
+    (PROP + "context c p\nbunch c\n1 1/2\n-1 1/3\n", ParseError, 3),  # weights sum to 5/6
+    (PROP + "context c p\nbunch c\n1 1/2\n2 1/2\n", ParseError, 3),  # symbol not in alphabet
 ])
 def test_parse_system_refusals(text, error, line):
     with pytest.raises(error) as err:
@@ -86,6 +97,29 @@ def test_parse_system_refusals(text, error, line):
     if line is not None:
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("property p 1 1\n", "line 1: property p: duplicate symbols"),
+    (PROP + "context c p p\n", "line 2: context c: duplicate property"),
+    (PROP + "context c p\nbunch c\n1 1/2\n-1 1/3\n",
+     "line 3: bunch c: weights sum to 5/6, expected 1"),
+    (PROP + "context c p\nbunch c\n1 1/2\n2 1/2\n",
+     "line 3: bunch c: symbol 2 not in alphabet (1, -1)"),
+])
+def test_parse_refusals_name_their_record(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_system_text(text)
+    assert str(err.value) == message
+
+
+def test_cli_empty_system_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "empty.system"
+    path.write_text("# no records\n", encoding="utf-8")
+    assert main(["analyze", str(path), "--method", "present,cbd,np,np_inside"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a system needs at least one context\n"
 
 
 def test_cli_parse_error_is_one_line(tmp_path, capsys):
@@ -190,6 +224,48 @@ def test_cli_analyze_text_mode_renders_errors(capsys, methods, errors):
             assert fields["error_type"] == errors[fields["method"]]
         else:
             assert fields["measure"] == "1/1"
+
+
+ELEVEN = [f"p{i:02d}" for i in range(11)]
+OVERSIZED = {
+    # one context over 11 binary properties: a 2048-atom joint, 2048**2 atoms in w[c]
+    "eleven": "".join(f"property {p} 1 -1\n" for p in ELEVEN)
+              + f"context c {' '.join(ELEVEN)}\nbunch c\n{'1 ' * 11}1\n",
+    # one 1100-symbol property in three contexts: 1100**2 atoms in each w[c]
+    "wide": f"property p {' '.join(map(str, range(1100)))}\n"
+            + "".join(f"context c{k} p\n" for k in range(3))
+            + "".join(f"bunch c{k}\n{k} 1\n" for k in range(3)),
+}
+
+
+@pytest.mark.parametrize("name,argv,message,count", [
+    ("eleven", "analyze {} --method present,np_inside",
+     "error          : coupling block of context c has 4194304 atoms (cap 1048576)", 2),
+    ("eleven", "approx {} --model {}",
+     "error: coupling block of context c has 4194304 atoms (cap 1048576)", 1),
+    ("wide", "analyze {} --method np_inside",
+     "error          : coupling block of context c0 has 1210000 atoms (cap 1048576)", 1),
+], ids=["analyze-eleven", "approx-eleven", "analyze-wide"])
+def test_cli_refuses_oversized_coupling_blocks(tmp_path, capsys, name, argv, message, count):
+    path = tmp_path / f"{name}.system"
+    path.write_text(OVERSIZED[name], encoding="utf-8")
+    assert main([arg.format(path) for arg in argv.split()]) == 3
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines.count(message) == count
+    assert "Traceback" not in captured.err
+
+
+def test_floor_above_the_optimum_is_a_certification_failure(monkeypatch, capsys):
+    delta = measure(pr_box(), "present").delta
+    monkeypatch.setattr("contextuality.builders.delta0_present", lambda sysd: delta + 1)
+    with pytest.raises(CertificationFailure):
+        measure(pr_box(), "present")
+    assert main(["analyze", "bundled:prbox"]) == 4
+    captured = capsys.readouterr()
+    errors = [line for line in captured.out.splitlines() if line.startswith("error ")]
+    assert errors == [f"error          : certified optimum {delta} is below the floor {delta + 1}"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_analyze_missing_file(capsys):

@@ -91,6 +91,12 @@ def test_certificate_rejects_infeasible_primal():
     assert not verify_certificate(lp, bad)
 
 
+def test_certificate_rejects_wrong_length_primal():
+    lp = lp_of(["q1", "q2"], [1, 0], [{0: 1, 1: 1}], [1])
+    sol = solve_exact(lp)
+    assert not verify_certificate(lp, dataclasses.replace(sol, primal=sol.primal + (F(0),)))
+
+
 def test_certificate_rejects_non_optimal_status():
     lp = lp_of(["q1"], [0], [{0: 1}], [-1])
     assert not verify_certificate(lp, solve_exact(lp))

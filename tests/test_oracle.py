@@ -10,11 +10,12 @@ import pytest
 import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
 from contextuality.builders import build_lp, build_present_lp
-from contextuality.errors import CertificationFailure, TooLarge, ValidationError
+from contextuality.errors import AlphabetMismatch, CertificationFailure, TooLarge, ValidationError
 from contextuality.examples import disjoint_support_system, pr_box
 from contextuality.oracle import (
     SystemShape,
     brute_force_max_coupling,
+    build_max_coupling_lp,
     cross_check,
     random_pmf,
     random_system,
@@ -51,6 +52,15 @@ def test_brute_force_caps():
     wide = Pmf([tuple(range(7))], {(0,): F(1)})
     with pytest.raises(TooLarge):
         brute_force_max_coupling([wide, wide])
+
+
+def test_max_coupling_program_refuses_mismatched_marginals():
+    # input errors, not size caps: the same refusals as max_coupling_probability
+    one = Pmf([(0, 1)], {(0,): F(1)})
+    with pytest.raises(AlphabetMismatch, match="need at least two marginals"):
+        build_max_coupling_lp([one])
+    with pytest.raises(AlphabetMismatch, match="alphabets differ"):
+        build_max_coupling_lp([one, Pmf([(0, 2)], {(0,): F(1)})])
 
 
 def test_brute_force_refuses_a_failed_certificate(monkeypatch):

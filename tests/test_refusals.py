@@ -1,0 +1,112 @@
+"""Typed refusals that no other test reaches: each row calls the package
+with one bad input and expects the documented error type."""
+from fractions import Fraction as F
+
+import pytest
+
+from contextuality.analytic import (
+    bunch_set_distance,
+    coupling_mismatch_lp,
+    max_coupling_probability,
+    min_mismatch,
+    pmf_from_mean,
+)
+from contextuality.builders import MeasureReport, build_fixed_model_lp
+from contextuality.errors import (
+    AlphabetMismatch,
+    DuplicateOutcome,
+    MeanOutOfRange,
+    NumericalFailure,
+    ShapeMismatch,
+    SolverError,
+    UnknownContext,
+    ValidationError,
+)
+from contextuality.examples import disjoint_support_system, pr_box
+from contextuality.lp import LinearProgram, LpSolution, solve_certified
+from contextuality.oracle import cross_check
+from contextuality.system import Context, Pmf, Property, System, as_fraction
+
+PM = (1, -1)
+P = Property("p", PM)
+C = Context("c", ("p",))
+HALVES = Pmf([PM], {(1,): F(1, 2), (-1,): F(1, 2)})
+TERNARY = Pmf([(0, 1, 2)], {(0,): F(1)})
+
+
+def _fixed_model_with_a_wrong_alphabet():
+    sysd = pr_box()
+    model = {c.id: Pmf([(0, 1), (0, 1)], {(0, 0): 1}) for c in sysd.contexts}
+    build_fixed_model_lp(sysd, model)
+
+
+def _bunch_set_distance_over_other_contexts():
+    other = System([P], [Context("d", ("p",))], {"d": HALVES})
+    bunch_set_distance(System([P], [C], {"c": HALVES}), other)
+
+
+def refusal(id, call, error, match):
+    return pytest.param(call, error, match, id=id)
+
+
+UNBOUNDED = LinearProgram(("x", "y"), (F(-1), F(0)), ({0: F(1), 1: F(-1)},), (F(0),))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    # system
+    refusal("as-fraction", lambda: as_fraction("x"), ValidationError, "not a rational"),
+    refusal("pmf-no-position", lambda: Pmf([], {}), ValidationError, "at least one position"),
+    refusal("pmf-empty-alphabet", lambda: Pmf([()], {}), ValidationError, "empty alphabet"),
+    refusal("pmf-repeated-symbol", lambda: Pmf([(1, 1)], {(1,): 1}), DuplicateOutcome,
+            "duplicate symbol"),
+    refusal("pmf-outcome-length", lambda: Pmf([PM], {(1, 1): 1}), AlphabetMismatch,
+            "has 2 positions, expected 1"),
+    refusal("pmf-unknown-symbol", lambda: Pmf([PM], {(2,): 1}), AlphabetMismatch,
+            "not in alphabet"),
+    refusal("property-one-symbol", lambda: Property("p", (1,)), ValidationError, ">= 2 symbols"),
+    refusal("property-repeated-symbol", lambda: Property("p", (1, 1)), DuplicateOutcome,
+            "duplicate symbols"),
+    refusal("property-empty-id", lambda: Property("", PM), ValidationError, "must be nonempty"),
+    refusal("context-repeated-property", lambda: Context("c", ("p", "p")), DuplicateOutcome,
+            "duplicate property"),
+    refusal("system-no-context", lambda: System([], [], {}), ValidationError,
+            "at least one context"),
+    refusal("system-duplicate-property", lambda: System([P, P], [C], {"c": HALVES}),
+            ValidationError, "duplicate property id"),
+    refusal("system-duplicate-context", lambda: System([P], [C, C], {"c": HALVES}),
+            ValidationError, "duplicate context id"),
+    refusal("system-missing-bunch", lambda: System([P], [C], {}), ValidationError,
+            "missing bunch"),
+    refusal("system-unknown-bunch", lambda: System([P], [C], {"c": HALVES, "d": HALVES}),
+            UnknownContext, "unknown contexts"),
+    refusal("system-context-lookup", lambda: pr_box().context("nope"), UnknownContext,
+            "unknown context"),
+    # analytic
+    refusal("max-coupling-one-marginal", lambda: max_coupling_probability([HALVES]),
+            AlphabetMismatch, "at least two marginals"),
+    refusal("pmf-from-mean", lambda: pmf_from_mean(2), MeanOutOfRange, "outside"),
+    refusal("coupling-mismatch-lp", lambda: coupling_mismatch_lp(HALVES, TERNARY),
+            AlphabetMismatch, "alphabets differ"),
+    refusal("min-mismatch", lambda: min_mismatch(HALVES, TERNARY), AlphabetMismatch,
+            "alphabets differ"),
+    refusal("bunch-set-distance", _bunch_set_distance_over_other_contexts, ShapeMismatch,
+            "different contexts"),
+    # builders
+    refusal("fixed-model-misfit", _fixed_model_with_a_wrong_alphabet, ShapeMismatch,
+            "model does not fit"),
+    refusal("report-negative-measure",
+            lambda: MeasureReport("present", F(1), F(2), F(-1), False, {}, True),
+            ValidationError, "inconsistent present report"),
+    refusal("report-verdict", lambda: MeasureReport("present", F(1), F(0), F(1), True, {}, True),
+            ValidationError, "inconsistent present report"),
+    # lp: min -x subject to x - y = 0 has no lower bound
+    refusal("solve-unbounded", lambda: solve_certified(UNBOUNDED), SolverError, "unbounded"),
+    refusal("named-primal", lambda: LpSolution("infeasible").named_primal(UNBOUNDED),
+            SolverError, "no primal point in a solution of status 'infeasible'"),
+    # oracle
+    refusal("cross-check-infeasible", lambda: cross_check(disjoint_support_system(), "np_inside"),
+            NumericalFailure, "infeasible/infeasible"),
+])
+def test_refusal_is_typed(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
