@@ -26,9 +26,9 @@ from .analytic import (
 )
 from .builders import build_lp, measure
 from .errors import AlphabetMismatch, NumericalFailure, TooLarge, ValidationError
-from .examples import _paired_system, disjoint_support_system, pr_box
+from .examples import PM, _paired_system, disjoint_support_system, pr_box
 from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
-from .system import Context, Pmf, Property, System
+from .system import Context, Pmf, Property, RationalLike, System, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -235,6 +235,34 @@ def random_system(shape: SystemShape) -> System:
                                     for xi, x in enumerate(alpha) for yi, y in enumerate(alpha)})
 
     return _paired_system(shape.m, shape.n, alpha, bunch)
+
+
+def cyclic_system(n: int, seed: int, lam: RationalLike, noise: str = "random") -> System:
+    """Rank-n cyclic binary system mixing a contextual pattern with noise.
+
+    Properties p0..p{n-1}; context c{i} measures (p_i, p_{i+1 mod n}).  Each
+    bunch is lam * pattern + (1 - lam) * noise, where the pattern is
+    perfectly correlated in every context but the last, which is perfectly
+    anticorrelated.  The noise is ``random_pmf`` drawn from
+    ``random.Random(seed)`` in context order, or uniform ("white"), which
+    makes the system consistently connected.
+    """
+    lam = as_fraction(lam)
+    if n < 2 or not 0 <= lam <= 1 or noise not in ("random", "white"):
+        raise ValidationError(f"cyclic_system needs n >= 2, 0 <= lam <= 1 and noise "
+                              f"'random' or 'white'; got {n!r}, {lam}, {noise!r}")
+    rng = random.Random(seed)
+    pairs = list(itertools.product(PM, PM))
+    white = Pmf([PM, PM], {xy: Fraction(1, 4) for xy in pairs})
+    bunches = {}
+    for i in range(n):
+        sign = -1 if i == n - 1 else 1
+        mix = random_pmf(rng, [PM, PM]) if noise == "random" else white
+        bunches[f"c{i}"] = Pmf([PM, PM], {
+            (x, y): (lam / 2 if x * y == sign else 0) + (1 - lam) * mix[x, y] for x, y in pairs})
+    props = [Property(f"p{i}", PM) for i in range(n)]
+    contexts = [Context(f"c{i}", (f"p{i}", f"p{(i + 1) % n}")) for i in range(n)]
+    return System(props, contexts, bunches)
 
 
 # ---------------------------------------------------------------------------

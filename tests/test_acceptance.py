@@ -29,6 +29,7 @@ from contextuality.lp import solve_exact, verify_certificate
 from contextuality.oracle import (
     SystemShape,
     build_max_coupling_lp,
+    cyclic_system,
     random_pmf,
     random_system,
     solve_float,
@@ -146,6 +147,42 @@ def test_criterion_05_np_equals_np_inside_on_100_systems():
     assert elapsed < 300.0
     print(f"criterion 5 PASS: np = np_inside exactly on 100 seeded consistent "
           f"systems ({elapsed:.1f}s < 300s)")
+
+
+# Contextual inputs, so the laws above cannot pass on 0 = 0 alone.
+
+def test_present_equals_the_cyclic_closed_form():
+    # White noise: present = (1/2) max(0, n lam - (n - 2)), on a lam grid
+    # crossing the threshold lam* = (n - 2)/n.
+    contextual = 0
+    for n in range(3, 9):
+        threshold = F(n - 2, n)
+        for lam in (threshold - F(1, 100), threshold, threshold + F(1, 100),
+                    threshold + F(1, 10), F(1)):
+            want = max(F(0), n * lam - (n - 2)) / 2
+            assert measure(cyclic_system(n, 0, lam, noise="white"), "present").measure == want, (n, lam)
+            contextual += want > 0
+    assert contextual >= 18
+    print(f"present = cyclic closed form on 30 rank-3..8 systems, {contextual} contextual")
+
+
+def test_present_equals_cbd_on_contextual_cyclic_systems():
+    for seed in range(6):
+        sysd = cyclic_system(4, seed, F(3, 4))
+        present = measure(sysd, "present").measure
+        assert present == measure(sysd, "cbd").measure, seed
+        assert present > 0, seed
+
+
+def test_np_equals_np_inside_on_consistent_cyclic_systems():
+    contextual = 0
+    for n in (3, 4, 5):
+        for lam in (F(1, 2), F(3, 4), F(1)):
+            sysd = cyclic_system(n, 0, lam, noise="white")
+            np_measure = measure(sysd, "np").measure
+            assert np_measure == measure(sysd, "np_inside").measure, (n, lam)
+            contextual += np_measure > 0
+    assert contextual >= 7
 
 
 def test_criterion_06_median_floor_on_200_connections():

@@ -17,6 +17,7 @@ from contextuality.oracle import (
     brute_force_max_coupling,
     build_max_coupling_lp,
     cross_check,
+    cyclic_system,
     random_pmf,
     random_system,
     run_selftest,
@@ -104,6 +105,27 @@ def test_random_system_larger_alphabet():
     sysd = random_system(SystemShape(2, 2, alphabet_size=3, consistent=True, seed=2))
     assert consistency_report(sysd).consistent
     assert all(len(p.alphabet) == 3 for p in sysd.properties)
+
+
+def test_cyclic_system_layout_and_noise():
+    sysd = cyclic_system(5, 3, F(3, 4))
+    assert sysd == cyclic_system(5, 3, "3/4")
+    assert [c.properties for c in sysd.contexts] == [
+        ("p0", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p0")]
+    assert not consistency_report(sysd).consistent
+    white = cyclic_system(5, 3, F(1), noise="white")
+    assert consistency_report(white).consistent
+    assert white == cyclic_system(5, 4, F(1), noise="white")
+    assert white.bunch("c0")[1, 1] == white.bunch("c4")[1, -1] == F(1, 2)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1, 0, 1), {}), ((3, 0, -1), {}), ((3, 0, 2), {}), ((3, 0, 1), {"noise": "pink"}),
+    ((3, 0, 0.5), {}),
+])
+def test_cyclic_system_rejects_bad_arguments(args, kwargs):
+    with pytest.raises(ValidationError):
+        cyclic_system(*args, **kwargs)
 
 
 def test_solve_float_trivial():
