@@ -32,11 +32,15 @@ weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
 certificate check still run on every call.
 
-The atom cap is the module constant ``ATOM_CAP``.  Before a template is
-looked up or built, ``AlphabetTooLarge`` refuses the joint over all
-properties (``present``, ``np``, ``np_inside``) or the coupling of all
-bunches (``cbd``) with more atoms, and then each context's coupling block
-``w[c]`` with |A_c|^2 atoms (``present``, ``np_inside``, ``fixed_model``).
+Program sizes have one model, ``_blocks``: from the shape alone it gives
+each block's atoms, columns, rows and nonzeros.  The atom cap is the
+module constant ``ATOM_CAP``.  Before a template is looked up or built,
+``AlphabetTooLarge`` refuses the joint over all properties (``present``,
+``np``, ``np_inside``) or the coupling of all bunches (``cbd``) with more
+atoms, then each context's coupling block ``w[c]`` with |A_c|^2 atoms
+(``present``, ``np_inside``, ``fixed_model``), and then a program with
+more columns in all.  The same model decides whether a template is
+cached and gives the ``sizes`` table (``problem_sizes``).
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from . import examples
 from .analytic import NEG_ONE, _atom_label, _coupling_block, delta0_cbd, delta0_present
 from .errors import (
     AlphabetTooLarge,
@@ -132,36 +137,70 @@ def _shape_key(sys: System) -> tuple:
             tuple((c.id, c.properties) for c in sys.contexts))
 
 
+def _blocks(family: str, shape: tuple) -> list[tuple[str, int, int, int, int]]:
+    """(name, atoms, columns, rows, nonzeros) of every block that `family`'s
+    template builds for `shape`, a `_shape_key`, by arithmetic alone.
+
+    A block owns its columns, the rows it adds and the entries in its
+    columns.  With J joint atoms, k atoms in a context and |C| contexts: the
+    joint's J columns (pos and neg, 2J, when signed) sit in one row per
+    context; w[c] has k^2 columns, 2k rows and two entries a column, plus
+    one in np_inside's distance row for each of its k^2 - k nonzero costs;
+    that row adds one slack column.
+    """
+    props, contexts = shape
+    size = {pid: len(labels) for pid, labels in props}
+    width = [(cid, math.prod(size[p] for p in members)) for cid, members in contexts]
+    rows = sum(k for _, k in width)
+    if family == "cbd":
+        atoms = math.prod(k for _, k in width)
+        return [("coupling of all bunches", atoms, atoms, rows, len(width) * atoms)]
+    blocks = []
+    if family != "fixed_model":
+        joint = math.prod(size.values())
+        columns = joint if family == "present" else 2 * joint
+        blocks.append(("joint over all properties", joint, columns,
+                       rows if family == "np" else 0, columns * len(width)))
+    if family != "np":
+        inside = family == "np_inside"
+        blocks += [(f"coupling block of context {cid}", k * k, k * k, 2 * k,
+                    3 * k * k - k if inside else 2 * k * k) for cid, k in width]
+    if family == "np_inside":
+        blocks.append(("distance row", 0, 1, 1, 1))
+    return blocks
+
+
+def _check_blocks(family: str, shape: tuple) -> int:
+    """Refuse a template of `family` for `shape` with a block of more than
+    ATOM_CAP atoms (the joint or the coupling of all bunches first, then
+    each w[c]), or with more than ATOM_CAP columns in all; else return its
+    nonzeros."""
+    blocks = _blocks(family, shape)
+    for name, atoms, _, _, _ in blocks:
+        if atoms > ATOM_CAP:
+            raise AlphabetTooLarge(f"{name} has {atoms} atoms (cap {ATOM_CAP})")
+    columns = sum(block[2] for block in blocks)
+    if columns > ATOM_CAP:
+        raise AlphabetTooLarge(f"{family} program has {columns} columns (cap {ATOM_CAP})")
+    return sum(block[4] for block in blocks)
+
+
 def _cached_template(family: str, sys: System, build) -> _Template:
     """The cached template of `family` for the shape of `sys`, or `build(sys)`."""
-    _check_blocks(family, sys)
     key = (family, _shape_key(sys))
+    nonzeros = _check_blocks(*key)
     with _templates_lock:
         template = _templates.get(key)
         if template is not None:
             _templates.move_to_end(key)
             return template
     template = build(sys)
-    if template.nonzeros <= _CACHE_MAX_NONZEROS:
+    if nonzeros <= _CACHE_MAX_NONZEROS:
         with _templates_lock:
             _templates[key] = template
             if len(_templates) > _CACHE_TEMPLATES:
                 _templates.popitem(last=False)
     return template
-
-
-def _check_blocks(family: str, sys: System) -> None:
-    """Refuse a block of `family`'s template with more than ATOM_CAP atoms:
-    the joint or the coupling of all bunches first, then each w[c]."""
-    width = {c.id: math.prod(map(len, sys.bunches[c.id].alphabets)) for c in sys.contexts}
-    joint = math.prod(len(p.alphabet) for p in sys.properties)
-    blocks = {"cbd": [("coupling of all bunches", math.prod(width.values()))],
-              "fixed_model": []}.get(family, [("joint over all properties", joint)])
-    if family not in ("cbd", "np"):
-        blocks += [(f"coupling block of context {c}", k * k) for c, k in width.items()]
-    for what, count in blocks:
-        if count > ATOM_CAP:
-            raise AlphabetTooLarge(f"{what} has {count} atoms (cap {ATOM_CAP})")
 
 
 def _joint_atoms(sys: System) -> list[tuple]:
@@ -360,8 +399,9 @@ def build_lp(
     if method == "np":
         return build_np_lp(sys)
     if method == "np_inside":
-        _check_blocks(method, sys)  # before the floor, whose LP blocks are no larger
-        return build_np_inside_lp(sys, delta0_present(sys))
+        # The template, and so the gate, before the floor, whose LP blocks are no larger.
+        template = _cached_template(method, sys, _np_inside_template)
+        return template.program(_coupled_rhs(sys) + [delta0_present(sys)])
     if method == "fixed_model":
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")
@@ -401,7 +441,9 @@ def measure(
 
 
 def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
-    """Program dimensions for a binary system with m-by-n paired contexts.
+    """Program dimensions for a binary system with m-by-n paired contexts,
+    summed from the size model over the shape ``examples._paired_system``
+    lays out.
 
     The coupling-of-all-bunches program has 4**(m*n) columns (each of the
     m*n contexts contributes a factor of 4, its number of outcome pairs).
@@ -413,8 +455,11 @@ def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
     mn = m * n
     if mn > _MAX_SIZES_CONTEXTS:
         raise ValidationError(f"m*n = {mn} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
-    return [
-        ProblemSizes("cbd", 4**mn, 4 * mn, 0),
-        ProblemSizes("np", 2 ** (m + n + 1), 4 * mn, 0),
-        ProblemSizes("present", 2 ** (m + n) + 16 * mn, 8 * mn, 0),
-    ]
+    pm = examples.PM
+    point = Pmf([pm, pm], {(1, 1): ONE})
+    shape = _shape_key(examples._paired_system(m, n, pm, lambda i, j: point))
+    sizes = []
+    for family in ("cbd", "np", "present"):
+        blocks = _blocks(family, shape)
+        sizes.append(ProblemSizes(family, sum(b[2] for b in blocks), sum(b[3] for b in blocks), 0))
+    return sizes

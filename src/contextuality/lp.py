@@ -123,7 +123,7 @@ class _Template:
     right-hand side.
     """
 
-    __slots__ = ("variables", "cost", "rows", "nonzeros", "solver", "certificate")
+    __slots__ = ("variables", "cost", "rows", "solver", "certificate")
 
     def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
                  rows: Sequence[Mapping[int, Fraction]]):
@@ -131,7 +131,6 @@ class _Template:
         self.cost = tuple(cost)
         self.rows = tuple(map(_ReadOnlyRow, rows))
         _check_matrix(self.variables, self.cost, self.rows)
-        self.nonzeros = sum(map(len, self.rows))
         self.solver = self.certificate = None
 
     def program(self, rhs: Sequence[Fraction]) -> LinearProgram:

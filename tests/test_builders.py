@@ -38,7 +38,14 @@ from contextuality.lp import (
     solve_exact,
     verify_certificate,
 )
-from contextuality.oracle import FLOAT_TOL, SystemShape, random_pmf, random_system, solve_float
+from contextuality.oracle import (
+    FLOAT_TOL,
+    SystemShape,
+    cyclic_system,
+    random_pmf,
+    random_system,
+    solve_float,
+)
 from contextuality.system import Context, Pmf, Property, System
 
 PM = (1, -1)
@@ -455,6 +462,46 @@ def test_atom_cap_admits_np_and_cbd_over_a_wide_context(empty_cache):
         build_fixed_model_lp(sysd, sysd.bunches)
 
 
+def model_sizes(family: str, sysd: System) -> tuple[int, int, int]:
+    """The size model's summed columns, rows and nonzeros of `family` on `sysd`."""
+    blocks = builders._blocks(family, builders._shape_key(sysd))
+    return tuple(sum(block[i] for block in blocks) for i in (2, 3, 4))
+
+
+MODEL_SYSTEMS = {
+    "1x3": lambda: random_system(SystemShape(1, 3, seed=1)),
+    "2x2": lambda: random_system(SystemShape(2, 2, seed=2)),
+    "2x3": lambda: random_system(SystemShape(2, 3, seed=3)),
+    "ternary-2x2": lambda: random_system(SystemShape(2, 2, alphabet_size=3, seed=4)),
+    "cyclic-4": lambda: cyclic_system(4, 0, F(3, 4), noise="white"),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_SYSTEMS)
+@pytest.mark.parametrize("family", builders.METHODS)
+def test_size_model_matches_the_built_program(empty_cache, family, name):
+    # Consistently connected systems, each its own model, so np and fixed_model build.
+    sysd = MODEL_SYSTEMS[name]()
+    lp = build_lp(sysd, family, model=sysd.bunches)
+    built = (lp.column_count, lp.row_count, sum(map(len, lp.rows)))
+    assert model_sizes(family, sysd) == built
+
+
+def test_gate_bounds_the_whole_program(empty_cache, monkeypatch):
+    # pr_box at a cap of 16: every block fits (16 atoms each, cbd's 256 aside),
+    # but each program but cbd has more columns than that in all.
+    sysd = pr_box()
+    monkeypatch.setattr(builders, "ATOM_CAP", 16)
+    columns = {"present": 80, "np": 32, "np_inside": 97, "fixed_model": 64}
+    for family, count in columns.items():
+        with pytest.raises(AlphabetTooLarge, match=rf"^{family} program has {count} columns \(cap 16\)$"):
+            build_lp(sysd, family, model=sysd.bunches)
+    with pytest.raises(AlphabetTooLarge, match=r"^coupling of all bunches has 256 atoms \(cap 16\)$"):
+        build_lp(sysd, "cbd")
+    monkeypatch.setattr(builders, "ATOM_CAP", 80)
+    assert build_lp(sysd, "present").column_count == 80
+
+
 def test_template_rows_are_read_only(empty_cache):
     for method in ANALYZE_METHODS:
         lp = build_lp(pr_box(), method)
@@ -543,8 +590,9 @@ def test_certificate_never_reads_the_solver_form(empty_cache):
         plain = LinearProgram(lp.variables, lp.cost, tuple(map(dict, lp.rows)), lp.rhs)
         assert template.certificate == _certificate_matrix(plain)
     # A template above the cache ceiling is still not kept once solved.
-    ternary = build_lp(random_system(SystemShape(2, 2, alphabet_size=3, seed=0)), "cbd")
-    assert ternary._template.nonzeros == 26244
+    ternary_system = random_system(SystemShape(2, 2, alphabet_size=3, seed=0))
+    ternary = build_lp(ternary_system, "cbd")
+    assert model_sizes("cbd", ternary_system)[2] == 26244 == sum(map(len, ternary.rows))
     assert solve_exact(ternary).status == "optimal"
     assert ternary._template.solver is not None
     assert list(builders._templates.values()) == [template]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from contextuality import cli
+from contextuality import builders, cli
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
 from contextuality.builders import build_fixed_model_lp, measure
 from contextuality.cli import main
@@ -254,6 +254,30 @@ def test_cli_refuses_oversized_coupling_blocks(tmp_path, capsys, name, argv, mes
     lines = (captured.out + captured.err).splitlines()
     assert lines.count(message) == count
     assert "Traceback" not in captured.err
+
+
+def test_cli_refuses_a_program_of_blocks_under_the_cap(tmp_path, capsys, monkeypatch):
+    # One 1000-symbol property in three contexts: each w[c] has 10**6 atoms,
+    # under the cap, but the programs have 3 001 000 and 3 000 000 columns.
+    # Nothing may be built; each bunch is the same point mass, so the
+    # system is consistently connected and serves as its own model.
+    def refuse(sysd):
+        raise AssertionError("a template over the column cap was built")
+
+    monkeypatch.setattr(builders, "_present_template", refuse)
+    monkeypatch.setattr(builders, "_fixed_model_template", refuse)
+    path = tmp_path / "wide.system"
+    path.write_text(f"property p {' '.join(map(str, range(1000)))}\n"
+                    + "".join(f"context c{k} p\nbunch c{k}\n0 1\n" for k in range(3)),
+                    encoding="utf-8")
+    assert main(["analyze", str(path), "--method", "present"]) == 3
+    captured = capsys.readouterr()
+    assert "error          : present program has 3001000 columns (cap 1048576)" in \
+        captured.out.splitlines()
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["approx", str(path), "--model", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: fixed_model program has 3000000 columns (cap 1048576)\n"
 
 
 def test_floor_above_the_optimum_is_a_certification_failure(monkeypatch, capsys):
