@@ -315,6 +315,13 @@ def run_selftest(seed: int = 2024, count: int = 25) -> list[tuple[str, int, int]
         sysd = random_system(SystemShape(2, 2, consistent=bool(t % 2), seed=seed + 3000 + t))
         return cross_check(sysd, "present").agree and cross_check(sysd, "cbd").agree
 
+    def cyclic_closed_form(t: int) -> bool:
+        # lam from just below the threshold (n - 2)/n up to 1
+        n = rng.randint(3, 6)
+        lam = Fraction(rng.randint(4 * n - 9, 4 * n), 4 * n)
+        want = max(Fraction(0), n * lam - (n - 2)) / 2
+        return measure(cyclic_system(n, seed, lam, "white"), "present").measure == want
+
     suites = [
         ("max-coupling closed form vs brute-force LP", count, max_coupling),
         ("binary TV equals half the mean gap", count, binary_tv),
@@ -324,6 +331,7 @@ def run_selftest(seed: int = 2024, count: int = 25) -> list[tuple[str, int, int]
         ("np measure equals np-inside measure (consistent)", k, np_inside),
         (f"float cross-check within {FLOAT_TOL:g}", k, float_agree),
         ("golden example systems", 4, _golden_example),
+        ("present equals the cyclic closed form", k, cyclic_closed_form),
     ]
     return [(name, sum(check(t) for t in range(total)), total)
             for name, total, check in suites]
