@@ -44,12 +44,18 @@ from .builders import (
     problem_sizes,
 )
 from .examples import EprModel, ab_system, disjoint_support_system, epr_model, pr_box
-from .io import bundled_path, parse_system, parse_system_text, write_system, write_system_text
+from .io import (
+    bundled_path,
+    dump_lp,
+    parse_lp,
+    parse_system,
+    parse_system_text,
+    write_system,
+    write_system_text,
+)
 from .lp import (
     LinearProgram,
     LpSolution,
-    dump_lp,
-    parse_lp,
     solve_certified,
     solve_exact,
     verify_certificate,

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .examples import epr_model
 from .io import (
+    dump_lp,
     fmt_rational,
     parse_system,
     report_dict,
@@ -31,7 +32,6 @@ from .io import (
     report_text,
     resolve_input,
 )
-from .lp import dump_lp
 from .oracle import run_selftest
 
 EXIT_OK = 0

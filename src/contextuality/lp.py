@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .errors import CertificationFailure, DimensionMismatch, Infeasible, ParseError, SolverError
+from .errors import CertificationFailure, DimensionMismatch, Infeasible, SolverError
 
 
 @dataclass(frozen=True)
@@ -523,125 +523,3 @@ def _scaled(values) -> tuple[int, list[int]]:
     pairs = [v.as_integer_ratio() for v in values]
     d = lcm(*(q for _, q in pairs))
     return d, [p * (d // q) for p, q in pairs]
-
-
-# ---------------------------------------------------------------------------
-# Textual dump format (bit-exact round trip)
-# ---------------------------------------------------------------------------
-
-def fmt_rational(v: Fraction) -> str:
-    """``num/den`` in lowest terms, as in dumps, system files and reports."""
-    return f"{v.numerator}/{v.denominator}"
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Serialize: header, variables in column order, nonzero cost entries,
-    one line per nonzero matrix entry, nonzero right-hand sides."""
-    out = ["lp-dump 1", "minimize", f"vars {lp.column_count}"]
-    out.extend(f"var {name}" for name in lp.variables)
-    out.append(f"rows {lp.row_count}")
-    for j, c in enumerate(lp.cost):
-        if c:
-            out.append(f"c {lp.variables[j]} {fmt_rational(c)}")
-    for i, row in enumerate(lp.rows):
-        for j in sorted(row):
-            out.append(f"a {i} {lp.variables[j]} {fmt_rational(row[j])}")
-    for i, b in enumerate(lp.rhs):
-        if b:
-            out.append(f"rhs {i} {fmt_rational(b)}")
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
-def parse_lp(text: str) -> LinearProgram:
-    """Inverse of dump_lp; raises ParseError with a line number on bad input."""
-    lines = text.splitlines()
-    idx = 0
-
-    def take() -> tuple[int, list[str]]:
-        nonlocal idx
-        while idx < len(lines):
-            ln = lines[idx].strip()
-            idx += 1
-            if ln and not ln.startswith("#"):
-                return idx, ln.split()
-        raise ParseError("unexpected end of input", idx)
-
-    lineno, tok = take()
-    if tok != ["lp-dump", "1"]:
-        raise ParseError("expected 'lp-dump 1' header", lineno)
-    lineno, tok = take()
-    if tok != ["minimize"]:
-        raise ParseError("expected 'minimize'", lineno)
-    def count(s: str, lineno: int) -> int:
-        try:
-            v = int(s)
-        except ValueError as exc:
-            raise ParseError(f"bad count {s!r}", lineno) from exc
-        if v < 0:
-            raise ParseError(f"negative count {v}", lineno)
-        return v
-
-    lineno, tok = take()
-    if len(tok) != 2 or tok[0] != "vars":
-        raise ParseError("expected 'vars <count>'", lineno)
-    nvars = count(tok[1], lineno)
-    col: dict[str, int] = {}
-    for j in range(nvars):
-        lineno, tok = take()
-        if len(tok) != 2 or tok[0] != "var":
-            raise ParseError("expected 'var <name>'", lineno)
-        if col.setdefault(tok[1], j) != j:
-            raise ParseError("duplicate variable name", lineno)
-    lineno, tok = take()
-    if len(tok) != 2 or tok[0] != "rows":
-        raise ParseError("expected 'rows <count>'", lineno)
-    nrows = count(tok[1], lineno)
-    cost = [Fraction(0)] * nvars
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
-    rhs = [Fraction(0)] * nrows
-
-    def rational(s: str, lineno: int) -> Fraction:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {s!r}", lineno) from exc
-
-    def column(s: str, lineno: int) -> int:
-        try:
-            return col[s]
-        except KeyError:
-            raise ParseError(f"unknown variable {s!r}", lineno) from None
-
-    def rowref(s: str, lineno: int) -> int:
-        i = count(s, lineno)
-        if i >= nrows:
-            raise ParseError(f"row {i} out of range", lineno)
-        return i
-
-    given: set[tuple] = set()  # entries read so far; dump_lp writes each once
-
-    def once(key: tuple, lineno: int) -> None:
-        if key in given:
-            raise ParseError(f"repeated entry {' '.join(tok[:-1])!r}", lineno)
-        given.add(key)
-
-    while True:
-        lineno, tok = take()
-        if tok == ["end"]:
-            break
-        if tok[0] == "c" and len(tok) == 3:
-            j = column(tok[1], lineno)
-            once(("c", j), lineno)
-            cost[j] = rational(tok[2], lineno)
-        elif tok[0] == "a" and len(tok) == 4:
-            i, j = rowref(tok[1], lineno), column(tok[2], lineno)
-            once(("a", i, j), lineno)
-            rows[i][j] = rational(tok[3], lineno)
-        elif tok[0] == "rhs" and len(tok) == 3:
-            i = rowref(tok[1], lineno)
-            once(("rhs", i), lineno)
-            rhs[i] = rational(tok[2], lineno)
-        else:
-            raise ParseError(f"unrecognized line {' '.join(tok)!r}", lineno)
-    return LinearProgram(tuple(col), tuple(cost), tuple(rows), tuple(rhs))

@@ -31,10 +31,10 @@ from contextuality.errors import (
     ValidationError,
 )
 from contextuality.examples import ab_system, disjoint_support_system, epr_model, pr_box
+from contextuality.io import dump_lp
 from contextuality.lp import (
     LinearProgram,
     _certificate_matrix,
-    dump_lp,
     solve_exact,
     verify_certificate,
 )

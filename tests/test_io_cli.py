@@ -23,7 +23,7 @@ from contextuality.io import (
     write_system,
     write_system_text,
 )
-from contextuality.lp import dump_lp, parse_lp
+from contextuality.io import dump_lp, parse_lp
 from contextuality.oracle import SystemShape, random_system
 from contextuality.system import Context, Pmf, Property, System, consistency_report
 
@@ -405,7 +405,7 @@ def test_cli_dump_lp_round_trip(tmp_path, capsys):
     lp = parse_lp(text)
     assert lp.column_count == 256
     assert lp.row_count == 16
-    from contextuality.lp import dump_lp
+    from contextuality.io import dump_lp
 
     assert dump_lp(lp) == text
 

@@ -10,10 +10,9 @@ from contextuality import lp as lp_module
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp
 from contextuality.errors import DimensionMismatch, ParseError
+from contextuality.io import dump_lp, parse_lp
 from contextuality.lp import (
     LinearProgram,
-    dump_lp,
-    parse_lp,
     solve_certified,
     solve_exact,
     verify_certificate,
