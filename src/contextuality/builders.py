@@ -30,7 +30,11 @@ the right-hand side: each context's bunch weights in atom order, followed
 by zeros for the rows that tie a coupling block to the joint (the model's
 weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
-certificate check still run on every call.
+certificate check still run on every call.  A template the cache keeps
+gets the right-hand side of its shape's uniform system as its start
+(``_start_rhs``): solve_certified solves every program of the shape from
+the optimal basis there (see ``lp``), so a witness, one optimum among
+possibly many, depends on the input and its shape alone.
 
 Program sizes have one model, ``_blocks``: from the shape alone it gives
 each block's atoms, columns, rows and nonzeros.  The atom cap is the
@@ -196,11 +200,29 @@ def _cached_template(family: str, sys: System, build) -> _Template:
             return template
     template = build(sys)
     if nonzeros <= _CACHE_MAX_NONZEROS:
+        template.start_rhs = _start_rhs(*key)
         with _templates_lock:
             _templates[key] = template
             if len(_templates) > _CACHE_TEMPLATES:
                 _templates.popitem(last=False)
     return template
+
+
+def _start_rhs(family: str, shape: tuple) -> list[Fraction]:
+    """The right-hand side of `family`'s program for the uniform system of
+    `shape`: each context's atoms at 1/|A_c|, zero tie rows (the uniform
+    model for ``fixed_model``), and a floor of 0 for ``np_inside``."""
+    props, contexts = shape
+    size = {pid: len(labels) for pid, labels in props}
+    rhs: list[Fraction] = []
+    for _, members in contexts:
+        k = math.prod(size[p] for p in members)
+        rhs += [Fraction(1, k)] * k
+        if family in ("present", "np_inside"):
+            rhs += [ZERO] * k
+        elif family == "fixed_model":
+            rhs += [Fraction(1, k)] * k
+    return rhs + [ZERO] if family == "np_inside" else rhs
 
 
 def _joint_atoms(sys: System) -> list[tuple]:

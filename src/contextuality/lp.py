@@ -3,7 +3,8 @@
 Standard form only: minimize c'x subject to Ax = b, x >= 0, with equality
 rows and named columns.  The solver is a two-phase revised simplex over
 exact rationals with Bland's pivoting rule (anti-cycling, deterministic
-given the column order).  Optimal solutions carry a primal vector, a dual
+given the column order); solve_certified may start from a template's
+start instead (below).  Optimal solutions carry a primal vector, a dual
 vector, and the optimal basis, so optimality can be re-verified
 independently: primal feasibility, dual feasibility (y'A <= c'), and zero
 duality gap.
@@ -33,7 +34,15 @@ to which each call adds only its right-hand side.  The template keeps
 two integer forms of its rows, each computed on first use: the solver's
 (each row's lcm, and the scaled rows by row and by column, with the
 scaled cost) and verify_certificate's own scaling of the rows, derived
-from the rows by its own code and never from the solver's form.
+from the rows by its own code and never from the solver's form.  A
+template may be given a start right-hand side; its start is then the
+final state of the two-phase solve there, solved on first use and copied
+by every solve_certified call.  Programs of one template differ only in
+their right-hand side, so that basis stays dual feasible: the copy takes
+B^-1 b from the program's own right-hand side and an exact dual simplex
+(Revised.dual) runs from it, falling back to solve_exact where it proves
+no optimum.  The start depends only on the template, and so does every
+solution.
 """
 from __future__ import annotations
 
@@ -45,6 +54,10 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import CertificationFailure, DimensionMismatch, Infeasible, SolverError
+
+# After this many dual simplex pivots in a row with a zero reduced cost
+# entering, Bland's rule chooses the leaving row (see Revised.dual).
+_DEGENERATE_RUN = 100
 
 
 @dataclass(frozen=True)
@@ -119,11 +132,12 @@ class _Template:
     Rows are kept read-only, so neither a template nor a program made from
     it can be changed.  ``solver`` is the integer form of the rows used by
     solve_exact and ``certificate`` the one used by verify_certificate,
-    each filled in on first use.  Nothing here depends on a program's
-    right-hand side.
+    each filled in on first use, like ``start`` (see _start) when
+    ``start_rhs`` is set.  Nothing here depends on a program's right-hand
+    side.
     """
 
-    __slots__ = ("variables", "cost", "rows", "solver", "certificate")
+    __slots__ = ("variables", "cost", "rows", "solver", "certificate", "start_rhs", "start")
 
     def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
                  rows: Sequence[Mapping[int, Fraction]]):
@@ -131,7 +145,7 @@ class _Template:
         self.cost = tuple(cost)
         self.rows = tuple(map(_ReadOnlyRow, rows))
         _check_matrix(self.variables, self.cost, self.rows)
-        self.solver = self.certificate = None
+        self.solver = self.certificate = self.start_rhs = self.start = None
 
     def program(self, rhs: Sequence[Fraction]) -> LinearProgram:
         """The template's program with right-hand side ``rhs``."""
@@ -188,18 +202,39 @@ class Revised:
     row of M; it is never stored, each cost row takes it entry by entry.
     """
 
-    def __init__(self, lp: LinearProgram, form, sign: list[int]):
+    def __init__(self, lp: LinearProgram, form, sign: list[int], start=None):
+        """The state for lp at the artificial basis, or a copy of a
+        template's ``start`` (see _start) with lp's right-hand side."""
         dens, self.by_row, self.by_column, _ = form
+        m = len(dens)
         self.n = lp.column_count
+        self.sign = sign
         self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
         self.rows = []
-        for i, d in enumerate(dens):
-            row = [0] * (len(dens) + 1)
-            row[i], row[-1] = sign[i], d
+        if start is None:
+            for i, d in enumerate(dens):
+                row = [0] * (m + 1)
+                row[i], row[-1] = sign[i], d
+                self.rows.append(row)
+            self.support = [{k} for k in range(m)]
+            self.basis = list(range(self.n, self.n + m))
+            self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
+            return
+        sparse, support, basis = start[:3]
+        self.support = [set(rows) for rows in support]
+        self.basis = list(basis)
+        # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
+        bd = lcm(*(b.denominator for b in lp.rhs))
+        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
+        self.rhs = []
+        for positions, entries, den in sparse:
+            row = [0] * m + [den]
+            for k, v in zip(positions, entries):
+                row[k] = v
             self.rows.append(row)
-        self.support = [{k} for k in range(len(dens))]
-        self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
-        self.basis = list(range(self.n, self.n + len(dens)))
+            num, den = sum(map(operator.mul, entries, map(db.__getitem__, positions))), den * bd
+            g = gcd(num, den)
+            self.rhs.append((num // g, den // g))
 
     def column(self, j: int) -> list[int]:
         """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
@@ -342,6 +377,46 @@ class Revised:
                 return "unbounded"
             self.pivot(leave, enter, column, cost_rows)
 
+    def dual(self, cost_row: list[int]) -> bool:
+        """Run dual simplex iterations from a basis whose reduced costs
+        ``cost_row`` are nonnegative on the original columns, until every
+        row's value is nonnegative (True) or a negative row has no negative
+        entry in an original column, so the program is infeasible (False).
+
+        The most negative row leaves, the lowest basis index among equal
+        ones; after _DEGENERATE_RUN pivots in a row with a zero reduced
+        cost entering, the negative row of lowest basis index leaves, which
+        cannot cycle (Bland's rule for the dual).  The entering column j
+        has the smallest ratio d_j / -a_j over the leaving row's negative
+        entries a_j, the lowest j among equal ones.
+        """
+        rhs, basis = self.rhs, self.basis
+        run = 0
+        while True:
+            leave = -1
+            for i, (bn, bd) in enumerate(rhs):
+                if bn < 0:
+                    if leave >= 0:
+                        lhs, r = bn * least_d, least_n * bd
+                        if run >= _DEGENERATE_RUN or lhs == r:
+                            if basis[i] > basis[leave]:
+                                continue
+                        elif lhs > r:
+                            continue
+                    leave, least_n, least_d = i, bn, bd
+            if leave < 0:
+                return True
+            row = self.row(leave)
+            enter = -1
+            for j in itertools.compress(range(self.n), row):
+                a = row[j]
+                if a < 0 and (enter < 0 or cost_row[j] * best_a > best_d * a):
+                    enter, best_d, best_a = j, cost_row[j], a
+            if enter < 0:
+                return False
+            run = run + 1 if best_d == 0 else 0
+            self.pivot(leave, enter, self.column(enter), [cost_row])
+
     def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
         """row -= t * mrow (D A | S D) in place; entries of mrow past the
         m-th are unused."""
@@ -383,8 +458,9 @@ def _signed(pairs) -> tuple[tuple, tuple, tuple]:
             tuple((i, a) for i, a in pairs if a != 1 and a != -1))
 
 
-def solve_exact(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; returns an exactly certified optimum when one exists."""
+def _two_phase(lp: LinearProgram) -> tuple[str, Revised, list[int]]:
+    """Two-phase simplex from the artificial basis: (status, the final
+    state, the phase-two cost row)."""
     n = lp.column_count
     m = lp.row_count
     form = _form(lp, "solver", _solver_form)
@@ -407,7 +483,7 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
     if any(bi >= n and b[0] for bi, b in zip(state.basis, state.rhs)):
-        return LpSolution(status="infeasible")
+        return "infeasible", state, cost2
 
     # Drive leftover artificials out of the basis.  A row with no original
     # column left is redundant: its artificial stays basic at level zero.
@@ -419,9 +495,21 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
                 state.pivot(i, enter, state.column(enter), [cost2])
 
     # Phase two over the original columns; artificials never re-enter.
-    if state.bland([cost2], n) == "unbounded":
-        return LpSolution(status="unbounded")
+    return state.bland([cost2], n), state, cost2
 
+
+def solve_exact(lp: LinearProgram) -> LpSolution:
+    """Two-phase simplex; returns an exactly certified optimum when one exists."""
+    status, state, cost2 = _two_phase(lp)
+    if status != "optimal":
+        return LpSolution(status=status)
+    return _solution(state, cost2, _form(lp, "solver", _solver_form))
+
+
+def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
+    """The optimum at the state's basis, with phase-two cost row ``cost2``."""
+    n, m = state.n, len(state.rows)
+    _, _, _, (cost_den, cost) = form
     # c'x = sum of cost[bi] * bn / bd over the basic columns, all over
     # cost_den; the terms are summed in ints over the lcm of their bd.
     primal = [Fraction(0)] * n
@@ -434,7 +522,7 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     den = lcm(*(bd for _, bd in terms))
     objective = Fraction(sum(t * (den // bd) for t, bd in terms), den * cost_den)
     # The artificial columns hold B^-1, so their reduced costs are -y'.
-    dual = tuple(Fraction(-sign[k] * cost2[n + k], cost2[-1]) for k in range(m))
+    dual = tuple(Fraction(-state.sign[k] * cost2[n + k], cost2[-1]) for k in range(m))
     return LpSolution(
         status="optimal",
         objective=objective,
@@ -444,13 +532,47 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     )
 
 
+def _start(template: _Template):
+    """The final state of the two-phase solve at the template's start_rhs
+    (False if not optimal), solved on first use, in tuples: M's rows, each
+    as its nonzero positions, their entries and its denominator, the
+    supports, the basis, the signs and the phase-two cost row."""
+    if template.start is None:
+        status, state, cost2 = _two_phase(template.program(template.start_rhs))
+        template.start = status == "optimal" and (
+            tuple((tuple(itertools.compress(range(len(row) - 1), row)),
+                   tuple(itertools.compress(row[:-1], row)), row[-1]) for row in state.rows),
+            tuple(map(tuple, state.support)), tuple(state.basis), tuple(state.sign),
+            tuple(cost2))
+    return template.start
+
+
+def _solve_from_start(lp: LinearProgram) -> LpSolution | None:
+    """The optimum by dual simplex from the start of lp's template; None
+    without a start, or if lp's rows are inconsistent or infeasible."""
+    template = getattr(lp, "_template", None)
+    start = template is not None and template.start_rhs is not None and _start(template)
+    if not start:
+        return None
+    form = _form(lp, "solver", _solver_form)
+    state = Revised(lp, form, list(start[3]), start)
+    # A basic artificial sits on a redundant row, whose entries in the
+    # original columns are zero, so no pivot changes its value.
+    if any(bi >= lp.column_count and b[0] for bi, b in zip(state.basis, state.rhs)):
+        return None
+    cost2 = list(start[4])
+    return _solution(state, cost2, form) if state.dual(cost2) else None
+
+
 def solve_certified(lp: LinearProgram) -> LpSolution:
     """Solve and insist on a verified optimum.
 
-    Raises Infeasible/SolverError on non-optimal statuses and
+    A program made from a template with a start is solved by dual simplex
+    from that start, and otherwise, or where that gives no optimum, by
+    solve_exact.  Raises Infeasible/SolverError on non-optimal statuses and
     CertificationFailure if the exact certificate check fails.
     """
-    sol = solve_exact(lp)
+    sol = _solve_from_start(lp) or solve_exact(lp)
     if sol.status == "infeasible":
         raise Infeasible("linear program has no feasible point")
     if sol.status != "optimal":

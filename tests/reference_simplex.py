@@ -7,6 +7,11 @@ artificials.  It returns no dual; the solver's dual is checked by
 ``verify_certificate`` instead.  Given a list ``path``, it appends each
 pivot as (entering column, leaving column).
 
+``reference_dual_solve`` is the dual simplex that ``lp.solve_certified``
+runs from a template's start: the tableau of a program is brought to a
+given basis, such as ``reference_solve``'s at the start's right-hand side,
+and then takes the same leaving, entering and switch rules.
+
 ``reference_verify_certificate`` is the certificate check written with one
 ``Fraction`` per term; ``lp.verify_certificate`` must give the same verdict.
 """
@@ -125,6 +130,65 @@ def reference_solve(lp: LinearProgram, path: Optional[list] = None) -> Reference
         primal[bi] = tab2[i][-1]
     objective = sum((c * x for c, x in zip(cost, primal) if x), ZERO)
     return ReferenceSolution("optimal", objective, tuple(primal), tuple(sorted(basis2)))
+
+
+def reference_dual_solve(lp: LinearProgram, basis: tuple[int, ...], degenerate_run: int,
+                         path: Optional[list] = None) -> Optional[ReferenceSolution]:
+    """Dual simplex from ``basis``, a set of original columns whose
+    reduced costs are nonnegative; None where the solver falls back to the
+    two-phase path (a row the basis leaves over has a nonzero right-hand
+    side, or a negative row has no negative entry).
+
+    The most negative row leaves, the lowest basis index among equal ones,
+    and after ``degenerate_run`` pivots in a row with a zero reduced cost
+    entering, the negative row of lowest basis index.  The entering column
+    has the smallest d_j / -a_j over the row's negative entries, the lowest
+    j among equal ones."""
+    n = lp.column_count
+    tableau = []
+    for row, b in zip(lp.rows, lp.rhs):
+        full = [ZERO] * (n + 1)
+        for j, v in row.items():
+            full[j] = Fraction(v)
+        full[-1] = Fraction(b)
+        tableau.append(full)
+    # Bring the tableau to the basis, lowest column first, each on the
+    # first row not yet used with a nonzero entry; no cost row yet.
+    at = [None] * len(tableau)  # each row's basic column
+    for j in sorted(basis):
+        i = next(i for i, row in enumerate(tableau) if at[i] is None and row[j])
+        _pivot(tableau, at, [ZERO] * (n + 1), i, j, None)
+    if any(row[-1] for row, j in zip(tableau, at) if j is None):
+        return None
+    tab = [row for row, j in zip(tableau, at) if j is not None]
+    bas = [j for j in at if j is not None]
+    cost = [Fraction(c) for c in lp.cost]
+    cost_row = cost + [ZERO]
+    for row, bj in zip(tab, bas):
+        if cost[bj]:
+            for j in range(n + 1):
+                cost_row[j] -= cost[bj] * row[j]
+    assert all(d >= 0 for d in cost_row[:n])
+    run = 0
+    while True:
+        negative = [r for r, row in enumerate(tab) if row[-1] < 0]
+        if not negative:
+            break
+        if run >= degenerate_run:
+            leave = min(negative, key=lambda r: bas[r])
+        else:
+            leave = min(negative, key=lambda r: (tab[r][-1], bas[r]))
+        entering = [j for j in range(n) if tab[leave][j] < 0]
+        if not entering:
+            return None
+        enter = min(entering, key=lambda j: (cost_row[j] / -tab[leave][j], j))
+        run = run + 1 if cost_row[enter] == 0 else 0
+        _pivot(tab, bas, cost_row, leave, enter, path)
+    primal = [ZERO] * n
+    for row, bj in zip(tab, bas):
+        primal[bj] = row[-1]
+    objective = sum((c * x for c, x in zip(cost, primal) if x), ZERO)
+    return ReferenceSolution("optimal", objective, tuple(primal), tuple(sorted(bas)))
 
 
 def reference_verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:

@@ -6,10 +6,12 @@ import sys
 import threading
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from contextuality import builders
+from contextuality import lp as lp_module
 from contextuality.analytic import BinaryStats, delta0_present, per_context_min_delta
 from contextuality.builders import (
     build_cbd_lp,
@@ -35,6 +37,7 @@ from contextuality.io import dump_lp
 from contextuality.lp import (
     LinearProgram,
     _certificate_matrix,
+    solve_certified,
     solve_exact,
     verify_certificate,
 )
@@ -606,19 +609,35 @@ def test_template_cache_under_threads(empty_cache):
                       {"c": Pmf([PM, PM], {(1, 1): half, (-1, -1): half})})
                for k in range(builders._CACHE_TEMPLATES + 4)]
     expected = [dump_lp(build_present_lp(s)) for s in systems]
+    solutions = []
+    for s in systems:  # each from an empty cache
+        builders._templates.clear()
+        solutions.append(solve_certified(build_present_lp(s)))
     builders._templates.clear()
     errors = []
+    barrier = threading.Barrier(4)
 
     def work(seed):
         rng = random.Random(seed)  # about one call in five misses and evicts
         try:
+            # All four threads make the first solve of one fresh template at once.
+            for k, s in enumerate(systems[:8]):
+                barrier.wait()
+                if seed == 0:
+                    builders._templates.clear()
+                    assert build_present_lp(s)._template.start is None
+                barrier.wait()
+                if solve_certified(build_present_lp(s)) != solutions[k]:
+                    errors.append(k)
             for r in range(6000):
                 k = rng.randrange(len(systems))
                 lp = build_present_lp(systems[k])
-                if r % 10 == 0 and dump_lp(lp) != expected[k]:
+                if r % 10 == 0 and (dump_lp(lp) != expected[k]
+                                    or solve_certified(lp) != solutions[k]):
                     errors.append(k)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
+            barrier.abort()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -633,3 +652,79 @@ def test_template_cache_under_threads(empty_cache):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert len(builders._templates) <= builders._CACHE_TEMPLATES
+
+
+# Results depend on the input only, and the fallback to two phases
+# ---------------------------------------------------------------------------
+
+def uniform_model(sysd: System) -> dict[str, Pmf]:
+    """Every context's bunch uniform: a consistently connected model."""
+    return {c.id: Pmf(sysd.bunch(c.id).alphabets,
+                      {a: F(1, len(list(sysd.bunch(c.id).atoms())))
+                       for a in sysd.bunch(c.id).atoms()})
+            for c in sysd.contexts}
+
+
+HISTORY_SYSTEMS = {"prbox": pr_box, "disjoint": disjoint_support_system,
+                   **{f"cyclic4-seed{seed}": (lambda seed=seed: cyclic_system(4, seed, F(3, 4)))
+                      for seed in range(6)}}
+
+
+def reports(sysd: System, model) -> dict:
+    """Every family's full report on `sysd`, or its error's type and message."""
+    out = {}
+    for method in builders.METHODS:
+        try:
+            out[method] = measure(sysd, method, model=model)
+        except ContextualityError as exc:
+            out[method] = (type(exc), str(exc))
+    return out
+
+
+@pytest.mark.parametrize("name", HISTORY_SYSTEMS)
+def test_reports_do_not_depend_on_history(empty_cache, name):
+    sysd = HISTORY_SYSTEMS[name]()
+    model = uniform_model(sysd)
+    fresh = {}
+    for method in builders.METHODS:  # each from an empty cache
+        builders._templates.clear()
+        fresh[method] = reports(sysd, model)[method]
+    assert any(isinstance(r, builders.MeasureReport) and not r.noncontextual
+               for r in fresh.values())
+    others = [same_shape(sysd, seed) for seed in (7, 8, 9)]
+    for order in (others, others[::-1]):  # after other same-shape systems
+        builders._templates.clear()
+        for other in order:
+            reports(other, model)
+        assert reports(sysd, model) == fresh
+    shape = builders._shape_key(sysd)
+    for k in range(builders._CACHE_TEMPLATES):  # evicted, then rebuilt
+        build_present_lp(System([Property(f"p{k}", PM)], [Context("c", (f"p{k}",))],
+                                {"c": Pmf([PM], {(1,): 1})}))
+    assert all(key[1] != shape for key in builders._templates)
+    assert reports(sysd, model) == fresh
+
+
+def test_dual_path_falls_back_to_two_phases(empty_cache):
+    # A floor below the system's, a system without an optimal signed joint,
+    # and a right-hand side that breaks the rows' redundancy: each raises
+    # the same Infeasible on either path.
+    sysd = cyclic_system(4, 0, F(3, 4))
+    floor = delta0_present(sysd)
+    assert measure(sysd, "present").measure > 0
+    prbox = build_present_lp(pr_box())
+    off = list(prbox.rhs)
+    off[0] += 1
+    programs = [build_np_inside_lp(sysd, floor - F(1, 64)),
+                build_lp(disjoint_support_system(), "np_inside"),
+                prbox._template.program(off)]
+    for lp in programs:
+        assert lp._template.start_rhs is not None
+        assert lp_module._solve_from_start(lp) is None
+        assert solve_exact(lp).status == "infeasible"
+        with pytest.raises(Infeasible) as dual:
+            solve_certified(lp)
+        with mock.patch.object(lp_module, "_solve_from_start", lambda lp: None):
+            with pytest.raises(Infeasible) as two_phase:
+                solve_certified(lp)
+        assert str(dual.value) == str(two_phase.value)

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from reference_simplex import reference_solve, reference_verify_certificate
+from reference_simplex import reference_dual_solve, reference_solve, reference_verify_certificate
 
 from contextuality import lp as lp_module
 from contextuality.analytic import build_delta_p_lp
-from contextuality.builders import build_lp
+from contextuality.builders import build_lp, measure
 from contextuality.errors import DimensionMismatch, ParseError
 from contextuality.io import dump_lp, parse_lp
 from contextuality.lp import (
@@ -17,7 +17,7 @@ from contextuality.lp import (
     solve_exact,
     verify_certificate,
 )
-from contextuality.oracle import SystemShape, random_system
+from contextuality.oracle import SystemShape, cyclic_system, random_system
 
 
 def lp_of(names, cost, rows, rhs):
@@ -304,8 +304,8 @@ def _perturbed_certificates(sol):
         yield dataclasses.replace(sol, primal=tuple(primal))
 
 
-def _traced_solve(lp):
-    """solve_exact's solution of lp, and its pivots as (entering column,
+def _traced_solve(lp, solve=solve_exact):
+    """solve's solution of lp, and its pivots as (entering column,
     leaving column)."""
     path = []
     pivot = lp_module.Revised.pivot
@@ -315,7 +315,7 @@ def _traced_solve(lp):
         pivot(state, leave, enter, column, cost_rows)
 
     with mock.patch.object(lp_module.Revised, "pivot", traced):
-        return solve_exact(lp), path
+        return solve(lp), path
 
 
 def assert_matches_reference(lp):
@@ -427,3 +427,80 @@ EDGE_PROGRAMS = [
 @pytest.mark.parametrize("lp,status", EDGE_PROGRAMS)
 def test_edge_programs_match_reference(lp, status):
     assert assert_matches_reference(lp) == status
+
+
+# Dual simplex from a template's start, against the Fraction reference
+# ---------------------------------------------------------------------------
+
+CYCLIC_LAMBDA = F(3, 4)
+
+
+def _cyclic_programs():
+    """Rank-4 cyclic systems with random noise, seeds 0-5, each method with
+    a consistently connected model (np needs one, so it is left out)."""
+    model = cyclic_system(4, 0, CYCLIC_LAMBDA, noise="white").bunches
+    for seed in range(6):
+        sysd = cyclic_system(4, seed, CYCLIC_LAMBDA)
+        for method in ("present", "cbd", "np_inside", "fixed_model"):
+            yield pytest.param(sysd, method, model, id=f"{method}-cyclic4-seed{seed}")
+
+
+_reference_starts: dict[str, tuple] = {}
+
+
+def _reference_start_basis(template):
+    """reference_solve's basis at the template's start right-hand side,
+    once per program (both 3x3 systems share their shapes)."""
+    start = template.program(template.start_rhs)
+    key = dump_lp(start)
+    if key not in _reference_starts:
+        ref = reference_solve(start)
+        assert ref.status == "optimal"
+        _reference_starts[key] = ref.basis
+    return _reference_starts[key]
+
+
+def assert_dual_matches_reference(lp, degenerate_run):
+    """The dual simplex from lp's start takes the reference's pivots to the
+    reference's solution, or falls back where it does; solve_certified
+    returns that solution, and the certificate check agrees with the
+    reference's on it and on perturbed copies."""
+    template = lp._template
+    basis = _reference_start_basis(template)
+    start = lp_module._start(template)  # its own pivots are not on the path
+    assert tuple(sorted(b for b in start[2] if b < lp.column_count)) == basis
+    ref_path = []
+    ref = reference_dual_solve(lp, basis, degenerate_run, ref_path)
+    sol, path = _traced_solve(lp, lp_module._solve_from_start)
+    assert path == ref_path
+    if ref is None:
+        assert sol is None
+        return path
+    assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
+    assert solve_certified(lp) == sol
+    verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
+    assert verdicts[0] and not all(verdicts)
+    assert verdicts == [reference_verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
+    return path
+
+
+@pytest.mark.parametrize("sysd,method,model", [*_builder_programs(), *_cyclic_programs()])
+def test_dual_simplex_matches_reference(sysd, method, model):
+    lp = build_lp(sysd, method, model=model)
+    assert assert_dual_matches_reference(lp, lp_module._DEGENERATE_RUN) is not None
+
+
+def test_cyclic_dual_inputs_are_contextual():
+    for seed in range(6):
+        assert measure(cyclic_system(4, seed, CYCLIC_LAMBDA), "present").measure > 0
+
+
+def test_dual_simplex_switches_to_blands_rule(monkeypatch):
+    # After one degenerate pivot the lowest basis index leaves; on some of
+    # these programs that changes the path, and it still matches.
+    programs = [build_lp(p.values[0], p.values[1], model=p.values[2])
+                for p in _cyclic_programs()]
+    default = [_traced_solve(lp, lp_module._solve_from_start)[1] for lp in programs]
+    monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", 1)
+    switched = [assert_dual_matches_reference(lp, 1) for lp in programs]
+    assert switched != default
