@@ -3,8 +3,8 @@
 Standard form only: minimize c'x subject to Ax = b, x >= 0, with equality
 rows and named columns.  The solver is a two-phase revised simplex over
 exact rationals with Bland's pivoting rule (anti-cycling, deterministic
-given the column order); solve_certified may start from a template's
-start instead (below).  Optimal solutions carry a primal vector, a dual
+given the column order), or for solve_certified a dual simplex from a
+template's start (below).  Optimal solutions carry a primal vector, a dual
 vector, and the optimal basis, so optimality can be re-verified
 independently: primal feasibility, dual feasibility (y'A <= c'), and zero
 duality gap.
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -203,36 +204,34 @@ class Revised:
     """
 
     def __init__(self, lp: LinearProgram, form, sign: list[int], start=None):
-        """The state for lp at the artificial basis, or a copy of a
-        template's ``start`` (see _start) with lp's right-hand side."""
+        """lp's state at the artificial basis, or a copy of ``start``."""
         dens, self.by_row, self.by_column, _ = form
         m = len(dens)
         self.n = lp.column_count
         self.sign = sign
         self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
-        self.rows = []
         if start is None:
-            for i, d in enumerate(dens):
-                row = [0] * (m + 1)
-                row[i], row[-1] = sign[i], d
-                self.rows.append(row)
+            self.rows = [[0] * m + [d] for d in dens]
+            for i, s in enumerate(sign):
+                self.rows[i][i] = s
             self.support = [{k} for k in range(m)]
             self.basis = list(range(self.n, self.n + m))
             self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
             return
-        sparse, support, basis = start[:3]
-        self.support = [set(rows) for rows in support]
+        positions, entries, ends, row_dens, basis = start[:5]
+        self.rows = [[0] * m + [d] for d in row_dens]
+        self.support = [set() for _ in range(m)]
         self.basis = list(basis)
         # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
         db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
         self.rhs = []
-        for positions, entries, den in sparse:
-            row = [0] * m + [den]
-            for k, v in zip(positions, entries):
+        for i, row in enumerate(self.rows):
+            at, values = positions[ends[i]:ends[i + 1]], entries[ends[i]:ends[i + 1]]
+            for k, v in zip(at, values):
                 row[k] = v
-            self.rows.append(row)
-            num, den = sum(map(operator.mul, entries, map(db.__getitem__, positions))), den * bd
+                self.support[k].add(i)
+            num, den = sum(map(operator.mul, values, map(db.__getitem__, at))), row[-1] * bd
             g = gcd(num, den)
             self.rhs.append((num // g, den // g))
 
@@ -533,44 +532,45 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
 
 
 def _start(template: _Template):
-    """The final state of the two-phase solve at the template's start_rhs
-    (False if not optimal), solved on first use, in tuples: M's rows, each
-    as its nonzero positions, their entries and its denominator, the
-    supports, the basis, the signs and the phase-two cost row."""
+    """The two-phase solve's final state at start_rhs (False unless optimal),
+    solved on first use: M's nonzero positions and entries row by row, the
+    rows' ends in them and denominators, the basis, signs and cost row."""
     if template.start is None:
         status, state, cost2 = _two_phase(template.program(template.start_rhs))
+        rows = [row[:-1] for row in state.rows]
         template.start = status == "optimal" and (
-            tuple((tuple(itertools.compress(range(len(row) - 1), row)),
-                   tuple(itertools.compress(row[:-1], row)), row[-1]) for row in state.rows),
-            tuple(map(tuple, state.support)), tuple(state.basis), tuple(state.sign),
-            tuple(cost2))
+            array("q", itertools.chain(*(itertools.compress(range(len(r)), r) for r in rows))),
+            tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
+            array("q", itertools.accumulate((len(r) - r.count(0) for r in rows), initial=0)),
+            tuple(row[-1] for row in state.rows), array("q", state.basis),
+            array("q", state.sign), tuple(cost2))
     return template.start
 
 
 def _solve_from_start(lp: LinearProgram) -> LpSolution | None:
-    """The optimum by dual simplex from the start of lp's template; None
-    without a start, or if lp's rows are inconsistent or infeasible."""
+    """The optimum by dual simplex from lp's template's start; None without
+    one, or if lp's rows are inconsistent or it proves lp infeasible."""
     template = getattr(lp, "_template", None)
     start = template is not None and template.start_rhs is not None and _start(template)
     if not start:
         return None
     form = _form(lp, "solver", _solver_form)
-    state = Revised(lp, form, list(start[3]), start)
+    state = Revised(lp, form, list(start[5]), start)
     # A basic artificial sits on a redundant row, whose entries in the
     # original columns are zero, so no pivot changes its value.
     if any(bi >= lp.column_count and b[0] for bi, b in zip(state.basis, state.rhs)):
         return None
-    cost2 = list(start[4])
+    cost2 = list(start[6])
     return _solution(state, cost2, form) if state.dual(cost2) else None
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:
     """Solve and insist on a verified optimum.
 
-    A program made from a template with a start is solved by dual simplex
-    from that start, and otherwise, or where that gives no optimum, by
-    solve_exact.  Raises Infeasible/SolverError on non-optimal statuses and
-    CertificationFailure if the exact certificate check fails.
+    By dual simplex from the program's template's start if it has one and
+    that gives an optimum, else by solve_exact.  Raises Infeasible or
+    SolverError on non-optimal statuses and CertificationFailure if the
+    exact certificate check fails.
     """
     sol = _solve_from_start(lp) or solve_exact(lp)
     if sol.status == "infeasible":

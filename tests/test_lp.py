@@ -468,7 +468,7 @@ def assert_dual_matches_reference(lp, degenerate_run):
     template = lp._template
     basis = _reference_start_basis(template)
     start = lp_module._start(template)  # its own pivots are not on the path
-    assert tuple(sorted(b for b in start[2] if b < lp.column_count)) == basis
+    assert tuple(sorted(b for b in start[4] if b < lp.column_count)) == basis
     ref_path = []
     ref = reference_dual_solve(lp, basis, degenerate_run, ref_path)
     sol, path = _traced_solve(lp, lp_module._solve_from_start)
