@@ -34,21 +34,18 @@ to which each call adds only its right-hand side.  The template keeps
 two integer forms of its rows, each computed on first use: the solver's
 (each row's lcm, and the scaled rows by row and by column, with the
 scaled cost) and verify_certificate's own scaling of the rows, derived
-from the rows by its own code and never from the solver's form.  A
-template may be given a start right-hand side; its start is then the
-final state of the two-phase solve there, solved on first use and copied
-by every solve_certified call.  Programs of one template differ only in
-their right-hand side, so that basis stays dual feasible: the copy takes
-B^-1 b from the program's own right-hand side and an exact dual simplex
-(Revised.dual) runs from it, falling back to solve_exact where it proves
-no optimum.  The start depends only on the template, and so does every
-solution.
+from the rows by its own code and never from the solver's form.  Given a
+start right-hand side, a template's start is the final state of the
+two-phase solve there.  Its programs differ only in their right-hand
+side, so that basis stays dual feasible: solve_certified copies the
+start, takes B^-1 b from the program and runs an exact dual simplex
+(Revised.dual), or solve_exact where that proves no optimum.  So every
+solution depends on its program alone.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -218,7 +215,7 @@ class Revised:
             self.basis = list(range(self.n, self.n + m))
             self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
             return
-        positions, entries, ends, row_dens, basis = start[:5]
+        positions, entries, counts, row_dens, basis = start[:5]
         self.rows = [[0] * m + [d] for d in row_dens]
         self.support = [set() for _ in range(m)]
         self.basis = list(basis)
@@ -226,12 +223,14 @@ class Revised:
         bd = lcm(*(b.denominator for b in lp.rhs))
         db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
         self.rhs = []
-        for i, row in enumerate(self.rows):
-            at, values = positions[ends[i]:ends[i + 1]], entries[ends[i]:ends[i + 1]]
-            for k, v in zip(at, values):
+        hi = 0
+        for i, (row, count) in enumerate(zip(self.rows, counts)):
+            lo, hi = hi, hi + count
+            for k, v in zip(positions[lo:hi], entries[lo:hi]):
                 row[k] = v
                 self.support[k].add(i)
-            num, den = sum(map(operator.mul, values, map(db.__getitem__, at))), row[-1] * bd
+            num = sum(map(operator.mul, entries[lo:hi], map(db.__getitem__, positions[lo:hi])))
+            den = row[-1] * bd
             g = gcd(num, den)
             self.rhs.append((num // g, den // g))
 
@@ -533,17 +532,18 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
 
 def _start(template: _Template):
     """The two-phase solve's final state at start_rhs (False unless optimal),
-    solved on first use: M's nonzero positions and entries row by row, the
-    rows' ends in them and denominators, the basis, signs and cost row."""
+    solved on first use: M's nonzero positions (one int object per column)
+    and entries row by row, each row's count and denominator, the basis,
+    signs and cost row."""
     if template.start is None:
         status, state, cost2 = _two_phase(template.program(template.start_rhs))
         rows = [row[:-1] for row in state.rows]
+        columns = tuple(range(len(rows)))
         template.start = status == "optimal" and (
-            array("q", itertools.chain(*(itertools.compress(range(len(r)), r) for r in rows))),
+            tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
             tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
-            array("q", itertools.accumulate((len(r) - r.count(0) for r in rows), initial=0)),
-            tuple(row[-1] for row in state.rows), array("q", state.basis),
-            array("q", state.sign), tuple(cost2))
+            tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
+            tuple(state.basis), tuple(state.sign), tuple(cost2))
     return template.start
 
 
