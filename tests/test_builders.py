@@ -712,12 +712,14 @@ def test_dual_path_falls_back_to_two_phases(empty_cache):
     sysd = cyclic_system(4, 0, F(3, 4))
     floor = delta0_present(sysd)
     assert measure(sysd, "present").measure > 0
-    prbox = build_present_lp(pr_box())
-    off = list(prbox.rhs)
-    off[0] += 1
+    # The first context's weights halved: the dual simplex alone would end
+    # at an optimum here, and only a redundant row's artificial shows that
+    # the rows are inconsistent.
+    np_lp = build_np_lp(cyclic_system(4, 0, F(3, 4), noise="white"))
+    halved = [b / 2 if i < 4 else b for i, b in enumerate(np_lp.rhs)]
     programs = [build_np_inside_lp(sysd, floor - F(1, 64)),
                 build_lp(disjoint_support_system(), "np_inside"),
-                prbox._template.program(off)]
+                np_lp._template.program(halved)]
     for lp in programs:
         assert lp._template.start_rhs is not None
         assert lp_module._solve_from_start(lp) is None
