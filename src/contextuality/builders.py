@@ -31,10 +31,10 @@ by zeros for the rows that tie a coupling block to the joint (the model's
 weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
 certificate check still run on every call.  A template the cache keeps
-gets the right-hand side of its shape's uniform system as its start
-(``_start_rhs``): solve_certified solves every program of the shape from
-the optimal basis there (see ``lp``), so a witness, one optimum among
-possibly many, depends on the input and its shape alone.
+gets the right-hand side of one fixed product system of its shape as its
+start (``_start_rhs``): solve_certified solves every program of the shape
+from the optimal basis there (see ``lp``), so a witness, one optimum
+among possibly many, depends on the input and its shape alone.
 
 Program sizes have one model, ``_blocks``: from the shape alone it gives
 each block's atoms, columns, rows and nonzeros.  The atom cap is the
@@ -209,19 +209,23 @@ def _cached_template(family: str, sys: System, build) -> _Template:
 
 
 def _start_rhs(family: str, shape: tuple) -> list[Fraction]:
-    """The right-hand side of `family`'s program for the uniform system of
-    `shape`: each context's atoms at 1/|A_c|, zero tie rows (the uniform
-    model for ``fixed_model``), and a floor of 0 for ``np_inside``."""
+    """The right-hand side of `family`'s program for one fixed product
+    system of `shape`: the i-th of a property's a symbols has weight
+    2 (a - i) / (a (a + 1)), so 2/3 and 1/3 for a binary property, and each
+    context's atoms the product of their properties' weights.  Its tie
+    rows are zero (that product model for ``fixed_model``), and the floor
+    is 0 for ``np_inside``."""
     props, contexts = shape
-    size = {pid: len(labels) for pid, labels in props}
+    weight = {pid: [Fraction(2 * (len(labels) - i), len(labels) * (len(labels) + 1))
+                    for i in range(len(labels))] for pid, labels in props}
     rhs: list[Fraction] = []
     for _, members in contexts:
-        k = math.prod(size[p] for p in members)
-        rhs += [Fraction(1, k)] * k
+        atoms = [math.prod(w) for w in itertools.product(*(weight[p] for p in members))]
+        rhs += atoms
         if family in ("present", "np_inside"):
-            rhs += [ZERO] * k
+            rhs += [ZERO] * len(atoms)
         elif family == "fixed_model":
-            rhs += [Fraction(1, k)] * k
+            rhs += atoms
     return rhs + [ZERO] if family == "np_inside" else rhs
 
 
