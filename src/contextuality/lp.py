@@ -3,11 +3,10 @@
 Standard form only: minimize c'x subject to Ax = b, x >= 0, with equality
 rows and named columns.  The solver is a two-phase revised simplex over
 exact rationals with Bland's pivoting rule (anti-cycling, deterministic
-given the column order), or for solve_certified a dual simplex from a
-template's start (below).  Optimal solutions carry a primal vector, a dual
-vector, and the optimal basis, so optimality can be re-verified
-independently: primal feasibility, dual feasibility (y'A <= c'), and zero
-duality gap.
+given the column order), or a dual simplex from a template's start
+(below).  Optimal solutions carry a primal vector, a dual vector, and the
+optimal basis, so optimality can be re-verified independently: primal
+feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
 One state object (Revised) holds the whole simplex state: the basis
 inverse B^-1, each row's entry of B^-1 b, and the basis.  Its rows, and
@@ -35,17 +34,16 @@ two integer forms of its rows, each computed on first use: the solver's
 (each row's lcm, and the scaled rows by row and by column, with the
 scaled cost) and verify_certificate's own scaling of the rows, derived
 from the rows by its own code and never from the solver's form.  Given a
-start right-hand side, a template's start is the final state of the
-two-phase solve there.  Its programs differ only in their right-hand
-side, so that basis stays dual feasible: solve_certified copies the
-start, takes B^-1 b from the program and runs an exact dual simplex
-(Revised.dual), or solve_exact where that proves no optimum.  So every
-solution depends on its program alone.
+start right-hand side, a template's start is the two-phase solve's final
+state there, a basis that stays dual feasible for every program of the
+template.  solve_certified copies it, takes B^-1 b from the program and
+runs an exact dual simplex, so every solution depends on its program alone.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,8 +51,7 @@ from typing import Mapping, Sequence
 
 from .errors import CertificationFailure, DimensionMismatch, Infeasible, SolverError
 
-# After this many dual simplex pivots in a row with a zero reduced cost
-# entering, Bland's rule chooses the leaving row (see Revised.dual).
+# Dual simplex pivots in a row at a zero reduced cost before Bland's rule.
 _DEGENERATE_RUN = 100
 
 
@@ -124,15 +121,20 @@ class _ReadOnlyRow(dict):
         return dict, (dict(self),)
 
 
+# A template's start (see _start), read-only: row i of M has counts[i]
+# nonzeros over dens[i], their positions (one int object per column) and
+# entries in turn from the flat tuples; cost is the phase-two cost row.
+_Start = namedtuple("_Start", "positions entries counts dens basis sign cost")
+
+
 class _Template:
     """Names, costs and rows of every program of one shape, checked once.
 
     Rows are kept read-only, so neither a template nor a program made from
     it can be changed.  ``solver`` is the integer form of the rows used by
     solve_exact and ``certificate`` the one used by verify_certificate,
-    each filled in on first use, like ``start`` (see _start) when
-    ``start_rhs`` is set.  Nothing here depends on a program's right-hand
-    side.
+    each filled in on first use, as is ``start``.  Nothing here depends on
+    a program's right-hand side.
     """
 
     __slots__ = ("variables", "cost", "rows", "solver", "certificate", "start_rhs", "start")
@@ -200,39 +202,41 @@ class Revised:
     row of M; it is never stored, each cost row takes it entry by entry.
     """
 
-    def __init__(self, lp: LinearProgram, form, sign: list[int], start=None):
-        """lp's state at the artificial basis, or a copy of ``start``."""
+    def __init__(self, lp: LinearProgram, form, sign: list[int]):
         dens, self.by_row, self.by_column, _ = form
-        m = len(dens)
         self.n = lp.column_count
         self.sign = sign
         self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
-        if start is None:
-            self.rows = [[0] * m + [d] for d in dens]
-            for i, s in enumerate(sign):
-                self.rows[i][i] = s
-            self.support = [{k} for k in range(m)]
-            self.basis = list(range(self.n, self.n + m))
-            self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
-            return
-        positions, entries, counts, row_dens, basis = start[:5]
-        self.rows = [[0] * m + [d] for d in row_dens]
-        self.support = [set() for _ in range(m)]
-        self.basis = list(basis)
+        self.rows = []
+        for i, d in enumerate(dens):
+            row = [0] * (len(dens) + 1)
+            row[i], row[-1] = sign[i], d
+            self.rows.append(row)
+        self.support = [{k} for k in range(len(dens))]
+        self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
+        self.basis = list(range(self.n, self.n + len(dens)))
+
+    @classmethod
+    def from_start(cls, lp: LinearProgram, form, start: _Start) -> Revised:
+        """A copy of ``start`` with each row's entry of B^-1 b taken from lp."""
+        state = cls(lp, form, list(start.sign))
+        state.basis[:] = start.basis
         # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
-        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
-        self.rhs = []
+        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(form[0], lp.rhs)]
+        state.support = support = [set() for _ in start.dens]
         hi = 0
-        for i, (row, count) in enumerate(zip(self.rows, counts)):
+        for i, (row, count, den) in enumerate(zip(state.rows, start.counts, start.dens)):
             lo, hi = hi, hi + count
-            for k, v in zip(positions[lo:hi], entries[lo:hi]):
+            positions, entries = start.positions[lo:hi], start.entries[lo:hi]
+            row[i], row[-1] = 0, den
+            for k, v in zip(positions, entries):
                 row[k] = v
-                self.support[k].add(i)
-            num = sum(map(operator.mul, entries[lo:hi], map(db.__getitem__, positions[lo:hi])))
-            den = row[-1] * bd
-            g = gcd(num, den)
-            self.rhs.append((num // g, den // g))
+                support[k].add(i)
+            num = sum(map(operator.mul, entries, map(db.__getitem__, positions)))
+            g = gcd(num, den * bd)
+            state.rhs[i] = (num // g, den * bd // g)
+        return state
 
     def column(self, j: int) -> list[int]:
         """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
@@ -376,17 +380,14 @@ class Revised:
             self.pivot(leave, enter, column, cost_rows)
 
     def dual(self, cost_row: list[int]) -> bool:
-        """Run dual simplex iterations from a basis whose reduced costs
-        ``cost_row`` are nonnegative on the original columns, until every
-        row's value is nonnegative (True) or a negative row has no negative
-        entry in an original column, so the program is infeasible (False).
-
-        The most negative row leaves, the lowest basis index among equal
-        ones; after _DEGENERATE_RUN pivots in a row with a zero reduced
-        cost entering, the negative row of lowest basis index leaves, which
-        cannot cycle (Bland's rule for the dual).  The entering column j
-        has the smallest ratio d_j / -a_j over the leaving row's negative
-        entries a_j, the lowest j among equal ones.
+        """Dual simplex iterations from a basis whose reduced costs
+        ``cost_row`` are nonnegative on the original columns: True once no
+        row's value is negative, False at a negative row with no negative
+        entry in an original column.  The most negative row leaves, the
+        lowest basis index among equal ones; after _DEGENERATE_RUN pivots
+        in a row with a zero reduced cost entering, the negative row of
+        lowest basis index (Bland's rule, which cannot cycle).  The column
+        with the smallest d_j / -a_j enters, the lowest j among equal ones.
         """
         rhs, basis = self.rhs, self.basis
         run = 0
@@ -394,14 +395,11 @@ class Revised:
             leave = -1
             for i, (bn, bd) in enumerate(rhs):
                 if bn < 0:
-                    if leave >= 0:
-                        lhs, r = bn * least_d, least_n * bd
-                        if run >= _DEGENERATE_RUN or lhs == r:
-                            if basis[i] > basis[leave]:
-                                continue
-                        elif lhs > r:
-                            continue
-                    leave, least_n, least_d = i, bn, bd
+                    # d has the sign of row i's value less the leaving row's.
+                    d = -1 if leave < 0 else 0 if run >= _DEGENERATE_RUN else (
+                        bn * least_d - least_n * bd)
+                    if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                        leave, least_n, least_d = i, bn, bd
             if leave < 0:
                 return True
             row = self.row(leave)
@@ -530,47 +528,48 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
     )
 
 
-def _start(template: _Template):
-    """The two-phase solve's final state at start_rhs (False unless optimal),
-    solved on first use: M's nonzero positions (one int object per column)
-    and entries row by row, each row's count and denominator, the basis,
-    signs and cost row."""
-    if template.start is None:
-        status, state, cost2 = _two_phase(template.program(template.start_rhs))
+def _start(template: _Template | None) -> _Start | None:
+    """The template's start, solved on first use; None without a start
+    right-hand side, which is dropped where the solve there has no optimum."""
+    rhs = template and template.start_rhs
+    if rhs is not None and template.start is None:
+        status, state, cost2 = _two_phase(template.program(rhs))
+        if status != "optimal":
+            template.start_rhs = None
+            return None
         rows = [row[:-1] for row in state.rows]
         columns = tuple(range(len(rows)))
-        template.start = status == "optimal" and (
+        template.start = _Start(
             tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
             tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
             tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
             tuple(state.basis), tuple(state.sign), tuple(cost2))
-    return template.start
+    return None if rhs is None else template.start
 
 
 def _solve_from_start(lp: LinearProgram) -> LpSolution | None:
-    """The optimum by dual simplex from lp's template's start; None without
-    one, or if lp's rows are inconsistent or it proves lp infeasible."""
-    template = getattr(lp, "_template", None)
-    start = template is not None and template.start_rhs is not None and _start(template)
-    if not start:
+    """lp's solution by dual simplex from its template's start, or None.
+    Infeasible where a row of B^-1 A x = B^-1 b has no x >= 0: a basic
+    artificial's row, zero in the original columns, with a nonzero value,
+    or a negative row that Revised.dual finds with no negative entry."""
+    start = _start(getattr(lp, "_template", None))
+    if start is None:
         return None
     form = _form(lp, "solver", _solver_form)
-    state = Revised(lp, form, list(start[5]), start)
-    # A basic artificial sits on a redundant row, whose entries in the
-    # original columns are zero, so no pivot changes its value.
-    if any(bi >= lp.column_count and b[0] for bi, b in zip(state.basis, state.rhs)):
-        return None
-    cost2 = list(start[6])
-    return _solution(state, cost2, form) if state.dual(cost2) else None
+    state = Revised.from_start(lp, form, start)
+    cost2 = list(start.cost)
+    if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
+            not state.dual(cost2)):
+        return LpSolution(status="infeasible")
+    return _solution(state, cost2, form)
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:
     """Solve and insist on a verified optimum.
 
-    By dual simplex from the program's template's start if it has one and
-    that gives an optimum, else by solve_exact.  Raises Infeasible or
-    SolverError on non-optimal statuses and CertificationFailure if the
-    exact certificate check fails.
+    By dual simplex from the program's template's start if it has one,
+    else by solve_exact.  Raises Infeasible/SolverError on non-optimal
+    statuses and CertificationFailure if the exact certificate check fails.
     """
     sol = _solve_from_start(lp) or solve_exact(lp)
     if sol.status == "infeasible":

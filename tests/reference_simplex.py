@@ -133,11 +133,11 @@ def reference_solve(lp: LinearProgram, path: Optional[list] = None) -> Reference
 
 
 def reference_dual_solve(lp: LinearProgram, basis: tuple[int, ...], degenerate_run: int,
-                         path: Optional[list] = None) -> Optional[ReferenceSolution]:
+                         path: Optional[list] = None) -> ReferenceSolution:
     """Dual simplex from ``basis``, a set of original columns whose
-    reduced costs are nonnegative; None where the solver falls back to the
-    two-phase path (a row the basis leaves over has a nonzero right-hand
-    side, or a negative row has no negative entry).
+    reduced costs are nonnegative; infeasible where a row the basis leaves
+    over has a nonzero right-hand side, or a negative row has no negative
+    entry.
 
     The most negative row leaves, the lowest basis index among equal ones,
     and after ``degenerate_run`` pivots in a row with a zero reduced cost
@@ -159,7 +159,7 @@ def reference_dual_solve(lp: LinearProgram, basis: tuple[int, ...], degenerate_r
         i = next(i for i, row in enumerate(tableau) if at[i] is None and row[j])
         _pivot(tableau, at, [ZERO] * (n + 1), i, j, None)
     if any(row[-1] for row, j in zip(tableau, at) if j is None):
-        return None
+        return ReferenceSolution("infeasible")
     tab = [row for row, j in zip(tableau, at) if j is not None]
     bas = [j for j in at if j is not None]
     cost = [Fraction(c) for c in lp.cost]
@@ -180,7 +180,7 @@ def reference_dual_solve(lp: LinearProgram, basis: tuple[int, ...], degenerate_r
             leave = min(negative, key=lambda r: (tab[r][-1], bas[r]))
         entering = [j for j in range(n) if tab[leave][j] < 0]
         if not entering:
-            return None
+            return ReferenceSolution("infeasible")
         enter = min(entering, key=lambda j: (cost_row[j] / -tab[leave][j], j))
         run = run + 1 if cost_row[enter] == 0 else 0
         _pivot(tab, bas, cost_row, leave, enter, path)

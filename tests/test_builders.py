@@ -36,6 +36,7 @@ from contextuality.examples import ab_system, disjoint_support_system, epr_model
 from contextuality.io import dump_lp
 from contextuality.lp import (
     LinearProgram,
+    LpSolution,
     _certificate_matrix,
     solve_certified,
     solve_exact,
@@ -705,16 +706,17 @@ def test_reports_do_not_depend_on_history(empty_cache, name):
     assert reports(sysd, model) == fresh
 
 
-def test_dual_path_falls_back_to_two_phases(empty_cache):
+def test_dual_path_proves_infeasibility_like_two_phases(empty_cache):
     # A floor below the system's, a system without an optimal signed joint,
-    # and a right-hand side that breaks the rows' redundancy: each raises
-    # the same Infeasible on either path.
+    # and a right-hand side that breaks the rows' redundancy: the dual
+    # simplex proves each infeasible without the two-phase path, and each
+    # raises the same Infeasible on either path.
     sysd = cyclic_system(4, 0, F(3, 4))
     floor = delta0_present(sysd)
     assert measure(sysd, "present").measure > 0
     # The first context's weights halved: the dual simplex alone would end
-    # at an optimum here, and only a redundant row's artificial shows that
-    # the rows are inconsistent.
+    # at an optimum here, and only a redundant row's basic artificial shows
+    # that the rows are inconsistent.
     np_lp = build_np_lp(cyclic_system(4, 0, F(3, 4), noise="white"))
     halved = [b / 2 if i < 4 else b for i, b in enumerate(np_lp.rhs)]
     programs = [build_np_inside_lp(sysd, floor - F(1, 64)),
@@ -722,10 +724,10 @@ def test_dual_path_falls_back_to_two_phases(empty_cache):
                 np_lp._template.program(halved)]
     for lp in programs:
         assert lp._template.start_rhs is not None
-        assert lp_module._solve_from_start(lp) is None
-        assert solve_exact(lp).status == "infeasible"
-        with pytest.raises(Infeasible) as dual:
-            solve_certified(lp)
+        assert lp_module._solve_from_start(lp) == solve_exact(lp) == LpSolution("infeasible")
+        with mock.patch.object(lp_module, "solve_exact", None):
+            with pytest.raises(Infeasible) as dual:
+                solve_certified(lp)
         with mock.patch.object(lp_module, "_solve_from_start", lambda lp: None):
             with pytest.raises(Infeasible) as two_phase:
                 solve_certified(lp)

@@ -462,21 +462,20 @@ def _reference_start_basis(template):
 
 def assert_dual_matches_reference(lp, degenerate_run):
     """The dual simplex from lp's start takes the reference's pivots to the
-    reference's solution, or falls back where it does; solve_certified
+    reference's solution or verdict of infeasibility; solve_certified
     returns that solution, and the certificate check agrees with the
     reference's on it and on perturbed copies."""
     template = lp._template
     basis = _reference_start_basis(template)
     start = lp_module._start(template)  # its own pivots are not on the path
-    assert tuple(sorted(b for b in start[4] if b < lp.column_count)) == basis
+    assert tuple(sorted(b for b in start.basis if b < lp.column_count)) == basis
     ref_path = []
     ref = reference_dual_solve(lp, basis, degenerate_run, ref_path)
     sol, path = _traced_solve(lp, lp_module._solve_from_start)
     assert path == ref_path
-    if ref is None:
-        assert sol is None
-        return path
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
+    if sol.status != "optimal":
+        return path
     assert solve_certified(lp) == sol
     verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
     assert verdicts[0] and not all(verdicts)
