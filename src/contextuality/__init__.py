@@ -11,6 +11,8 @@ certificates.
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .analytic import (
     BinaryStats,
     DeltaP,
@@ -60,16 +62,6 @@ from .lp import (
     solve_exact,
     verify_certificate,
 )
-from .oracle import (
-    CrossCheck,
-    SystemShape,
-    brute_force_max_coupling,
-    build_max_coupling_lp,
-    cross_check,
-    random_system,
-    run_selftest,
-    solve_float,
-)
 from .system import (
     Connection,
     ConsistencyReport,
@@ -86,4 +78,17 @@ from .system import (
     validate_system,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle (random systems, the float cross-check, selftest) is loaded
+# on first use, so a process that only measures never compiles it.
+_ORACLE = ("CrossCheck", "SystemShape", "brute_force_max_coupling", "build_max_coupling_lp",
+           "cross_check", "random_system", "run_selftest", "solve_float")
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE:
+        oracle = _import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["oracle", *_ORACLE]

@@ -32,7 +32,6 @@ from .io import (
     report_text,
     resolve_input,
 )
-from .oracle import run_selftest
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -158,6 +157,8 @@ def cmd_dump_lp(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .oracle import run_selftest
+
     results = run_selftest(seed=args.seed, count=args.count)
     ok = True
     for name, passed, total in results:
