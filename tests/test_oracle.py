@@ -202,6 +202,23 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_the_oracle_on_first_use():
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextuality; print('contextuality.oracle' in sys.modules); "
+            "from contextuality import random_system; "
+            "print(random_system is sys.modules['contextuality.oracle'].random_system); "
+            "print(contextuality.oracle.solve_float is contextuality.solve_float)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True", "True"]
+    star: dict = {}
+    exec("from contextuality import *", star)
+    assert {"oracle", "random_system", "run_selftest", "solve_float"} <= set(star)
+    with pytest.raises(AttributeError):
+        contextuality.no_such_name
+
+
 def test_selftest_without_numpy_is_a_solver_error():
     src = str(Path(contextuality.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
