@@ -32,9 +32,11 @@ weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
 atom cap, np's consistency check, every floor, every solve and every
 certificate check still run on every call.  A template the cache keeps
 gets the right-hand side of one fixed product system of its shape as its
-start (``_start_rhs``): solve_certified solves every program of the shape
-from the optimal basis there (see ``lp``), so a witness, one optimum
-among possibly many, depends on the input and its shape alone.
+start (``_start_rhs``): solve_exact, and so solve_certified, solves every
+program of the shape from the optimal basis there (see ``lp``), so a
+witness, one optimum among possibly many, depends on the input and its
+shape alone.  A template above the cache ceiling has no start, and its
+programs solve by two phases.
 
 Program sizes have one model, ``_blocks``: from the shape alone it gives
 each block's atoms, columns, rows and nonzeros.  The atom cap is the

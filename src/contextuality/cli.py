@@ -32,6 +32,7 @@ from .io import (
     report_text,
     resolve_input,
 )
+from .system import as_fraction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,9 +98,9 @@ def cmd_analyze(args) -> int:
 def _parse_angles(text: str) -> tuple[list[Fraction], list[Fraction]]:
     try:
         alice_s, bob_s = text.split(";")
-        alice = [Fraction(a.strip()) for a in alice_s.split(",") if a.strip()]
-        bob = [Fraction(b.strip()) for b in bob_s.split(",") if b.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        alice = [as_fraction(a.strip()) for a in alice_s.split(",") if a.strip()]
+        bob = [as_fraction(b.strip()) for b in bob_s.split(",") if b.strip()]
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(
             f"bad --angles {text!r}; expected 'a1,a2,...;b1,b2,...' in degrees"
         ) from exc

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .analytic import BinaryStats
 from .errors import UnrealizableStats, ValidationError
-from .system import Context, Pmf, Property, System
+from .system import Context, Pmf, Property, System, as_fraction
 
 PM = (1, -1)
 HALF = Fraction(1, 2)
@@ -116,7 +116,7 @@ def cos_degrees(angle: Fraction) -> tuple[Fraction, bool]:
     if d in _EXACT_COS:
         return _EXACT_COS[d], True
     approx = math.cos(math.radians(float(d)))
-    return Fraction(f"{approx:.{COS_SIGNIFICANT_DIGITS - 1}e}"), False
+    return as_fraction(f"{approx:.{COS_SIGNIFICANT_DIGITS - 1}e}"), False
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional, TextIO, Union
 from .builders import MeasureReport
 from .errors import ParseError, ValidationError
 from .lp import LinearProgram
-from .system import Context, Pmf, Property, Symbol, System
+from .system import Context, Pmf, Property, Symbol, System, as_fraction
 
 PathLike = Union[str, Path]
 
@@ -38,8 +38,8 @@ def _parse_symbol(tok: str) -> Symbol:
 
 def _parse_probability(tok: str, lineno: int) -> Fraction:
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_fraction(tok)
+    except ValidationError as exc:
         raise ParseError(f"bad probability {tok!r}", lineno) from exc
 
 
@@ -261,8 +261,8 @@ def parse_lp(text: str) -> LinearProgram:
 
     def rational(s: str, lineno: int) -> Fraction:
         try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
+            return as_fraction(s)
+        except ValidationError as exc:
             raise ParseError(f"bad rational {s!r}", lineno) from exc
 
     def column(s: str, lineno: int) -> int:

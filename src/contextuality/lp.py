@@ -36,8 +36,10 @@ scaled cost) and verify_certificate's own scaling of the rows, derived
 from the rows by its own code and never from the solver's form.  Given a
 start right-hand side, a template's start is the two-phase solve's final
 state there, a basis that stays dual feasible for every program of the
-template.  solve_certified copies it, takes B^-1 b from the program and
-runs an exact dual simplex, so every solution depends on its program alone.
+template.  solve_exact copies it, takes B^-1 b from the program and
+runs an exact dual simplex, so every solution depends on its program
+alone.  Every other program, copies and pickles included, and the
+start's own program solve by two phases.
 """
 from __future__ import annotations
 
@@ -454,12 +456,11 @@ def _signed(pairs) -> tuple[tuple, tuple, tuple]:
             tuple((i, a) for i, a in pairs if a != 1 and a != -1))
 
 
-def _two_phase(lp: LinearProgram) -> tuple[str, Revised, list[int]]:
-    """Two-phase simplex from the artificial basis: (status, the final
-    state, the phase-two cost row)."""
+def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
+    """Two-phase simplex from the artificial basis, with lp's solver form:
+    (status, the final state, the phase-two cost row)."""
     n = lp.column_count
     m = lp.row_count
-    form = _form(lp, "solver", _solver_form)
     dens, _, _, (cost_den, cost) = form
 
     # Sign-normalize so every right-hand side is nonnegative.
@@ -494,14 +495,6 @@ def _two_phase(lp: LinearProgram) -> tuple[str, Revised, list[int]]:
     return state.bland([cost2], n), state, cost2
 
 
-def solve_exact(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex; returns an exactly certified optimum when one exists."""
-    status, state, cost2 = _two_phase(lp)
-    if status != "optimal":
-        return LpSolution(status=status)
-    return _solution(state, cost2, _form(lp, "solver", _solver_form))
-
-
 def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
     """The optimum at the state's basis, with phase-two cost row ``cost2``."""
     n, m = state.n, len(state.rows)
@@ -533,7 +526,8 @@ def _start(template: _Template | None) -> _Start | None:
     right-hand side, which is dropped where the solve there has no optimum."""
     rhs = template and template.start_rhs
     if rhs is not None and template.start is None:
-        status, state, cost2 = _two_phase(template.program(rhs))
+        lp = template.program(rhs)
+        status, state, cost2 = _two_phase(lp, _form(lp, "solver", _solver_form))
         if status != "optimal":
             template.start_rhs = None
             return None
@@ -547,31 +541,34 @@ def _start(template: _Template | None) -> _Start | None:
     return None if rhs is None else template.start
 
 
-def _solve_from_start(lp: LinearProgram) -> LpSolution | None:
-    """lp's solution by dual simplex from its template's start, or None.
-    Infeasible where a row of B^-1 A x = B^-1 b has no x >= 0: a basic
-    artificial's row, zero in the original columns, with a nonzero value,
-    or a negative row that Revised.dual finds with no negative entry."""
+def solve_exact(lp: LinearProgram) -> LpSolution:
+    """lp's solution: by dual simplex from its template's start if it has
+    one, else by two phases.  From the start, lp is infeasible where a row
+    of B^-1 A x = B^-1 b has no x >= 0: a basic artificial's row, zero in
+    the original columns, with a nonzero value, or a negative row that
+    Revised.dual finds with no negative entry."""
+    form = _form(lp, "solver", _solver_form)
     start = _start(getattr(lp, "_template", None))
     if start is None:
-        return None
-    form = _form(lp, "solver", _solver_form)
-    state = Revised.from_start(lp, form, start)
-    cost2 = list(start.cost)
-    if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
-            not state.dual(cost2)):
-        return LpSolution(status="infeasible")
+        status, state, cost2 = _two_phase(lp, form)
+        if status != "optimal":
+            return LpSolution(status=status)
+    else:
+        state = Revised.from_start(lp, form, start)
+        cost2 = list(start.cost)
+        if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
+                not state.dual(cost2)):
+            return LpSolution(status="infeasible")
     return _solution(state, cost2, form)
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:
-    """Solve and insist on a verified optimum.
+    """solve_exact, insisting on a verified optimum.
 
-    By dual simplex from the program's template's start if it has one,
-    else by solve_exact.  Raises Infeasible/SolverError on non-optimal
-    statuses and CertificationFailure if the exact certificate check fails.
+    Raises Infeasible/SolverError on non-optimal statuses and
+    CertificationFailure if the exact certificate check fails.
     """
-    sol = _solve_from_start(lp) or solve_exact(lp)
+    sol = solve_exact(lp)
     if sol.status == "infeasible":
         raise Infeasible("linear program has no feasible point")
     if sol.status != "optimal":

@@ -45,7 +45,12 @@ ZERO = Fraction(0)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Convert exactly; accepts Fraction, int, and 'num/den' or decimal strings."""
+    """Convert exactly; accepts Fraction, int, and 'num/den' or decimal strings.
+
+    The package's one reader of rationals from text.  Fraction computes
+    10**exponent without a bound, so a decimal exponent of magnitude 4300
+    (Python's default int-digit limit) or more is refused.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
@@ -53,6 +58,10 @@ def as_fraction(x: RationalLike) -> Fraction:
             f"refusing inexact float {x!r}; pass a Fraction or a string"
         )
     try:
+        if isinstance(x, str):
+            _, e, exponent = x.lower().partition("e")
+            if e and abs(int(exponent)) >= 4300:
+                raise ValidationError(f"refusing {x!r}: exponent of magnitude 4300 or more")
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational number: {x!r}") from exc

@@ -1,16 +1,17 @@
 """Test-only references over ``fractions.Fraction``.
 
 ``reference_solve`` is the straightforward rational tableau that
-``lp.solve_exact`` must reproduce pivot for pivot: same entering scan, same
-ratio test and basis-index tie-break, same handling of leftover
-artificials.  It returns no dual; the solver's dual is checked by
-``verify_certificate`` instead.  Given a list ``path``, it appends each
-pivot as (entering column, leaving column).
+``lp.solve_exact`` must reproduce pivot for pivot on a program without a
+template's start, by two phases: same entering scan, same ratio test and
+basis-index tie-break, same handling of leftover artificials.  It returns
+no dual; the solver's dual is checked by ``verify_certificate`` instead.
+Given a list ``path``, it appends each pivot as (entering column, leaving
+column).
 
-``reference_dual_solve`` is the dual simplex that ``lp.solve_certified``
-runs from a template's start: the tableau of a program is brought to a
-given basis, such as ``reference_solve``'s at the start's right-hand side,
-and then takes the same leaving, entering and switch rules.
+``reference_dual_solve`` is the dual simplex that ``lp.solve_exact`` runs
+from a template's start: the tableau of a program is brought to a given
+basis, such as ``reference_solve``'s at the start's right-hand side, and
+then takes the same leaving, entering and switch rules.
 
 ``reference_verify_certificate`` is the certificate check written with one
 ``Fraction`` per term; ``lp.verify_certificate`` must give the same verdict.

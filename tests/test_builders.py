@@ -520,10 +520,11 @@ def test_template_rows_are_read_only(empty_cache):
 
 def test_template_programs_copy_as_plain_programs(empty_cache):
     lp = build_lp(pr_box(), "present")
+    plain = LinearProgram(lp.variables, lp.cost, tuple(map(dict, lp.rows)), lp.rhs)
     for back in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
         assert back == lp and not hasattr(back, "_template")
         assert all(type(row) is dict for row in back.rows)
-        assert solved(back) == solved(lp)
+        assert solved(back) == solved(plain)
     assert dataclasses.asdict(lp)["rows"] == lp.rows
     row = lp.rows[0]
     for back in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
@@ -723,12 +724,13 @@ def test_dual_path_proves_infeasibility_like_two_phases(empty_cache):
                 build_lp(disjoint_support_system(), "np_inside"),
                 np_lp._template.program(halved)]
     for lp in programs:
-        assert lp._template.start_rhs is not None
-        assert lp_module._solve_from_start(lp) == solve_exact(lp) == LpSolution("infeasible")
-        with mock.patch.object(lp_module, "solve_exact", None):
+        assert lp_module._start(lp._template) is not None
+        with mock.patch.object(lp_module, "_two_phase", None):  # calling it raises
+            assert solve_exact(lp) == LpSolution("infeasible")
             with pytest.raises(Infeasible) as dual:
                 solve_certified(lp)
-        with mock.patch.object(lp_module, "_solve_from_start", lambda lp: None):
-            with pytest.raises(Infeasible) as two_phase:
-                solve_certified(lp)
+        plain = copy.copy(lp)  # no template, so two phases
+        assert solve_exact(plain) == LpSolution("infeasible")
+        with pytest.raises(Infeasible) as two_phase:
+            solve_certified(plain)
         assert str(dual.value) == str(two_phase.value)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from contextuality import builders, cli
+from contextuality import io as io_module
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
 from contextuality.builders import build_fixed_model_lp, measure
 from contextuality.cli import main
@@ -25,7 +26,7 @@ from contextuality.io import (
 )
 from contextuality.io import dump_lp, parse_lp
 from contextuality.oracle import SystemShape, random_system
-from contextuality.system import Context, Pmf, Property, System, consistency_report
+from contextuality.system import Context, Pmf, Property, System, as_fraction, consistency_report
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +151,37 @@ def test_decimal_probabilities_parse_exactly():
             "bunch c\n1 0.25\n-1 0.75\n")
     sysd = parse_system_text(text)
     assert sysd.bunch("c")[(1,)] == F(1, 4)
+
+
+LP_TEXT = "lp-dump 1\nminimize\nvars 1\nvar x\nrows 1\nc x 1/1\na 0 x 1/1\nrhs 0 {}\nend\n"
+
+
+@pytest.mark.parametrize("text", ["0.25", "1e-3", "3/4"])
+def test_rationals_from_text_read_exactly(text):
+    value = F(text)
+    assert as_fraction(text) == value
+    assert io_module._parse_probability(text, 4) == value
+    assert parse_lp(LP_TEXT.format(text)).rhs == (value,)
+    assert cli._parse_angles(f"{text},0;{text}") == ([value, 0], [value])
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-100000000"])
+def test_rationals_from_text_refuse_huge_exponents(tmp_path, capsys, text):
+    # Fraction would compute 10**exponent: a 5001-digit numerator that no
+    # message can print, or a denominator that takes minutes to build.
+    with pytest.raises(ValidationError, match="exponent"):
+        as_fraction(text)
+    system = f"property p 1 -1\ncontext c p\nbunch c\n1 {text}\n"
+    with pytest.raises(ParseError, match=f"^line 4: bad probability '{text}'$"):
+        parse_system_text(system)
+    with pytest.raises(ParseError, match=f"^line 8: bad rational '{text}'$"):
+        parse_lp(LP_TEXT.format(text))
+    path = tmp_path / "huge.system"
+    path.write_text(system, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 4: bad probability '{text}'\n"
+    assert main(["approx", "bundled:prbox", "--epr", "--angles", f"{text},0;90"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --angles '{text},0;90'")
 
 
 def test_string_symbols_round_trip():

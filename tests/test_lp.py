@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -304,8 +305,8 @@ def _perturbed_certificates(sol):
         yield dataclasses.replace(sol, primal=tuple(primal))
 
 
-def _traced_solve(lp, solve=solve_exact):
-    """solve's solution of lp, and its pivots as (entering column,
+def _traced_solve(lp):
+    """solve_exact's solution of lp, and its pivots as (entering column,
     leaving column)."""
     path = []
     pivot = lp_module.Revised.pivot
@@ -315,13 +316,13 @@ def _traced_solve(lp, solve=solve_exact):
         pivot(state, leave, enter, column, cost_rows)
 
     with mock.patch.object(lp_module.Revised, "pivot", traced):
-        return solve(lp), path
+        return solve_exact(lp), path
 
 
 def assert_matches_reference(lp):
     """solve_exact takes the reference's pivots to the reference's
-    solution, and the certificate check agrees with the reference's on the
-    optimum and on perturbed copies."""
+    solution on lp, a program without a start, and the certificate check
+    agrees with the reference's on the optimum and on perturbed copies."""
     ref_path = []
     ref = reference_solve(lp, ref_path)
     sol, path = _traced_solve(lp)
@@ -371,7 +372,8 @@ def _builder_programs():
 
 @pytest.mark.parametrize("sysd,method,model", _builder_programs())
 def test_builder_programs_match_reference(sysd, method, model):
-    assert_matches_reference(build_lp(sysd, method, model=model))
+    # A plain copy has no template, so it solves by two phases.
+    assert_matches_reference(copy.copy(build_lp(sysd, method, model=model)))
 
 
 @pytest.mark.parametrize("consistent", [False, True])
@@ -471,7 +473,7 @@ def assert_dual_matches_reference(lp, degenerate_run):
     assert tuple(sorted(b for b in start.basis if b < lp.column_count)) == basis
     ref_path = []
     ref = reference_dual_solve(lp, basis, degenerate_run, ref_path)
-    sol, path = _traced_solve(lp, lp_module._solve_from_start)
+    sol, path = _traced_solve(lp)
     assert path == ref_path
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
     if sol.status != "optimal":
@@ -487,6 +489,9 @@ def assert_dual_matches_reference(lp, degenerate_run):
 def test_dual_simplex_matches_reference(sysd, method, model):
     lp = build_lp(sysd, method, model=model)
     assert assert_dual_matches_reference(lp, lp_module._DEGENERATE_RUN) is not None
+    # Two phases on a plain copy reach the same status and optimum.
+    sol, two_phase = solve_exact(lp), solve_exact(copy.copy(lp))
+    assert (sol.status, sol.objective) == (two_phase.status, two_phase.objective)
 
 
 def test_cyclic_dual_inputs_are_contextual():
@@ -499,7 +504,7 @@ def test_dual_simplex_switches_to_blands_rule(monkeypatch):
     # these programs that changes the path, and it still matches.
     programs = [build_lp(p.values[0], p.values[1], model=p.values[2])
                 for p in _cyclic_programs()]
-    default = [_traced_solve(lp, lp_module._solve_from_start)[1] for lp in programs]
+    default = [_traced_solve(lp)[1] for lp in programs]
     monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", 1)
     switched = [assert_dual_matches_reference(lp, 1) for lp in programs]
     assert switched != default

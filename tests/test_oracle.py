@@ -9,7 +9,7 @@ import pytest
 
 import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
-from contextuality.builders import build_lp, build_present_lp
+from contextuality.builders import build_lp, build_present_lp, measure
 from contextuality.errors import AlphabetMismatch, CertificationFailure, TooLarge, ValidationError
 from contextuality.examples import disjoint_support_system, pr_box
 from contextuality.oracle import (
@@ -172,6 +172,17 @@ def test_cross_check_np_equals_np_inside_exact():
         b = cross_check(sysd, "np_inside")
         assert a.agree and b.agree
         assert a.exact == b.exact
+
+
+def test_cross_check_agrees_on_contextual_cyclic_systems():
+    # cross_check solves as measure() does: a repeated shape by dual simplex
+    # from its template's start.  Every case here is contextual.
+    cases = [(cyclic_system(4, seed, F(3, 4)), method)
+             for seed in range(6) for method in ("present", "cbd", "np_inside")]
+    cases.append((cyclic_system(4, 0, F(3, 4), noise="white"), "np"))
+    for sysd, method in cases:
+        assert measure(sysd, method).measure > 0, method
+        assert cross_check(sysd, method).agree, method
 
 
 def test_run_selftest_passes():
