@@ -23,20 +23,21 @@ then per-context coupling blocks in context order, atoms lexicographic):
 consistently connected model (no free joint block).
 
 Each family compiles in two steps.  Names, costs and rows depend only on
-the system's shape (property ids and printed alphabets, context ids and
-members), so they form a template (``lp._Template``) that is built once
-per shape and kept in a small private cache.  Every call then adds only
-the right-hand side: each context's bunch weights in atom order, followed
-by zeros for the rows that tie a coupling block to the joint (the model's
-weights for ``fixed_model``), and ``delta0`` last for ``np_inside``.  The
-atom cap, np's consistency check, every floor, every solve and every
-certificate check still run on every call.  A template the cache keeps
-gets the right-hand side of one fixed product system of its shape as its
-start (``_start_rhs``): solve_exact, and so solve_certified, solves every
-program of the shape from the optimal basis there (see ``lp``), so a
-witness, one optimum among possibly many, depends on the input and its
-shape alone.  A template above the cache ceiling has no start, and its
-programs solve by two phases.
+the shape that ``_shape_key`` gives (property ids and printed alphabets,
+context ids and members), so they form a template (``lp._Template``)
+built from that key alone, from the shape's product system
+(``_product_system``); a small private cache keeps recent ones.  Every
+call then adds only the right-hand side (``_rhs``): each context's bunch
+weights in atom order, each followed by its coupling block's other side
+(zeros where it is tied to the joint, the model's weights for
+``fixed_model``), and ``delta0`` last for ``np_inside``.  The atom cap,
+np's consistency check, every floor, every solve and every certificate
+check still run on every call.  A cached template's start is the program
+of the shape's product system (with floor 0): solve_exact, and so
+solve_certified, solves every program of the shape from the optimal
+basis there (see ``lp``), so a witness, one optimum among possibly many,
+depends on the input and its shape alone.  A template above the cache
+ceiling has no start, and its programs solve by two phases.
 
 Program sizes have one model, ``_blocks``: from the shape alone it gives
 each block's atoms, columns, rows and nonzeros.  The atom cap is the
@@ -50,11 +51,10 @@ cached and gives the ``sizes`` table (``problem_sizes``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -70,7 +70,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, _Template, solve_certified
-from .system import Pmf, System, _atom_weights, _slots, consistency_report
+from .system import Context, Pmf, Property, System, _atom_weights, _slots, consistency_report
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,14 +84,12 @@ ATOM_CAP = 1 << 20
 # of 4300 digits (4**7142 is the largest power of 4 that does).
 _MAX_SIZES_CONTEXTS = 4096
 
-# Templates of recently used shapes, least recently used first.  At most
-# _CACHE_TEMPLATES are kept, and a template with more than
-# _CACHE_MAX_NONZEROS matrix entries is never kept: it is built on every
-# call, which costs little beside solving it.
+# _cached_template keeps the templates of the _CACHE_TEMPLATES most
+# recently used shapes (functools.lru_cache, which is thread-safe), and a
+# template with more than _CACHE_MAX_NONZEROS matrix entries is never kept:
+# it is built on every call, which costs little beside solving it.
 _CACHE_TEMPLATES = 16
 _CACHE_MAX_NONZEROS = 1 << 13
-_templates: OrderedDict[tuple, _Template] = OrderedDict()
-_templates_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -191,44 +189,63 @@ def _check_blocks(family: str, shape: tuple) -> int:
     return sum(block[4] for block in blocks)
 
 
-def _cached_template(family: str, sys: System, build) -> _Template:
-    """The cached template of `family` for the shape of `sys`, or `build(sys)`."""
+def _template(family: str, sys: System) -> _Template:
+    """`family`'s template for the shape of `sys`: the cached one, or, above
+    _CACHE_MAX_NONZEROS, one built for this call alone, with no start."""
     key = (family, _shape_key(sys))
-    nonzeros = _check_blocks(*key)
-    with _templates_lock:
-        template = _templates.get(key)
-        if template is not None:
-            _templates.move_to_end(key)
-            return template
-    template = build(sys)
-    if nonzeros <= _CACHE_MAX_NONZEROS:
-        template.start_rhs = _start_rhs(*key)
-        with _templates_lock:
-            _templates[key] = template
-            if len(_templates) > _CACHE_TEMPLATES:
-                _templates.popitem(last=False)
+    if _check_blocks(*key) > _CACHE_MAX_NONZEROS:
+        return _build(family, _product_system(key[1]))
+    return _cached_template(*key)
+
+
+@functools.lru_cache(maxsize=_CACHE_TEMPLATES)
+def _cached_template(family: str, shape: tuple) -> _Template:
+    """`family`'s template for `shape`, started at the shape's product system."""
+    product = _product_system(shape)
+    template = _build(family, product)
+    template.start_rhs = _rhs(family, product, product.bunches, ZERO)
     return template
 
 
-def _start_rhs(family: str, shape: tuple) -> list[Fraction]:
-    """The right-hand side of `family`'s program for one fixed product
-    system of `shape`: the i-th of a property's a symbols has weight
-    2 (a - i) / (a (a + 1)), so 2/3 and 1/3 for a binary property, and each
-    context's atoms the product of their properties' weights.  Its tie
-    rows are zero (that product model for ``fixed_model``), and the floor
-    is 0 for ``np_inside``."""
+def _build(family: str, sys: System) -> _Template:
+    return {"present": _present_template, "cbd": _cbd_template, "np": _np_template,
+            "np_inside": _np_inside_template, "fixed_model": _fixed_model_template}[family](sys)
+
+
+def _product_system(shape: tuple) -> System:
+    """The product system of `shape`, a `_shape_key`: each property over its
+    printed labels, the i-th of a labels weighted 2 (a - i) / (a (a + 1)),
+    each bunch the product of its members' weights.  It is consistently
+    connected, so its floor is 0, and it is its own model."""
     props, contexts = shape
-    weight = {pid: [Fraction(2 * (len(labels) - i), len(labels) * (len(labels) + 1))
-                    for i in range(len(labels))] for pid, labels in props}
-    rhs: list[Fraction] = []
+    alphabet = dict(props)
+    bunch: dict[tuple, Pmf] = {}  # one for each tuple of alphabets
     for _, members in contexts:
-        atoms = [math.prod(w) for w in itertools.product(*(weight[p] for p in members))]
-        rhs += atoms
+        alphabets = tuple(map(alphabet.get, members))
+        if alphabets not in bunch:
+            weights = [[Fraction(2 * (len(a) - i), len(a) * (len(a) + 1)) for i in range(len(a))]
+                       for a in alphabets]
+            bunch[alphabets] = Pmf(alphabets, zip(itertools.product(*alphabets),
+                                                  map(math.prod, itertools.product(*weights))))
+    return System(itertools.starmap(Property, props), itertools.starmap(Context, contexts),
+                  {cid: bunch[tuple(map(alphabet.get, members))] for cid, members in contexts})
+
+
+def _rhs(family: str, sys: System, model: Optional[Mapping[str, Pmf]],
+         delta0: Fraction) -> list[Fraction]:
+    """`family`'s right-hand side for `sys`: every context's bunch weights
+    in atom order, each followed by its coupling block's other side (zeros
+    where it is tied to a joint, `model`'s weights for ``fixed_model``), and
+    `delta0` last for ``np_inside``."""
+    rhs: list[Fraction] = []
+    for ctx in sys.contexts:
+        weights = _atom_weights(sys.bunches[ctx.id])
+        rhs += weights
         if family in ("present", "np_inside"):
-            rhs += [ZERO] * len(atoms)
+            rhs += [ZERO] * len(weights)
         elif family == "fixed_model":
-            rhs += atoms
-    return rhs + [ZERO] if family == "np_inside" else rhs
+            rhs += _atom_weights(model[ctx.id])
+    return rhs + [delta0] if family == "np_inside" else rhs
 
 
 def _joint_atoms(sys: System) -> list[tuple]:
@@ -342,30 +359,14 @@ def _fixed_model_template(sys: System) -> _Template:
     return _Template(names, cost, rows)
 
 
-def _bunch_rhs(sys: System) -> list[Fraction]:
-    """Every context's bunch weights in atom order."""
-    return [w for ctx in sys.contexts for w in _atom_weights(sys.bunches[ctx.id])]
-
-
-def _coupled_rhs(sys: System, model: Optional[Mapping[str, Pmf]] = None) -> list[Fraction]:
-    """Every context's bunch weights, each followed by its coupling block's
-    other side: the model's weights, or zeros where it is tied to a joint."""
-    rhs: list[Fraction] = []
-    for ctx in sys.contexts:
-        weights = _atom_weights(sys.bunches[ctx.id])
-        rhs += weights
-        rhs += [ZERO] * len(weights) if model is None else _atom_weights(model[ctx.id])
-    return rhs
-
-
 def build_present_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal approximating-system distance."""
-    return _cached_template("present", sys, _present_template).program(_coupled_rhs(sys))
+    return _template("present", sys).program(_rhs("present", sys, None, ZERO))
 
 
 def build_cbd_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal total connection disagreement."""
-    return _cached_template("cbd", sys, _cbd_template).program(_bunch_rhs(sys))
+    return _template("cbd", sys).program(_rhs("cbd", sys, None, ZERO))
 
 
 def build_np_lp(sys: System) -> LinearProgram:
@@ -380,7 +381,7 @@ def build_np_lp(sys: System) -> LinearProgram:
             "a signed joint with context marginals equal to the bunches "
             "requires consistent connectedness"
         )
-    return _cached_template("np", sys, _np_template).program(_bunch_rhs(sys))
+    return _template("np", sys).program(_rhs("np", sys, None, ZERO))
 
 
 def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
@@ -392,8 +393,7 @@ def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
     coupling blocks are nonnegative, which forces every context marginal of
     the signed joint to be a proper distribution.
     """
-    template = _cached_template("np_inside", sys, _np_inside_template)
-    return template.program(_coupled_rhs(sys) + [Fraction(delta0)])
+    return _template("np_inside", sys).program(_rhs("np_inside", sys, None, Fraction(delta0)))
 
 
 def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram:
@@ -412,8 +412,7 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
         raise ModelNotConsistentlyConnected(
             "approximating model must have context-independent marginals"
         )
-    template = _cached_template("fixed_model", sys, _fixed_model_template)
-    return template.program(_coupled_rhs(sys, model_sys.bunches))
+    return _template("fixed_model", sys).program(_rhs("fixed_model", sys, model_sys.bunches, ZERO))
 
 
 def build_lp(
@@ -428,8 +427,7 @@ def build_lp(
         return build_np_lp(sys)
     if method == "np_inside":
         # The template, and so the gate, before the floor, whose LP blocks are no larger.
-        template = _cached_template(method, sys, _np_inside_template)
-        return template.program(_coupled_rhs(sys) + [delta0_present(sys)])
+        return _template(method, sys).program(_rhs(method, sys, None, delta0_present(sys)))
     if method == "fixed_model":
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")

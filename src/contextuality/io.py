@@ -15,6 +15,7 @@ Writing is canonical - sorted ids, lexicographic outcomes, lowest-terms
 """
 from __future__ import annotations
 
+import decimal
 import json
 from fractions import Fraction
 from importlib import resources
@@ -188,8 +189,13 @@ def resolve_input(path: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def fmt_rational(v: Fraction) -> str:
-    """``num/den`` in lowest terms, as in dumps, system files and reports."""
-    return f"{v.numerator}/{v.denominator}"
+    """``num/den`` in lowest terms, as in dumps, system files and reports,
+    exact also past Python's default limit of 4300 digits on ``str`` of an
+    int, which ``str`` of a ``decimal.Decimal`` does not have."""
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        return f"{decimal.Decimal(v.numerator)}/{decimal.Decimal(v.denominator)}"
 
 
 def dump_lp(lp: LinearProgram) -> str:

@@ -34,11 +34,11 @@ two integer forms of its rows, each computed on first use: the solver's
 (each row's lcm, and the scaled rows by row and by column, with the
 scaled cost) and verify_certificate's own scaling of the rows, derived
 from the rows by its own code and never from the solver's form.  Given a
-start right-hand side, a template's start is the two-phase solve's final
-state there, a basis that stays dual feasible for every program of the
-template.  solve_exact copies it, takes B^-1 b from the program and
-runs an exact dual simplex, so every solution depends on its program
-alone.  Every other program, copies and pickles included, and the
+nonnegative start right-hand side, a template's start is the two-phase
+solve's final state there, a basis that stays dual feasible for every
+program of the template.  solve_exact copies it, takes B^-1 b from the
+program and runs an exact dual simplex, so every solution depends on its
+program alone.  Every other program, copies and pickles included, and the
 start's own program solve by two phases.
 """
 from __future__ import annotations
@@ -126,7 +126,7 @@ class _ReadOnlyRow(dict):
 # A template's start (see _start), read-only: row i of M has counts[i]
 # nonzeros over dens[i], their positions (one int object per column) and
 # entries in turn from the flat tuples; cost is the phase-two cost row.
-_Start = namedtuple("_Start", "positions entries counts dens basis sign cost")
+_Start = namedtuple("_Start", "positions entries counts dens basis cost")
 
 
 class _Template:
@@ -221,7 +221,7 @@ class Revised:
     @classmethod
     def from_start(cls, lp: LinearProgram, form, start: _Start) -> Revised:
         """A copy of ``start`` with each row's entry of B^-1 b taken from lp."""
-        state = cls(lp, form, list(start.sign))
+        state = cls(lp, form, [1] * len(start.dens))
         state.basis[:] = start.basis
         # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
@@ -522,8 +522,9 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
 
 
 def _start(template: _Template | None) -> _Start | None:
-    """The template's start, solved on first use; None without a start
-    right-hand side, which is dropped where the solve there has no optimum."""
+    """The template's start, solved on first use at its start right-hand side
+    (nonnegative, so every sign is +1); None without one, dropped where
+    that solve has no optimum."""
     rhs = template and template.start_rhs
     if rhs is not None and template.start is None:
         lp = template.program(rhs)
@@ -537,7 +538,7 @@ def _start(template: _Template | None) -> _Start | None:
             tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
             tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
             tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
-            tuple(state.basis), tuple(state.sign), tuple(cost2))
+            tuple(state.basis), tuple(cost2))
     return None if rhs is None else template.start
 
 

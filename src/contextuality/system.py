@@ -18,6 +18,7 @@ where a property sits in its contexts, and the disagreement mass
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +68,16 @@ def as_fraction(x: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {x!r}") from exc
 
 
+def _shown(x: Fraction) -> str:
+    """``str(x)`` for a message, or its size where a part has more digits
+    than Python's default limit of 4300 lets ``str`` print."""
+    try:
+        return str(x)
+    except ValueError:
+        num, den = (len(str(decimal.Decimal(abs(n)))) for n in x.as_integer_ratio())
+        return f"a {num}-digit numerator over a {den}-digit denominator"
+
+
 def is_plus_minus(alphabet: Sequence[Symbol]) -> bool:
     return len(alphabet) == 2 and set(alphabet) == {1, -1}
 
@@ -110,11 +121,11 @@ class Pmf:
                 raise DuplicateOutcome(f"outcome {key} listed twice")
             wf = as_fraction(w)
             if wf < 0:
-                raise NegativeWeight(f"weight {wf} of outcome {key} is negative")
+                raise NegativeWeight(f"weight {_shown(wf)} of outcome {key} is negative")
             acc[key] = wf
         total = sum(acc.values(), ZERO)
         if total != 1:
-            raise NonNormalizedPmf(f"weights sum to {total}, expected 1")
+            raise NonNormalizedPmf(f"weights sum to {_shown(total)}, expected 1")
         self.alphabets = alphas
         self._weights = {k: v for k, v in acc.items() if v != 0}
 

@@ -340,9 +340,9 @@ ANALYZE_METHODS = ("present", "cbd", "np", "np_inside")
 
 @pytest.fixture
 def empty_cache():
-    builders._templates.clear()
+    builders._cached_template.cache_clear()
     yield
-    builders._templates.clear()
+    builders._cached_template.cache_clear()
 
 
 def same_shape(sysd: System, seed: int) -> System:
@@ -370,7 +370,7 @@ def test_cached_template_matches_golden_and_fresh_build(empty_cache, name, metho
     assert lp.rhs != warm.rhs
     assert dump_lp(lp) == (GOLDEN / f"{name}.{method}.lp").read_text()
     got = solved(lp)
-    builders._templates.clear()
+    builders._cached_template.cache_clear()
     fresh = build_lp(sysd, method)
     assert fresh._template is not lp._template
     assert dump_lp(fresh) == dump_lp(lp)
@@ -400,7 +400,7 @@ def test_templates_key_on_printed_labels(empty_cache):
         assert any("1,0" in v for v in a.variables)
         assert all("True" not in v for v in a.variables)
         assert any("True" in v for v in b.variables)
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         assert dump_lp(build_lp(bools, method)) == dump_lp(b)
         assert dump_lp(build_lp(ints, method)) == dump_lp(a)
 
@@ -536,10 +536,10 @@ def test_large_templates_are_not_retained(empty_cache):
     sysd = random_system(SystemShape(2, 2, alphabet_size=3, seed=0))
     lp = build_lp(sysd, "cbd")
     assert sum(map(len, lp.rows)) > builders._CACHE_MAX_NONZEROS
-    assert not builders._templates
+    assert builders._cached_template.cache_info().currsize == 0
     assert build_lp(sysd, "cbd")._template is not lp._template
     build_lp(sysd, "present")
-    assert len(builders._templates) == 1
+    assert builders._cached_template.cache_info().currsize == 1
 
 
 def test_template_cache_is_bounded(empty_cache):
@@ -547,7 +547,7 @@ def test_template_cache_is_bounded(empty_cache):
         sysd = System([Property(f"p{k}", PM)], [Context("c", (f"p{k}",))],
                       {"c": Pmf([PM], {(1,): 1})})
         build_present_lp(sysd)
-    assert len(builders._templates) == builders._CACHE_TEMPLATES
+    assert builders._cached_template.cache_info().currsize == builders._CACHE_TEMPLATES
 
 
 def test_second_same_shape_measure_builds_nothing(empty_cache, monkeypatch):
@@ -557,9 +557,9 @@ def test_second_same_shape_measure_builds_nothing(empty_cache, monkeypatch):
     methods = ANALYZE_METHODS + ("fixed_model",)
     expected = {}
     for method in methods:  # each from a freshly built template
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         expected[method] = measure(second, method, model=model)
-    builders._templates.clear()
+    builders._cached_template.cache_clear()
     for method in methods:
         measure(first, method, model=model)
 
@@ -576,7 +576,7 @@ def test_certificate_never_reads_the_solver_form(empty_cache):
     # Poisoning the solver's form leaves every verdict as it was, on the
     # np_inside and on the cbd program, both from a cached template.
     for method in ("np_inside", "cbd"):
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         lp = build_lp(pr_box(), method)
         sol = solve_exact(lp)
         template = lp._template
@@ -600,7 +600,8 @@ def test_certificate_never_reads_the_solver_form(empty_cache):
     assert model_sizes("cbd", ternary_system)[2] == 26244 == sum(map(len, ternary.rows))
     assert solve_exact(ternary).status == "optimal"
     assert ternary._template.solver is not None
-    assert list(builders._templates.values()) == [template]
+    assert builders._cached_template.cache_info().currsize == 1
+    assert build_lp(pr_box(), "cbd")._template is template
 
 
 def test_template_cache_under_threads(empty_cache):
@@ -613,9 +614,9 @@ def test_template_cache_under_threads(empty_cache):
     expected = [dump_lp(build_present_lp(s)) for s in systems]
     solutions = []
     for s in systems:  # each from an empty cache
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         solutions.append(solve_certified(build_present_lp(s)))
-    builders._templates.clear()
+    builders._cached_template.cache_clear()
     errors = []
     barrier = threading.Barrier(4)
 
@@ -626,7 +627,7 @@ def test_template_cache_under_threads(empty_cache):
             for k, s in enumerate(systems[:8]):
                 barrier.wait()
                 if seed == 0:
-                    builders._templates.clear()
+                    builders._cached_template.cache_clear()
                     assert build_present_lp(s)._template.start is None
                 barrier.wait()
                 if solve_certified(build_present_lp(s)) != solutions[k]:
@@ -653,7 +654,29 @@ def test_template_cache_under_threads(empty_cache):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert len(builders._templates) <= builders._CACHE_TEMPLATES
+    assert builders._cached_template.cache_info().currsize <= builders._CACHE_TEMPLATES
+
+
+START_SYSTEMS = {
+    "prbox": pr_box, "disjoint": disjoint_support_system,
+    **{f"{m}x{n}": (lambda m=m, n=n: random_system(SystemShape(m, n, consistent=False, seed=m)))
+       for m, n in ((1, 3), (2, 2), (2, 3), (3, 3))},
+    "ternary-2x2": lambda: random_system(SystemShape(2, 2, alphabet_size=3, seed=4)),
+    **{f"cyclic-{n}": (lambda n=n: cyclic_system(n, 0, F(3, 4))) for n in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", START_SYSTEMS)
+def test_every_cached_template_has_a_start(empty_cache, name):
+    # The program of each shape's product system has an optimum, so no
+    # template the cache keeps falls back to two phases.
+    shape = builders._shape_key(START_SYSTEMS[name]())
+    for family in builders.METHODS:
+        if builders._check_blocks(family, shape) > builders._CACHE_MAX_NONZEROS:
+            continue  # built per call, with no start
+        template = builders._cached_template(family, shape)
+        assert template.start_rhs is not None
+        assert lp_module._start(template) is not None, family
 
 
 # Results depend on the input only, and the fallback to two phases
@@ -689,22 +712,22 @@ def test_reports_do_not_depend_on_history(empty_cache, name):
     model = uniform_model(sysd)
     fresh = {}
     for method in builders.METHODS:  # each from an empty cache
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         fresh[method] = reports(sysd, model)[method]
     assert any(isinstance(r, builders.MeasureReport) and not r.noncontextual
                for r in fresh.values())
     others = [same_shape(sysd, seed) for seed in (7, 8, 9)]
     for order in (others, others[::-1]):  # after other same-shape systems
-        builders._templates.clear()
+        builders._cached_template.cache_clear()
         for other in order:
             reports(other, model)
         assert reports(sysd, model) == fresh
-    shape = builders._shape_key(sysd)
     for k in range(builders._CACHE_TEMPLATES):  # evicted, then rebuilt
         build_present_lp(System([Property(f"p{k}", PM)], [Context("c", (f"p{k}",))],
                                 {"c": Pmf([PM], {(1,): 1})}))
-    assert all(key[1] != shape for key in builders._templates)
+    hits = builders._cached_template.cache_info().hits
     assert reports(sysd, model) == fresh
+    assert builders._cached_template.cache_info().hits == hits  # every template rebuilt
 
 
 def test_dual_path_proves_infeasibility_like_two_phases(empty_cache):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 from fractions import Fraction as F
@@ -256,6 +257,58 @@ def test_cli_analyze_text_mode_renders_errors(capsys, methods, errors):
             assert fields["error_type"] == errors[fields["method"]]
         else:
             assert fields["measure"] == "1/1"
+
+
+# Python's str of an int stops at 4300 digits by default.  A weight sum
+# past it, and reports and dumps whose parsed numbers each fit but whose
+# computed ones do not, end in a parse error or in exact output.
+HUGE_SUM = "property p 1 -1\ncontext c p\nbunch c\n1 1/{}\n-1 1/{}\n".format(
+    10**2499 + 1, 10**2499 + 3)
+HUGE_FLOORS = "property p 1 -1\n" + "".join(
+    f"context c{i} p\nbunch c{i}\n1 {i + 1}/{d}\n-1 {d - i - 1}/{d}\n"
+    for i, d in enumerate(10**1400 + k for k in (1, 3, 7, 9, 13)))
+
+
+def exact(text: str) -> F:
+    """A num/den string read back without the digit limit of int(str)."""
+    num, den = text.split("/")
+    return F(int(decimal.Decimal(num)), int(decimal.Decimal(den)))
+
+
+@pytest.mark.parametrize("argv", ["analyze {}", "analyze {} --json",
+                                  "dump-lp {} --method np_inside"])
+def test_cli_refuses_a_weight_sum_past_the_digit_limit(tmp_path, capsys, argv):
+    path = tmp_path / "huge-sum.system"
+    path.write_text(HUGE_SUM, encoding="utf-8")
+    assert main(argv.format(path).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 3: bunch c: weights sum to a 2500-digit numerator "
+                            "over a 4999-digit denominator, expected 1\n")
+
+
+def test_cli_prints_reports_and_dumps_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge-floors.system"
+    path.write_text(HUGE_FLOORS, encoding="utf-8")
+    sysd = parse_system(path)
+    rep = measure(sysd, "present")
+    assert len(str(decimal.Decimal(rep.delta.denominator))) > 5000
+    assert main(["analyze", str(path), "--json"]) == 0
+    captured = capsys.readouterr()
+    (report,) = json.loads(captured.out)
+    assert [exact(report[k]) for k in ("delta", "delta0", "measure")] == \
+        [rep.delta, rep.delta0, rep.measure]
+    assert main(["analyze", str(path)]) == 0
+    text = capsys.readouterr()
+    assert f"delta          : {report['delta']}" in text.out.splitlines()
+    assert main(["dump-lp", str(path), "--method", "np_inside"]) == 0
+    dump = capsys.readouterr()
+    lp = builders.build_lp(sysd, "np_inside")
+    assert dump.out.splitlines()[-2] == f"rhs {lp.row_count - 1} {report['delta0']}"
+    assert "Traceback" not in captured.err + text.err + dump.err
+    # Such a dump is exact but does not re-parse: parse_lp keeps the limit.
+    with pytest.raises(ParseError, match=f"^line {len(dump.out.splitlines()) - 1}: bad rational"):
+        parse_lp(dump.out)
 
 
 ELEVEN = [f"p{i:02d}" for i in range(11)]

@@ -16,6 +16,7 @@ from contextuality.errors import (
     AlphabetMismatch,
     DuplicateOutcome,
     MeanOutOfRange,
+    NegativeWeight,
     NumericalFailure,
     ShapeMismatch,
     SolverError,
@@ -61,6 +62,10 @@ UNBOUNDED = LinearProgram(("x", "y"), (F(-1), F(0)), ({0: F(1), 1: F(-1)},), (F(
             "duplicate symbol"),
     refusal("pmf-outcome-length", lambda: Pmf([PM], {(1, 1): 1}), AlphabetMismatch,
             "has 2 positions, expected 1"),
+    # a message gives a number past Python's 4300-digit str limit by its size
+    refusal("pmf-huge-negative-weight",
+            lambda: Pmf([PM], {(1,): F(-1, 10**4400), (-1,): 1 + F(1, 10**4400)}),
+            NegativeWeight, r"^weight a 1-digit numerator over a 4401-digit denominator of"),
     refusal("pmf-unknown-symbol", lambda: Pmf([PM], {(2,): 1}), AlphabetMismatch,
             "not in alphabet"),
     refusal("property-one-symbol", lambda: Property("p", (1,)), ValidationError, ">= 2 symbols"),
