@@ -42,6 +42,7 @@ from .system import (
     _check_symbols,
     _connection_weights,
     _disagreement,
+    _shown,
     expectation,
     is_plus_minus,
     product_expectation,
@@ -77,7 +78,7 @@ def pmf_from_mean(mean: Fraction) -> Pmf:
     """The +/-1-valued pmf with the given expectation."""
     mean = Fraction(mean)
     if not -1 <= mean <= 1:
-        raise MeanOutOfRange(f"mean {mean} outside [-1, 1]")
+        raise MeanOutOfRange(f"mean {_shown(mean)} outside [-1, 1]")
     return Pmf([(1, -1)], {(1,): (1 + mean) / 2, (-1,): (1 - mean) / 2})
 
 
@@ -103,11 +104,11 @@ class BinaryStats:
             v = Fraction(getattr(self, name))
             object.__setattr__(self, name, v)
             if not -1 <= v <= 1:
-                raise MeanOutOfRange(f"{name}={v} outside [-1, 1]")
+                raise MeanOutOfRange(f"{name}={_shown(v)} outside [-1, 1]")
         if not abs(self.mean1 + self.mean2) - 1 <= self.product <= 1 - abs(self.mean1 - self.mean2):
             raise UnrealizableStats(
-                f"no +/-1 pair has means ({self.mean1}, {self.mean2}) "
-                f"and product mean {self.product}"
+                f"no +/-1 pair has means ({_shown(self.mean1)}, {_shown(self.mean2)}) "
+                f"and product mean {_shown(self.product)}"
             )
 
     @classmethod
@@ -171,7 +172,7 @@ def median_binary(means: Sequence[Fraction]) -> MedianResult:
     vals = [Fraction(m) for m in means]
     for v in vals:
         if not -1 <= v <= 1:
-            raise MeanOutOfRange(f"mean {v} outside [-1, 1]")
+            raise MeanOutOfRange(f"mean {_shown(v)} outside [-1, 1]")
     vals.sort()
     n = len(vals)
     if n % 2:

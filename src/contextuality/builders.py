@@ -24,20 +24,20 @@ consistently connected model (no free joint block).
 
 Each family compiles in two steps.  Names, costs and rows depend only on
 the shape that ``_shape_key`` gives (property ids and printed alphabets,
-context ids and members), so they form a template (``lp._Template``)
-built from that key alone, from the shape's product system
-(``_product_system``); a small private cache keeps recent ones.  Every
-call then adds only the right-hand side (``_rhs``): each context's bunch
-weights in atom order, each followed by its coupling block's other side
-(zeros where it is tied to the joint, the model's weights for
-``fixed_model``), and ``delta0`` last for ``np_inside``.  The atom cap,
-np's consistency check, every floor, every solve and every certificate
-check still run on every call.  A cached template's start is the program
-of the shape's product system (with floor 0): solve_exact, and so
-solve_certified, solves every program of the shape from the optimal
-basis there (see ``lp``), so a witness, one optimum among possibly many,
-depends on the input and its shape alone.  A template above the cache
-ceiling has no start, and its programs solve by two phases.
+context ids and members), so they are built from that key alone, from
+the shape's product system (``_product_system``).  Every call then adds
+only the right-hand side (``_rhs``): each context's bunch weights in atom
+order, each followed by its coupling block's other side (zeros where it
+is tied to the joint, the model's weights for ``fixed_model``), and
+``delta0`` last for ``np_inside``.  The atom cap, np's consistency check,
+every floor, every solve and every certificate check still run on every
+call.  Up to ``_CACHE_MAX_NONZEROS`` matrix entries, the names, costs
+and rows form a template (``lp._Template``), kept in a small private
+cache.  Its start is the program of the shape's product system (with
+floor 0): solve_exact, and so solve_certified, solves every program of
+the shape from the optimal basis there (see ``lp``), so a witness, one
+optimum among possibly many, depends on the input and its shape alone.
+A larger shape gets a plain program on every call, solved by two phases.
 
 Program sizes have one model, ``_blocks``: from the shape alone it gives
 each block's atoms, columns, rows and nonzeros.  The atom cap is the
@@ -57,7 +57,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import examples
 from .analytic import NEG_ONE, _atom_label, _coupling_block, delta0_cbd, delta0_present
@@ -70,7 +70,8 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, _Template, solve_certified
-from .system import Context, Pmf, Property, System, _atom_weights, _slots, consistency_report
+from .system import (Context, Pmf, Property, System, _atom_weights, _shown, _slots,
+                     consistency_report)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,9 +86,9 @@ ATOM_CAP = 1 << 20
 _MAX_SIZES_CONTEXTS = 4096
 
 # _cached_template keeps the templates of the _CACHE_TEMPLATES most
-# recently used shapes (functools.lru_cache, which is thread-safe), and a
-# template with more than _CACHE_MAX_NONZEROS matrix entries is never kept:
-# it is built on every call, which costs little beside solving it.
+# recently used shapes (functools.lru_cache, which is thread-safe); a shape
+# with more than _CACHE_MAX_NONZEROS matrix entries gets a plain program on
+# every call instead, which costs little beside solving it.
 _CACHE_TEMPLATES = 16
 _CACHE_MAX_NONZEROS = 1 << 13
 
@@ -115,7 +116,8 @@ class MeasureReport:
     def __post_init__(self):
         if not (self.measure == self.delta - self.delta0 >= 0
                 and self.noncontextual == (self.measure == 0)):
-            raise ValidationError(f"inconsistent {self.method} report (measure {self.measure})")
+            measure = _shown(self.measure)
+            raise ValidationError(f"inconsistent {self.method} report (measure {measure})")
 
 
 @dataclass(frozen=True)
@@ -189,27 +191,27 @@ def _check_blocks(family: str, shape: tuple) -> int:
     return sum(block[4] for block in blocks)
 
 
-def _template(family: str, sys: System) -> _Template:
-    """`family`'s template for the shape of `sys`: the cached one, or, above
-    _CACHE_MAX_NONZEROS, one built for this call alone, with no start."""
+def _program_maker(family: str, sys: System) -> Callable[[tuple], LinearProgram]:
+    """The cached template's `program` for `family` on the shape of `sys`, or,
+    above _CACHE_MAX_NONZEROS, a maker of plain programs for this call alone."""
     key = (family, _shape_key(sys))
     if _check_blocks(*key) > _CACHE_MAX_NONZEROS:
-        return _build(family, _product_system(key[1]))
-    return _cached_template(*key)
+        return functools.partial(LinearProgram, *_build(family, _product_system(key[1])))
+    return _cached_template(*key).program
 
 
 @functools.lru_cache(maxsize=_CACHE_TEMPLATES)
 def _cached_template(family: str, shape: tuple) -> _Template:
     """`family`'s template for `shape`, started at the shape's product system."""
     product = _product_system(shape)
-    template = _build(family, product)
-    template.start_rhs = _rhs(family, product, product.bunches, ZERO)
-    return template
+    return _Template(*_build(family, product), _rhs(family, product, product.bunches, ZERO))
 
 
-def _build(family: str, sys: System) -> _Template:
-    return {"present": _present_template, "cbd": _cbd_template, "np": _np_template,
-            "np_inside": _np_inside_template, "fixed_model": _fixed_model_template}[family](sys)
+def _build(family: str, sys: System) -> tuple[tuple, tuple, tuple]:
+    """`family`'s names, costs and rows for `sys`."""
+    parts = {"present": _present_template, "cbd": _cbd_template, "np": _np_template,
+             "np_inside": _np_inside_template, "fixed_model": _fixed_model_template}[family](sys)
+    return tuple(map(tuple, parts))
 
 
 def _product_system(shape: tuple) -> System:
@@ -232,7 +234,7 @@ def _product_system(shape: tuple) -> System:
 
 
 def _rhs(family: str, sys: System, model: Optional[Mapping[str, Pmf]],
-         delta0: Fraction) -> list[Fraction]:
+         delta0: Fraction) -> tuple[Fraction, ...]:
     """`family`'s right-hand side for `sys`: every context's bunch weights
     in atom order, each followed by its coupling block's other side (zeros
     where it is tied to a joint, `model`'s weights for ``fixed_model``), and
@@ -245,7 +247,7 @@ def _rhs(family: str, sys: System, model: Optional[Mapping[str, Pmf]],
             rhs += [ZERO] * len(weights)
         elif family == "fixed_model":
             rhs += _atom_weights(model[ctx.id])
-    return rhs + [delta0] if family == "np_inside" else rhs
+    return tuple(rhs + [delta0] if family == "np_inside" else rhs)
 
 
 def _joint_atoms(sys: System) -> list[tuple]:
@@ -287,15 +289,15 @@ def _coupled_to_joint(sys: System, names: list[str], cost: list[Fraction],
     return rows
 
 
-def _present_template(sys: System) -> _Template:
+def _present_template(sys: System) -> tuple[list, list, list]:
     joint = _joint_atoms(sys)
     names = _joint_names("q", joint)
     cost: list[Fraction] = [ZERO] * len(joint)
     rows = _coupled_to_joint(sys, names, cost, joint, signed=False)
-    return _Template(names, cost, rows)
+    return names, cost, rows
 
 
-def _cbd_template(sys: System) -> _Template:
+def _cbd_template(sys: System) -> tuple[list, list, list]:
     ctx_atoms = [list(sys.bunch(c.id).atoms()) for c in sys.contexts]
     slots = [_slots(sys, p.id) for p in sys.properties]
     names: list[str] = []
@@ -317,10 +319,10 @@ def _cbd_template(sys: System) -> _Template:
         for t, u in enumerate(assign):
             buckets[(t, u)][col] = ONE
     rows = [buckets[(t, u)] for t, atoms in enumerate(ctx_atoms) for u in atoms]
-    return _Template(names, cost, rows)
+    return names, cost, rows
 
 
-def _np_template(sys: System) -> _Template:
+def _np_template(sys: System) -> tuple[list, list, list]:
     joint = _joint_atoms(sys)
     n = len(joint)
     names = _joint_names("pos", joint) + _joint_names("neg", joint)
@@ -333,10 +335,10 @@ def _np_template(sys: System) -> _Template:
                 row[j] = ONE
                 row[n + j] = NEG_ONE
             rows.append(row)
-    return _Template(names, cost, rows)
+    return names, cost, rows
 
 
-def _np_inside_template(sys: System) -> _Template:
+def _np_inside_template(sys: System) -> tuple[list, list, list]:
     joint = _joint_atoms(sys)
     n = len(joint)
     names = _joint_names("pos", joint) + _joint_names("neg", joint)
@@ -349,24 +351,24 @@ def _np_inside_template(sys: System) -> _Template:
     cost.append(ZERO)
     delta_row[len(names) - 1] = ONE
     rows.append(delta_row)
-    return _Template(names, cost, rows)
+    return names, cost, rows
 
 
-def _fixed_model_template(sys: System) -> _Template:
+def _fixed_model_template(sys: System) -> tuple[list, list, list]:
     names: list[str] = []
     cost: list[Fraction] = []
     rows = _coupled_to_joint(sys, names, cost, [], signed=False)
-    return _Template(names, cost, rows)
+    return names, cost, rows
 
 
 def build_present_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal approximating-system distance."""
-    return _template("present", sys).program(_rhs("present", sys, None, ZERO))
+    return _program_maker("present", sys)(_rhs("present", sys, None, ZERO))
 
 
 def build_cbd_lp(sys: System) -> LinearProgram:
     """Program whose optimum is the minimal total connection disagreement."""
-    return _template("cbd", sys).program(_rhs("cbd", sys, None, ZERO))
+    return _program_maker("cbd", sys)(_rhs("cbd", sys, None, ZERO))
 
 
 def build_np_lp(sys: System) -> LinearProgram:
@@ -381,7 +383,7 @@ def build_np_lp(sys: System) -> LinearProgram:
             "a signed joint with context marginals equal to the bunches "
             "requires consistent connectedness"
         )
-    return _template("np", sys).program(_rhs("np", sys, None, ZERO))
+    return _program_maker("np", sys)(_rhs("np", sys, None, ZERO))
 
 
 def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
@@ -393,7 +395,7 @@ def build_np_inside_lp(sys: System, delta0: Fraction) -> LinearProgram:
     coupling blocks are nonnegative, which forces every context marginal of
     the signed joint to be a proper distribution.
     """
-    return _template("np_inside", sys).program(_rhs("np_inside", sys, None, Fraction(delta0)))
+    return _program_maker("np_inside", sys)(_rhs("np_inside", sys, None, Fraction(delta0)))
 
 
 def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram:
@@ -412,7 +414,7 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
         raise ModelNotConsistentlyConnected(
             "approximating model must have context-independent marginals"
         )
-    return _template("fixed_model", sys).program(_rhs("fixed_model", sys, model_sys.bunches, ZERO))
+    return _program_maker("fixed_model", sys)(_rhs("fixed_model", sys, model_sys.bunches, ZERO))
 
 
 def build_lp(
@@ -426,8 +428,8 @@ def build_lp(
     if method == "np":
         return build_np_lp(sys)
     if method == "np_inside":
-        # The template, and so the gate, before the floor, whose LP blocks are no larger.
-        return _template(method, sys).program(_rhs(method, sys, None, delta0_present(sys)))
+        # The gate and the template before the floor, whose LP blocks are no larger.
+        return _program_maker(method, sys)(_rhs(method, sys, None, delta0_present(sys)))
     if method == "fixed_model":
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")
@@ -454,7 +456,8 @@ def measure(
     sol = solve_certified(lp)
     delta = sol.objective
     if delta < delta0:
-        raise CertificationFailure(f"certified optimum {delta} is below the floor {delta0}")
+        raise CertificationFailure(
+            f"certified optimum {_shown(delta)} is below the floor {_shown(delta0)}")
     return MeasureReport(
         method=method,
         delta=delta,
@@ -480,7 +483,7 @@ def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
         raise ValidationError("m and n must be >= 1")
     mn = m * n
     if mn > _MAX_SIZES_CONTEXTS:
-        raise ValidationError(f"m*n = {mn} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
+        raise ValidationError(f"m*n = {_shown(mn)} exceeds {_MAX_SIZES_CONTEXTS} paired contexts")
     pm = examples.PM
     point = Pmf([pm, pm], {(1, 1): ONE})
     shape = _shape_key(examples._paired_system(m, n, pm, lambda i, j: point))

@@ -32,7 +32,7 @@ from .io import (
     report_text,
     resolve_input,
 )
-from .system import as_fraction
+from .system import _quoted, as_fraction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,9 +75,9 @@ def cmd_analyze(args) -> int:
         raise ValidationError(f"--method names no method (choose from {ANALYZE_METHODS})")
     for m in methods:
         if m not in ANALYZE_METHODS:
-            raise ValidationError(f"unknown method {m!r} (choose from {ANALYZE_METHODS})")
+            raise ValidationError(f"unknown method {_quoted(m)} (choose from {ANALYZE_METHODS})")
     if len(set(methods)) != len(methods):
-        raise ValidationError(f"--method names a method twice: {args.method!r}")
+        raise ValidationError(f"--method names a method twice: {_quoted(args.method)}")
     reports = []
     worst = EXIT_OK
     for m in methods:
@@ -102,7 +102,7 @@ def _parse_angles(text: str) -> tuple[list[Fraction], list[Fraction]]:
         bob = [as_fraction(b.strip()) for b in bob_s.split(",") if b.strip()]
     except (ValueError, ValidationError) as exc:
         raise ValidationError(
-            f"bad --angles {text!r}; expected 'a1,a2,...;b1,b2,...' in degrees"
+            f"bad --angles {_quoted(text)}; expected 'a1,a2,...;b1,b2,...' in degrees"
         ) from exc
     if not alice or not bob:
         raise ValidationError("need at least one angle per side")
@@ -172,7 +172,7 @@ def cmd_selftest(args) -> int:
 
 def _case_count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {_quoted(text)}")
     return int(text)
 
 

@@ -25,7 +25,7 @@ from typing import Optional, TextIO, Union
 from .builders import MeasureReport
 from .errors import ParseError, ValidationError
 from .lp import LinearProgram
-from .system import Context, Pmf, Property, Symbol, System, as_fraction
+from .system import Context, Pmf, Property, Symbol, System, _quoted, as_fraction
 
 PathLike = Union[str, Path]
 
@@ -41,7 +41,7 @@ def _parse_probability(tok: str, lineno: int) -> Fraction:
     try:
         return as_fraction(tok)
     except ValidationError as exc:
-        raise ParseError(f"bad probability {tok!r}", lineno) from exc
+        raise ParseError(f"bad probability {_quoted(tok)}", lineno) from exc
 
 
 def _at_line(lineno: int, prefix: str, make, *args):
@@ -76,7 +76,7 @@ def parse_system_text(text: str) -> System:
                 raise ParseError("property needs an id and >= 2 symbols", lineno)
             p = _at_line(lineno, "", Property, tok[1], tuple(_parse_symbol(s) for s in tok[2:]))
             if p.id in prop_by_id:
-                raise ParseError(f"duplicate property {p.id!r}", lineno)
+                raise ParseError(f"duplicate property {_quoted(p.id)}", lineno)
             prop_by_id[p.id] = p
             properties.append(p)
             current_bunch = None
@@ -85,7 +85,7 @@ def parse_system_text(text: str) -> System:
                 raise ParseError("context needs an id and >= 1 property", lineno)
             c = _at_line(lineno, "", Context, tok[1], tuple(tok[2:]))
             if c.id in ctx_by_id:
-                raise ParseError(f"duplicate context {c.id!r}", lineno)
+                raise ParseError(f"duplicate context {_quoted(c.id)}", lineno)
             ctx_by_id[c.id] = c
             contexts.append(c)
             current_bunch = None
@@ -93,15 +93,15 @@ def parse_system_text(text: str) -> System:
             if len(tok) != 2:
                 raise ParseError("bunch needs exactly a context id", lineno)
             if tok[1] not in ctx_by_id:
-                raise ParseError(f"bunch for undeclared context {tok[1]!r}", lineno)
+                raise ParseError(f"bunch for undeclared context {_quoted(tok[1])}", lineno)
             if tok[1] in weights:
-                raise ParseError(f"duplicate bunch for context {tok[1]!r}", lineno)
+                raise ParseError(f"duplicate bunch for context {_quoted(tok[1])}", lineno)
             current_bunch = tok[1]
             weights[current_bunch] = []
             bunch_line[current_bunch] = lineno
         else:
             if current_bunch is None:
-                raise ParseError(f"unexpected line {line!r}", lineno)
+                raise ParseError(f"unexpected line {_quoted(line)}", lineno)
             ctx = ctx_by_id[current_bunch]
             if len(tok) != len(ctx.properties) + 1:
                 raise ParseError(
@@ -241,9 +241,9 @@ def parse_lp(text: str) -> LinearProgram:
         try:
             v = int(s)
         except ValueError as exc:
-            raise ParseError(f"bad count {s!r}", lineno) from exc
+            raise ParseError(f"bad count {_quoted(s)}", lineno) from exc
         if v < 0:
-            raise ParseError(f"negative count {v}", lineno)
+            raise ParseError(f"negative count {_quoted(s)}", lineno)
         return v
 
     lineno, tok = take()
@@ -269,13 +269,13 @@ def parse_lp(text: str) -> LinearProgram:
         try:
             return as_fraction(s)
         except ValidationError as exc:
-            raise ParseError(f"bad rational {s!r}", lineno) from exc
+            raise ParseError(f"bad rational {_quoted(s)}", lineno) from exc
 
     def column(s: str, lineno: int) -> int:
         try:
             return col[s]
         except KeyError:
-            raise ParseError(f"unknown variable {s!r}", lineno) from None
+            raise ParseError(f"unknown variable {_quoted(s)}", lineno) from None
 
     def rowref(s: str, lineno: int) -> int:
         i = count(s, lineno)
@@ -287,7 +287,7 @@ def parse_lp(text: str) -> LinearProgram:
 
     def once(key: tuple, lineno: int) -> None:
         if key in given:
-            raise ParseError(f"repeated entry {' '.join(tok[:-1])!r}", lineno)
+            raise ParseError(f"repeated entry {_quoted(' '.join(tok[:-1]))}", lineno)
         given.add(key)
 
     while True:
@@ -307,7 +307,7 @@ def parse_lp(text: str) -> LinearProgram:
             once(("rhs", i), lineno)
             rhs[i] = rational(tok[2], lineno)
         else:
-            raise ParseError(f"unrecognized line {' '.join(tok)!r}", lineno)
+            raise ParseError(f"unrecognized line {_quoted(' '.join(tok))}", lineno)
     return LinearProgram(tuple(col), tuple(cost), tuple(rows), tuple(rhs))
 
 

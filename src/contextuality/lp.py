@@ -29,17 +29,19 @@ in Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
-to which each call adds only its right-hand side.  The template keeps
-two integer forms of its rows, each computed on first use: the solver's
-(each row's lcm, and the scaled rows by row and by column, with the
-scaled cost) and verify_certificate's own scaling of the rows, derived
-from the rows by its own code and never from the solver's form.  Given a
-nonnegative start right-hand side, a template's start is the two-phase
-solve's final state there, a basis that stays dual feasible for every
-program of the template.  solve_exact copies it, takes B^-1 b from the
-program and runs an exact dual simplex, so every solution depends on its
-program alone.  Every other program, copies and pickles included, and the
-start's own program solve by two phases.
+and a nonnegative start right-hand side; each call adds only its own
+right-hand side.  The template keeps two integer forms of its rows, each
+computed on first use: the solver's (each row's lcm, and the scaled rows
+by row and by column, with the scaled cost) and verify_certificate's own
+scaling of the rows, derived from the rows by its own code and never
+from the solver's form.  Its start, also solved on first use, is the
+two-phase optimum at the start right-hand side (SolverError if there is
+none), a basis that stays dual feasible for every program of the
+template.  solve_exact starts there, takes B^-1 b from the program and
+runs an exact dual simplex, so every solution depends on its program
+alone.  Every other program, copies and pickles included, and the
+start's own program solve by two phases from the artificial basis; both
+paths make their state with Revised(lp, form, start, sign).
 """
 from __future__ import annotations
 
@@ -123,9 +125,10 @@ class _ReadOnlyRow(dict):
         return dict, (dict(self),)
 
 
-# A template's start (see _start), read-only: row i of M has counts[i]
+# Where a Revised state starts, read-only: row i of M has counts[i]
 # nonzeros over dens[i], their positions (one int object per column) and
-# entries in turn from the flat tuples; cost is the phase-two cost row.
+# entries in turn from the flat sequences, and basic column basis[i]; cost
+# is a template start's phase-two cost row (see _start), None for two phases.
 _Start = namedtuple("_Start", "positions entries counts dens basis cost")
 
 
@@ -135,19 +138,20 @@ class _Template:
     Rows are kept read-only, so neither a template nor a program made from
     it can be changed.  ``solver`` is the integer form of the rows used by
     solve_exact and ``certificate`` the one used by verify_certificate,
-    each filled in on first use, as is ``start``.  Nothing here depends on
-    a program's right-hand side.
+    each filled in on first use, as is ``start``, the optimal state of the
+    program at ``start_rhs``.  Nothing else depends on a right-hand side.
     """
 
-    __slots__ = ("variables", "cost", "rows", "solver", "certificate", "start_rhs", "start")
+    __slots__ = ("variables", "cost", "rows", "start_rhs", "solver", "certificate", "start")
 
     def __init__(self, variables: Sequence[str], cost: Sequence[Fraction],
-                 rows: Sequence[Mapping[int, Fraction]]):
+                 rows: Sequence[Mapping[int, Fraction]], start_rhs: Sequence[Fraction]):
         self.variables = tuple(variables)
         self.cost = tuple(cost)
         self.rows = tuple(map(_ReadOnlyRow, rows))
         _check_matrix(self.variables, self.cost, self.rows)
-        self.solver = self.certificate = self.start_rhs = self.start = None
+        self.start_rhs = tuple(start_rhs)
+        self.solver = self.certificate = self.start = None
 
     def program(self, rhs: Sequence[Fraction]) -> LinearProgram:
         """The template's program with right-hand side ``rhs``."""
@@ -194,51 +198,43 @@ class Revised:
     per row, each row's entry of B^-1 b, and the basis.
 
     S is the sign normalization and D holds each row's lcm, so the solver
-    form's integer rows are D A and B^-1 A = M (D A).  Row i of M starts
-    as s_i e_i over D_i.  ``support[k]`` holds the rows where column k of
-    M is nonzero.  ``rhs[i]`` is row i's right-hand side as a reduced
-    (numerator, positive denominator) pair, and ``basis[i]`` the column
-    basic in row i, first the artificial n + i.  The entering column is a
+    form's integer rows are D A and B^-1 A = M (D A).  The state starts
+    at a ``_Start``'s basis and rows of M: the artificial basis, row i of
+    M s_i e_i over D_i, for two phases, and a template's start for the
+    dual simplex.  ``support[k]`` holds the rows where column k of M is
+    nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
+    reduced (numerator, positive denominator) pair, and ``basis[i]`` the
+    column basic in row i.  The entering column is a
     sum of M's columns, weighted by the column form of D A.  The pivot row
     of (B^-1 A | B^-1) is a sum of the rows of D A weighted by the pivot's
     row of M; it is never stored, each cost row takes it entry by entry.
     """
 
-    def __init__(self, lp: LinearProgram, form, sign: list[int]):
+    def __init__(self, lp: LinearProgram, form, start: _Start, sign: list[int]):
         dens, self.by_row, self.by_column, _ = form
         self.n = lp.column_count
         self.sign = sign
         self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
-        self.rows = []
-        for i, d in enumerate(dens):
-            row = [0] * (len(dens) + 1)
-            row[i], row[-1] = sign[i], d
-            self.rows.append(row)
-        self.support = [{k} for k in range(len(dens))]
-        self.rhs = [(s * b.numerator, b.denominator) for s, b in zip(sign, lp.rhs)]
-        self.basis = list(range(self.n, self.n + len(dens)))
-
-    @classmethod
-    def from_start(cls, lp: LinearProgram, form, start: _Start) -> Revised:
-        """A copy of ``start`` with each row's entry of B^-1 b taken from lp."""
-        state = cls(lp, form, [1] * len(start.dens))
-        state.basis[:] = start.basis
+        self.basis = list(start.basis)
         # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
-        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(form[0], lp.rhs)]
-        state.support = support = [set() for _ in start.dens]
-        hi = 0
-        for i, (row, count, den) in enumerate(zip(state.rows, start.counts, start.dens)):
-            lo, hi = hi, hi + count
-            positions, entries = start.positions[lo:hi], start.entries[lo:hi]
-            row[i], row[-1] = 0, den
-            for k, v in zip(positions, entries):
+        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
+        self.rows, self.rhs = [], []
+        self.support = support = [set() for _ in dens]
+        positions, entries = iter(start.positions), iter(start.entries)
+        for i, (count, den) in enumerate(zip(start.counts, start.dens)):
+            row = [0] * len(dens)
+            row.append(den)
+            num = 0
+            # islice first, so zip stops there without taking an extra entry.
+            for k, v in zip(itertools.islice(positions, count), entries):
                 row[k] = v
                 support[k].add(i)
-            num = sum(map(operator.mul, entries, map(db.__getitem__, positions)))
-            g = gcd(num, den * bd)
-            state.rhs[i] = (num // g, den * bd // g)
-        return state
+                num += v * db[k]
+            self.rows.append(row)
+            den *= bd
+            g = gcd(num, den)
+            self.rhs.append((num // g, den // g))
 
     def column(self, j: int) -> list[int]:
         """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
@@ -465,7 +461,7 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
 
     # Sign-normalize so every right-hand side is nonnegative.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
-    state = Revised(lp, form, sign)
+    state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None), sign)
 
     # Phase one minimizes the artificial mass: its cost row is (0 | 1) minus
     # the sum of the sign-normalized rows (s_k A_k | e_k), over their lcm,
@@ -521,17 +517,15 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
     )
 
 
-def _start(template: _Template | None) -> _Start | None:
-    """The template's start, solved on first use at its start right-hand side
-    (nonnegative, so every sign is +1); None without one, dropped where
-    that solve has no optimum."""
-    rhs = template and template.start_rhs
-    if rhs is not None and template.start is None:
-        lp = template.program(rhs)
+def _start(template: _Template) -> _Start:
+    """The template's start, solved on first use at its start right-hand
+    side (nonnegative, so every sign is +1).  SolverError if that program
+    has no optimum."""
+    if template.start is None:
+        lp = template.program(template.start_rhs)
         status, state, cost2 = _two_phase(lp, _form(lp, "solver", _solver_form))
         if status != "optimal":
-            template.start_rhs = None
-            return None
+            raise SolverError(f"a template's start program is {status}")
         rows = [row[:-1] for row in state.rows]
         columns = tuple(range(len(rows)))
         template.start = _Start(
@@ -539,23 +533,25 @@ def _start(template: _Template | None) -> _Start | None:
             tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
             tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
             tuple(state.basis), tuple(cost2))
-    return None if rhs is None else template.start
+    return template.start
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
-    """lp's solution: by dual simplex from its template's start if it has
-    one, else by two phases.  From the start, lp is infeasible where a row
-    of B^-1 A x = B^-1 b has no x >= 0: a basic artificial's row, zero in
-    the original columns, with a nonzero value, or a negative row that
-    Revised.dual finds with no negative entry."""
+    """lp's solution: by two phases for a program without a template, and
+    by dual simplex from its template's start for one made from a template.
+    From the start, lp is infeasible where a row of B^-1 A x = B^-1 b has no
+    x >= 0: a basic artificial's row, zero in the original columns, with a
+    nonzero value, or a negative row that Revised.dual finds with no
+    negative entry."""
     form = _form(lp, "solver", _solver_form)
-    start = _start(getattr(lp, "_template", None))
-    if start is None:
+    template = getattr(lp, "_template", None)
+    if template is None:
         status, state, cost2 = _two_phase(lp, form)
         if status != "optimal":
             return LpSolution(status=status)
     else:
-        state = Revised.from_start(lp, form, start)
+        start = _start(template)
+        state = Revised(lp, form, start, [1] * lp.row_count)
         cost2 = list(start.cost)
         if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
                 not state.dual(cost2)):

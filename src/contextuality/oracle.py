@@ -28,7 +28,7 @@ from .builders import build_lp, measure
 from .errors import AlphabetMismatch, NumericalFailure, TooLarge, ValidationError
 from .examples import PM, _paired_system, disjoint_support_system, pr_box
 from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
-from .system import Context, Pmf, Property, RationalLike, System, as_fraction
+from .system import Context, Pmf, Property, RationalLike, System, _quoted, _shown, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -237,6 +237,13 @@ def random_system(shape: SystemShape) -> System:
     return _paired_system(shape.m, shape.n, alpha, bunch)
 
 
+def _mixed(lam: Fraction, sign: int, noise: Pmf) -> Pmf:
+    """lam * pattern + (1 - lam) * noise over two +/-1 positions, where the
+    pattern puts 1/2 on each pair with product ``sign``."""
+    return Pmf([PM, PM], {(x, y): (lam / 2 if x * y == sign else 0) + (1 - lam) * noise[x, y]
+                          for x, y in itertools.product(PM, PM)})
+
+
 def cyclic_system(n: int, seed: int, lam: RationalLike, noise: str = "random") -> System:
     """Rank-n cyclic binary system mixing a contextual pattern with noise.
 
@@ -249,20 +256,33 @@ def cyclic_system(n: int, seed: int, lam: RationalLike, noise: str = "random") -
     """
     lam = as_fraction(lam)
     if n < 2 or not 0 <= lam <= 1 or noise not in ("random", "white"):
-        raise ValidationError(f"cyclic_system needs n >= 2, 0 <= lam <= 1 and noise "
-                              f"'random' or 'white'; got {n!r}, {lam}, {noise!r}")
+        raise ValidationError(f"cyclic_system needs n >= 2, 0 <= lam <= 1 and noise 'random' "
+                              f"or 'white'; got {_shown(n)}, {_shown(lam)}, {_quoted(noise)}")
     rng = random.Random(seed)
-    pairs = list(itertools.product(PM, PM))
-    white = Pmf([PM, PM], {xy: Fraction(1, 4) for xy in pairs})
-    bunches = {}
-    for i in range(n):
-        sign = -1 if i == n - 1 else 1
-        mix = random_pmf(rng, [PM, PM]) if noise == "random" else white
-        bunches[f"c{i}"] = Pmf([PM, PM], {
-            (x, y): (lam / 2 if x * y == sign else 0) + (1 - lam) * mix[x, y] for x, y in pairs})
+    white = Pmf([PM, PM], {xy: Fraction(1, 4) for xy in itertools.product(PM, PM)})
+    bunches = {f"c{i}": _mixed(lam, -1 if i == n - 1 else 1,
+                               random_pmf(rng, [PM, PM]) if noise == "random" else white)
+               for i in range(n)}
     props = [Property(f"p{i}", PM) for i in range(n)]
     contexts = [Context(f"c{i}", (f"p{i}", f"p{(i + 1) % n}")) for i in range(n)]
     return System(props, contexts, bunches)
+
+
+def noisy_pr_box(m: int, n: int, seed: int, lam: RationalLike) -> System:
+    """The m-by-n paired binary system of a PR box mixed with noise.
+
+    Each bunch is lam * pattern + (1 - lam) * ``random_pmf`` noise drawn
+    from ``random.Random(seed)`` in context order.  The pattern is
+    perfectly correlated in every context but (a_m, b_n), which is
+    perfectly anticorrelated.
+    """
+    lam = as_fraction(lam)
+    if m < 1 or n < 1 or not 0 <= lam <= 1:
+        raise ValidationError(f"noisy_pr_box needs m, n >= 1 and 0 <= lam <= 1; "
+                              f"got {_shown(m)}, {_shown(n)}, {_shown(lam)}")
+    rng = random.Random(seed)
+    return _paired_system(m, n, PM, lambda i, j: _mixed(
+        lam, -1 if (i, j) == (m, n) else 1, random_pmf(rng, [PM, PM])))
 
 
 # ---------------------------------------------------------------------------

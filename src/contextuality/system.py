@@ -62,18 +62,29 @@ def as_fraction(x: RationalLike) -> Fraction:
         if isinstance(x, str):
             _, e, exponent = x.lower().partition("e")
             if e and abs(int(exponent)) >= 4300:
-                raise ValidationError(f"refusing {x!r}: exponent of magnitude 4300 or more")
+                raise ValidationError(f"refusing {_quoted(x)}: exponent of magnitude 4300 or more")
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {x!r}") from exc
+        raise ValidationError(f"not a rational number: {_quoted(x)}") from exc
 
 
-def _shown(x: Fraction) -> str:
+def _quoted(token: object) -> str:
+    """``repr(token)`` for a message, or, for a token of more than 60
+    characters, the repr of its head and its length."""
+    text = token if isinstance(token, str) else repr(token)
+    if len(text) <= 60:
+        return repr(token)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _shown(x: Union[Fraction, int]) -> str:
     """``str(x)`` for a message, or its size where a part has more digits
     than Python's default limit of 4300 lets ``str`` print."""
     try:
         return str(x)
     except ValueError:
+        if isinstance(x, int):
+            return f"a {len(str(decimal.Decimal(abs(x))))}-digit integer"
         num, den = (len(str(decimal.Decimal(abs(n)))) for n in x.as_integer_ratio())
         return f"a {num}-digit numerator over a {den}-digit denominator"
 
@@ -116,7 +127,7 @@ class Pmf:
                 )
             for sym, a in zip(key, alphas):
                 if sym not in a:
-                    raise AlphabetMismatch(f"symbol {sym!r} not in alphabet {a}")
+                    raise AlphabetMismatch(f"symbol {_quoted(sym)} not in alphabet {a}")
             if key in acc:
                 raise DuplicateOutcome(f"outcome {key} listed twice")
             wf = as_fraction(w)
@@ -224,7 +235,8 @@ def _check_name_part(text: str, what: str) -> None:
     ``z[u;v]``), where whitespace or a delimiter would break or merge names."""
     bad = next((ch for ch in text if ch.isspace() or ch in ",;|[]"), None)
     if bad is not None:
-        raise ValidationError(f"{what} {text!r} contains {bad!r}, which LP names cannot hold")
+        raise ValidationError(
+            f"{what} {_quoted(text)} contains {bad!r}, which LP names cannot hold")
 
 
 def _check_symbols(alphabet: Sequence[Symbol], what: str) -> None:
@@ -283,7 +295,8 @@ class System:
         for c in ctxs:
             for pid in c.properties:
                 if pid not in pindex:
-                    raise UnknownProperty(f"context {c.id} references unknown property {pid!r}")
+                    raise UnknownProperty(
+                        f"context {c.id} references unknown property {_quoted(pid)}")
                 used.add(pid)
         missing = [p.id for p in props if p.id not in used]
         if missing:
@@ -321,13 +334,13 @@ class System:
         try:
             return self.properties[self.property_index[pid]]
         except KeyError:
-            raise UnknownProperty(f"unknown property {pid!r}") from None
+            raise UnknownProperty(f"unknown property {_quoted(pid)}") from None
 
     def context(self, cid: str) -> Context:
         try:
             return self.contexts[self.context_index[cid]]
         except KeyError:
-            raise UnknownContext(f"unknown context {cid!r}") from None
+            raise UnknownContext(f"unknown context {_quoted(cid)}") from None
 
     def bunch(self, cid: str) -> Pmf:
         self.context(cid)

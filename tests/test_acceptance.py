@@ -30,6 +30,7 @@ from contextuality.oracle import (
     SystemShape,
     build_max_coupling_lp,
     cyclic_system,
+    noisy_pr_box,
     random_pmf,
     random_system,
     solve_float,
@@ -172,6 +173,30 @@ def test_present_equals_cbd_on_contextual_cyclic_systems():
         present = measure(sysd, "present").measure
         assert present == measure(sysd, "cbd").measure, seed
         assert present > 0, seed
+
+
+def test_present_equals_cbd_on_noisy_pr_boxes():
+    # Every property of a 2x2 system lies in exactly two contexts.
+    contextual = 0
+    for lam in (F(3, 4), F(7, 8)):
+        for seed in range(10):
+            sysd = noisy_pr_box(2, 2, seed, lam)
+            present = measure(sysd, "present").measure
+            assert present == measure(sysd, "cbd").measure, (lam, seed)
+            contextual += present > 0
+    assert contextual == 20
+
+
+def test_present_equals_cbd_on_rank_6_cyclic_systems():
+    # Each cbd program is 4096 x 24, above the template cache's ceiling,
+    # so it is a plain program solved by two phases.
+    contextual = 0
+    for seed in range(2):
+        sysd = cyclic_system(6, seed, F(7, 8))
+        present = measure(sysd, "present").measure
+        assert present == measure(sysd, "cbd").measure, seed
+        contextual += present > 0
+    assert contextual == 2
 
 
 def test_np_equals_np_inside_on_consistent_cyclic_systems():

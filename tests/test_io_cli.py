@@ -307,8 +307,21 @@ def test_cli_prints_reports_and_dumps_past_the_digit_limit(tmp_path, capsys):
     assert dump.out.splitlines()[-2] == f"rhs {lp.row_count - 1} {report['delta0']}"
     assert "Traceback" not in captured.err + text.err + dump.err
     # Such a dump is exact but does not re-parse: parse_lp keeps the limit.
-    with pytest.raises(ParseError, match=f"^line {len(dump.out.splitlines()) - 1}: bad rational"):
+    line = len(dump.out.splitlines()) - 1
+    with pytest.raises(ParseError, match=f"^line {line}: bad rational") as err:
         parse_lp(dump.out)
+    assert len(str(err.value)) < 200  # the token is named by its head and length
+
+
+def test_cli_names_an_oversized_token_by_its_head_and_length(tmp_path, capsys):
+    path = tmp_path / "long-weight.system"
+    path.write_text(f"property p 1 -1\ncontext c p\nbunch c\n1 1/{'7' * 5000}\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 4: bad probability '1/777777777777777777'... "
+                            "(5002 characters)\n")
+    assert len(captured.err.encode()) < 200
 
 
 ELEVEN = [f"p{i:02d}" for i in range(11)]

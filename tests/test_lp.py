@@ -10,7 +10,7 @@ from reference_simplex import reference_dual_solve, reference_solve, reference_v
 from contextuality import lp as lp_module
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp, measure
-from contextuality.errors import DimensionMismatch, ParseError
+from contextuality.errors import DimensionMismatch, ParseError, SolverError
 from contextuality.io import dump_lp, parse_lp
 from contextuality.lp import (
     LinearProgram,
@@ -148,6 +148,18 @@ def test_solve_certified_raises_on_infeasible():
     lp = lp_of(["q1"], [0], [{0: 1}], [-1])
     with pytest.raises(Infeasible):
         solve_certified(lp)
+
+
+def test_template_without_an_optimal_start_is_a_solver_error():
+    # x0 + x1 = -1 has no x >= 0, so the template has no start; its
+    # programs are refused rather than solved another way.
+    template = lp_module._Template(("x0", "x1"), (F(1), F(0)), ({0: F(1), 1: F(1)},), (F(-1),))
+    lp = template.program((F(1),))
+    assert solve_exact(copy.copy(lp)).status == "optimal"
+    for solve in (solve_exact, solve_certified):
+        with pytest.raises(SolverError, match="^a template's start program is infeasible$"):
+            solve(lp)
+    assert template.start is None
 
 
 def test_dump_round_trip():

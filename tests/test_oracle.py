@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -11,13 +12,14 @@ import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
 from contextuality.builders import build_lp, build_present_lp, measure
 from contextuality.errors import AlphabetMismatch, CertificationFailure, TooLarge, ValidationError
-from contextuality.examples import disjoint_support_system, pr_box
+from contextuality.examples import PM, disjoint_support_system, pr_box
 from contextuality.oracle import (
     SystemShape,
     brute_force_max_coupling,
     build_max_coupling_lp,
     cross_check,
     cyclic_system,
+    noisy_pr_box,
     random_pmf,
     random_system,
     run_selftest,
@@ -126,6 +128,27 @@ def test_cyclic_system_layout_and_noise():
 def test_cyclic_system_rejects_bad_arguments(args, kwargs):
     with pytest.raises(ValidationError):
         cyclic_system(*args, **kwargs)
+
+
+def test_noisy_pr_box_layout_and_noise():
+    assert noisy_pr_box(2, 2, 0, F(1)) == pr_box()  # no noise left
+    sysd = noisy_pr_box(2, 3, 5, F(3, 4))
+    assert sysd == noisy_pr_box(2, 3, 5, "3/4")
+    assert [c.id for c in sysd.contexts] == ["a1b1", "a1b2", "a1b3", "a2b1", "a2b2", "a2b3"]
+    rng = random.Random(5)  # the noise is drawn in context order
+    for c in sysd.contexts:
+        sign = -1 if c.id == "a2b3" else 1
+        noise = random_pmf(rng, [PM, PM])
+        for x, y in itertools.product(PM, PM):
+            want = (F(3, 8) if x * y == sign else 0) + noise[x, y] / 4
+            assert sysd.bunch(c.id)[x, y] == want, (c.id, x, y)
+    assert not hasattr(contextuality, "noisy_pr_box")
+
+
+@pytest.mark.parametrize("args", [(0, 2, 0, 1), (2, 0, 0, 1), (2, 2, 0, -1), (2, 2, 0, "9/8")])
+def test_noisy_pr_box_rejects_bad_arguments(args):
+    with pytest.raises(ValidationError):
+        noisy_pr_box(*args)
 
 
 def test_solve_float_trivial():

@@ -5,15 +5,18 @@ from fractions import Fraction as F
 import pytest
 
 from contextuality.analytic import (
+    BinaryStats,
     bunch_set_distance,
     coupling_mismatch_lp,
     max_coupling_probability,
+    median_binary,
     min_mismatch,
     pmf_from_mean,
 )
-from contextuality.builders import MeasureReport, build_fixed_model_lp
+from contextuality.builders import MeasureReport, build_fixed_model_lp, measure, problem_sizes
 from contextuality.errors import (
     AlphabetMismatch,
+    CertificationFailure,
     DuplicateOutcome,
     MeanOutOfRange,
     NegativeWeight,
@@ -21,11 +24,12 @@ from contextuality.errors import (
     ShapeMismatch,
     SolverError,
     UnknownContext,
+    UnrealizableStats,
     ValidationError,
 )
 from contextuality.examples import disjoint_support_system, pr_box
 from contextuality.lp import LinearProgram, LpSolution, solve_certified
-from contextuality.oracle import cross_check
+from contextuality.oracle import cross_check, cyclic_system, noisy_pr_box
 from contextuality.system import Context, Pmf, Property, System, as_fraction
 
 PM = (1, -1)
@@ -115,3 +119,33 @@ UNBOUNDED = LinearProgram(("x", "y"), (F(-1), F(0)), ({0: F(1), 1: F(-1)},), (F(
 def test_refusal_is_typed(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# Just above 1, with 5001 digits in each part: past Python's 4300-digit str limit.
+HUGE = F(10**5000 + 1, 10**5000)
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: pmf_from_mean(HUGE), MeanOutOfRange, id="pmf-from-mean"),
+    pytest.param(lambda: median_binary([HUGE]), MeanOutOfRange, id="median-binary"),
+    pytest.param(lambda: BinaryStats(HUGE, F(0), F(0)), MeanOutOfRange, id="binary-stats"),
+    pytest.param(lambda: cyclic_system(4, 0, HUGE), ValidationError, id="cyclic-system"),
+    pytest.param(lambda: BinaryStats(2 - HUGE, 2 - HUGE, F(-1)), UnrealizableStats,
+                 id="unrealizable-stats"),
+    pytest.param(lambda: MeasureReport("present", F(1), HUGE, 1 - HUGE, False, {}, True),
+                 ValidationError, id="report"),
+    pytest.param(lambda: cyclic_system(10**5000, 0, 2), ValidationError, id="cyclic-system-rank"),
+    pytest.param(lambda: noisy_pr_box(0, 10**5000, 0, 1), ValidationError, id="noisy-pr-box"),
+    pytest.param(lambda: problem_sizes(10**5000, 1), ValidationError, id="problem-sizes"),
+])
+def test_range_checks_name_huge_numbers_by_their_size(call, error):
+    with pytest.raises(error) as err:
+        call()
+    assert len(str(err.value)) < 300
+
+
+def test_floor_past_the_digit_limit_is_named_by_its_size(monkeypatch):
+    monkeypatch.setattr("contextuality.builders.delta0_present", lambda sysd: HUGE)
+    with pytest.raises(CertificationFailure, match="is below the floor a 5001-digit") as err:
+        measure(pr_box(), "present")
+    assert len(str(err.value)) < 300

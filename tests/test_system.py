@@ -35,6 +35,7 @@ from contextuality.system import (
     expectation,
     marginal,
     product_expectation,
+    _quoted,
     validate_system,
 )
 
@@ -290,3 +291,9 @@ def test_expectation_rejects_non_binary():
 def test_pmf_items_lexicographic():
     pmf = Pmf([PM, PM], {(s, t): F(1, 4) for s in PM for t in PM})
     assert [o for o, _ in pmf.items()] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def test_messages_quote_a_token_of_at_most_60_characters_whole():
+    assert _quoted("x" * 60) == repr("x" * 60)
+    assert _quoted("x" * 61) == f"{'x' * 20!r}... (61 characters)"
+    assert _quoted(("a", "b")) == "('a', 'b')"
