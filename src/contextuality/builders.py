@@ -70,7 +70,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, _Template, solve_certified
-from .system import (Context, Pmf, Property, System, _atom_weights, _shown, _slots,
+from .system import (Context, Pmf, Property, System, _atom_weights, _quoted, _shown, _slots,
                      consistency_report)
 
 ZERO = Fraction(0)
@@ -434,7 +434,7 @@ def build_lp(
         if model is None:
             raise ShapeMismatch("fixed_model requires a model")
         return build_fixed_model_lp(sys, model)
-    raise ValidationError(f"unknown method {method!r}; choose from {METHODS}")
+    raise ValidationError(f"unknown method {_quoted(method)}; choose from {METHODS}")
 
 
 def measure(
@@ -487,8 +487,6 @@ def problem_sizes(m: int, n: int) -> list[ProblemSizes]:
     pm = examples.PM
     point = Pmf([pm, pm], {(1, 1): ONE})
     shape = _shape_key(examples._paired_system(m, n, pm, lambda i, j: point))
-    sizes = []
-    for family in ("cbd", "np", "present"):
-        blocks = _blocks(family, shape)
-        sizes.append(ProblemSizes(family, sum(b[2] for b in blocks), sum(b[3] for b in blocks), 0))
-    return sizes
+    blocks = {family: _blocks(family, shape) for family in ("cbd", "np", "present")}
+    return [ProblemSizes(f, sum(b[2] for b in bs), sum(b[3] for b in bs), 0)
+            for f, bs in blocks.items()]

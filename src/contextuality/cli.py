@@ -68,19 +68,23 @@ def _render(reports: list[dict], json_mode: bool) -> str:
     return buf.getvalue()
 
 
-def cmd_analyze(args) -> int:
-    sysd = parse_system(resolve_input(args.path))
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+def _methods(text: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise ValidationError(f"--method names no method (choose from {ANALYZE_METHODS})")
     for m in methods:
         if m not in ANALYZE_METHODS:
             raise ValidationError(f"unknown method {_quoted(m)} (choose from {ANALYZE_METHODS})")
     if len(set(methods)) != len(methods):
-        raise ValidationError(f"--method names a method twice: {_quoted(args.method)}")
+        raise ValidationError(f"--method names a method twice: {_quoted(text)}")
+    return methods
+
+
+def cmd_analyze(args) -> int:
+    sysd = parse_system(resolve_input(args.path))
     reports = []
     worst = EXIT_OK
-    for m in methods:
+    for m in _methods(args.method):
         t0 = time.monotonic()
         try:
             rep = measure(sysd, m)
@@ -129,9 +133,7 @@ def cmd_approx(args) -> int:
                     include_witness=args.witness)
     _emit(_render([d], args.json), args.out)
     if not args.json:
-        verdict = ("approximation is optimal" if rep.noncontextual
-                   else "approximation is not optimal")
-        print(verdict)
+        print("approximation is", "optimal" if rep.noncontextual else "not optimal")
     return EXIT_OK
 
 
@@ -153,7 +155,10 @@ def cmd_sizes(args) -> int:
 
 
 def cmd_dump_lp(args) -> int:
-    _emit(dump_lp(build_lp(parse_system(resolve_input(args.path)), args.method)), args.out)
+    method, *more = _methods(args.method)
+    if more:
+        raise ValidationError(f"dump-lp takes one method, got {_quoted(args.method)}")
+    _emit(dump_lp(build_lp(parse_system(resolve_input(args.path)), method)), args.out)
     return EXIT_OK
 
 
@@ -161,17 +166,22 @@ def cmd_selftest(args) -> int:
     from .oracle import run_selftest
 
     results = run_selftest(seed=args.seed, count=args.count)
-    ok = True
     for name, passed, total in results:
-        status = "pass" if passed == total else "FAIL"
-        print(f"[{status}] {passed}/{total}  {name}")
-        ok = ok and passed == total
+        print(f"[{'pass' if passed == total else 'FAIL'}] {passed}/{total}  {name}")
+    ok = all(passed == total for _, passed, total in results)
     print("selftest:", "all suites passed" if ok else "FAILURES")
     return EXIT_OK if ok else EXIT_SOLVER
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would repeat the whole token
+        raise argparse.ArgumentTypeError(f"must be an integer, got {_quoted(text)}") from None
+
+
 def _case_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not text.isdecimal() or _integer(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {_quoted(text)}")
     return int(text)
 
@@ -208,19 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("sizes", help="program dimensions for an m-by-n binary paired system")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sizes)
 
     p = sub.add_parser("dump-lp", help="write the exact program for a method")
     p.add_argument("path")
-    p.add_argument("--method", required=True, choices=ANALYZE_METHODS)
+    p.add_argument("--method", required=True, help=f"one of {','.join(ANALYZE_METHODS)}")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_dump_lp)
 
     p = sub.add_parser("selftest", help="run the oracle and equivalence verification suites")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_integer, default=2024)
     p.add_argument("--count", type=_case_count, default=25, help="cases per suite")
     p.set_defaults(fn=cmd_selftest)
     return ap

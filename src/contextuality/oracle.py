@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analytic import (
     BinaryStats,
@@ -29,9 +29,6 @@ from .errors import AlphabetMismatch, NumericalFailure, TooLarge, ValidationErro
 from .examples import PM, _paired_system, disjoint_support_system, pr_box
 from .lp import LinearProgram, solve_certified, solve_exact, verify_certificate
 from .system import Context, Pmf, Property, RationalLike, System, _quoted, _shown, as_fraction
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FLOAT_TOL = 1e-7
 
@@ -57,7 +54,7 @@ class SystemShape:
 class FloatSolution:
     status: str
     objective: Optional[float]
-    primal: Optional[np.ndarray]
+    primal: Optional[Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -69,13 +66,14 @@ class CrossCheck:
 
 def solve_float(lp: LinearProgram) -> FloatSolution:
     """Floating-point solve of the same standard-form program via HiGHS."""
-    # Imported here so that exact-only use of the package never loads scipy.
+    # The package's only use of numpy and scipy, neither of which it
+    # requires: they are imported here, so exact-only use never loads them.
     try:
         import numpy as np
         from scipy.optimize import linprog
     except ImportError as exc:
-        raise NumericalFailure(f"the float solver needs {exc.name}, "
-                               f"which cannot be imported ({exc})") from exc
+        raise NumericalFailure(f"the float solver needs {exc.name}, which cannot be imported "
+                               f"({exc}); install scipy, which brings numpy with it") from exc
 
     n, m = lp.column_count, lp.row_count
     c = np.array([float(v) for v in lp.cost])

@@ -78,15 +78,14 @@ def _quoted(token: object) -> str:
 
 
 def _shown(x: Union[Fraction, int]) -> str:
-    """``str(x)`` for a message, or its size where a part has more digits
-    than Python's default limit of 4300 lets ``str`` print."""
-    try:
+    """``str(x)`` for a message, or, where that has more than 60 characters,
+    the digit counts of its parts (``str`` stops at 4300 digits)."""
+    num, den = x.as_integer_ratio()
+    a, b = (len(str(decimal.Decimal(abs(n)))) for n in (num, den))
+    if (num < 0) + a + (den > 1) * (1 + b) <= 60:
         return str(x)
-    except ValueError:
-        if isinstance(x, int):
-            return f"a {len(str(decimal.Decimal(abs(x))))}-digit integer"
-        num, den = (len(str(decimal.Decimal(abs(n)))) for n in x.as_integer_ratio())
-        return f"a {num}-digit numerator over a {den}-digit denominator"
+    return (f"a {a}-digit integer" if den == 1
+            else f"a {a}-digit numerator over a {b}-digit denominator")
 
 
 def is_plus_minus(alphabet: Sequence[Symbol]) -> bool:
@@ -183,8 +182,7 @@ class Pmf:
         return Pmf([self.alphabets[i] for i in keep], out)
 
 
-def marginal(pmf: Pmf, keep: Sequence[int]) -> Pmf:
-    return pmf.marginal(keep)
+marginal = Pmf.marginal
 
 
 def point_mass(alphabets: Sequence[Sequence[Symbol]], outcome: Outcome) -> Pmf:
@@ -358,13 +356,7 @@ class System:
                 f"{len(self.contexts)} contexts)")
 
 
-def validate_system(
-    properties: Iterable[Property],
-    contexts: Iterable[Context],
-    bunches: Mapping[str, Pmf],
-) -> System:
-    """Validate raw pieces and return the canonical immutable system."""
-    return System(properties, contexts, bunches)
+validate_system = System  # validates the raw pieces; the instance is canonical
 
 
 def _slots(sys: System, pid: str) -> list[tuple[int, int]]:

@@ -18,7 +18,6 @@ from contextuality.analytic import (
     delta0_present,
     max_coupling_probability,
     median_binary,
-    pmf_from_mean,
     tv_distance,
 )
 from contextuality.builders import build_lp, measure, problem_sizes
@@ -28,6 +27,7 @@ from contextuality.io import bundled_path, parse_system
 from contextuality.lp import solve_exact, verify_certificate
 from contextuality.oracle import (
     SystemShape,
+    _connection_system,
     build_max_coupling_lp,
     cyclic_system,
     noisy_pr_box,
@@ -35,7 +35,6 @@ from contextuality.oracle import (
     random_system,
     solve_float,
 )
-from contextuality.system import Context, Property, System
 
 INSTANCES = []  # (label, LinearProgram, LpSolution) from criteria 1-9
 
@@ -47,12 +46,6 @@ def _solved(lp, label):
     assert sol.status == "optimal", label
     INSTANCES.append((label, lp, sol))
     return sol
-
-
-def _connection_system(means):
-    contexts = [Context(f"c{i}", ("p",)) for i in range(len(means))]
-    bunches = {f"c{i}": pmf_from_mean(m) for i, m in enumerate(means)}
-    return System([Property("p", PM)], contexts, bunches)
 
 
 def test_criterion_01_worked_disjoint_example():

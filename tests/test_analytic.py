@@ -31,7 +31,8 @@ from contextuality.errors import (
 )
 from contextuality.examples import ab_system, disjoint_support_system, pr_box
 from contextuality.lp import solve_certified
-from contextuality.oracle import SystemShape, cyclic_system, random_pmf, random_system
+from contextuality.oracle import (SystemShape, _connection_system, cyclic_system, random_pmf,
+                                  random_system)
 from contextuality.system import Context, Pmf, Property, System, connection_of
 
 PM = (1, -1)
@@ -371,9 +372,3 @@ def test_bunch_set_distance_is_a_metric():
     t = random_system(SystemShape(2, 2, consistent=False, seed=4))
     if any(s.bunch(c.id) != t.bunch(c.id) for c in s.contexts):
         assert bunch_set_distance(s, t) > 0
-
-
-def _connection_system(means):
-    contexts = [Context(f"c{i}", ("p",)) for i in range(len(means))]
-    bunches = {f"c{i}": pmf_from_mean(m) for i, m in enumerate(means)}
-    return System([Property("p", PM)], contexts, bunches)

@@ -278,6 +278,9 @@ def test_unknown_method():
         build_lp(pr_box(), "nope")
     with pytest.raises(ValidationError, match="unknown method 'nope'"):
         measure(pr_box(), "nope")
+    with pytest.raises(ValidationError, match=r"unknown method 'y{20}'\.\.\. \(5000 char") as err:
+        build_lp(pr_box(), "y" * 5000)
+    assert len(str(err.value)) < 200
     with pytest.raises(ValidationError, match="m and n must be >= 1"):
         problem_sizes(0, 1)
     with pytest.raises(ShapeMismatch):

@@ -324,6 +324,34 @@ def test_cli_names_an_oversized_token_by_its_head_and_length(tmp_path, capsys):
     assert len(captured.err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["sizes", "7" * 5000, "2"],
+    ["sizes", "7" * 4000, "2"],  # parses, but m*n is refused
+    ["sizes", "2", "x" * 5000],
+    ["dump-lp", "bundled:prbox", "--method", "x" * 5000],
+    ["selftest", "--seed", "7" * 5000],
+    ["selftest", "--count", "7" * 5000],
+])
+def test_cli_errors_on_oversized_arguments_stay_short(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the argument itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize("method", ["present,cbd", "np,np", ""])
+def test_cli_dump_lp_takes_exactly_one_method(capsys, method):
+    assert main(["dump-lp", "bundled:prbox", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
 ELEVEN = [f"p{i:02d}" for i in range(11)]
 OVERSIZED = {
     # one context over 11 binary properties: a 2048-atom joint, 2048**2 atoms in w[c]

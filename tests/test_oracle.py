@@ -1,19 +1,29 @@
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import contextuality
 from contextuality.analytic import delta0_cbd, delta0_present, max_coupling_probability
 from contextuality.builders import build_lp, build_present_lp, measure
-from contextuality.errors import AlphabetMismatch, CertificationFailure, TooLarge, ValidationError
+from contextuality.errors import (
+    AlphabetMismatch,
+    CertificationFailure,
+    NumericalFailure,
+    TooLarge,
+    ValidationError,
+)
 from contextuality.examples import PM, disjoint_support_system, pr_box
+from contextuality.lp import LinearProgram
 from contextuality.oracle import (
+    FloatSolution,
     SystemShape,
     brute_force_max_coupling,
     build_max_coupling_lp,
@@ -178,6 +188,17 @@ def test_solve_float_infeasible_status():
     assert solve_float(lp).status == "infeasible"
 
 
+def test_solve_float_unbounded_and_failed_statuses(monkeypatch):
+    assert solve_float(LinearProgram(("q1",), (F(-1),), (), ())) == \
+        FloatSolution("unbounded", None, None)
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: SimpleNamespace(
+        status=4, message="Numerical difficulties encountered."))
+    with pytest.raises(NumericalFailure, match="^linprog failed: status 4 "):
+        solve_float(build_present_lp(pr_box()))
+
+
 def test_cross_check_disjoint_present():
     res = cross_check(disjoint_support_system(), "present")
     assert res.agree
@@ -264,3 +285,58 @@ def test_selftest_without_numpy_is_a_solver_error():
     assert run.returncode == 4
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ") and "numpy" in run.stderr
+    assert "install scipy" in run.stderr
+
+
+# Runs each command in process and prints, as JSON, each one's exit code,
+# stdout without its "seconds" lines and stderr, and which of numpy and scipy
+# were loaded.  With "refuse" as its argument, neither can be imported.
+_COMMANDS = r"""
+import contextlib, io, json, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+if sys.argv[1:] == ["refuse"]:
+    sys.meta_path.insert(0, Refuse())
+from contextuality.cli import main
+
+runs = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = "".join(line for line in out.getvalue().splitlines(keepends=True)
+                   if not line.lstrip().startswith(("seconds ", '"seconds"')))
+    runs.append([argv, code, text, err.getvalue()])
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"runs": runs, "loaded": loaded}))
+"""
+
+
+def test_commands_run_without_numpy_and_scipy():
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    every = "present,cbd,np,np_inside"
+    commands = json.dumps([
+        ["analyze", "bundled:prbox", "--method", every, "--witness"],
+        ["analyze", "bundled:disjoint", "--method", every, "--json"],
+        ["approx", "bundled:prbox", "--epr", "--json", "--witness"],
+        ["approx", "bundled:prbox", "--epr", "--angles", "90,120;225,210"],
+        ["approx", "bundled:prbox", "--model", "bundled:disjoint"],
+        ["sizes", "3", "3"],
+        ["sizes", "3", "3", "--json"],
+        ["sizes", "0", "2"],
+        ["dump-lp", "bundled:prbox", "--method", "np_inside"],
+        ["dump-lp", "bundled:disjoint", "--method", "np"],
+    ])
+    runs = {}
+    for mode in ("refuse", "allow"):
+        run = subprocess.run([sys.executable, "-c", _COMMANDS, mode], input=commands, env=env,
+                             capture_output=True, text=True, check=True)
+        runs[mode] = json.loads(run.stdout)
+    assert runs["refuse"]["loaded"] == []
+    assert runs["refuse"]["runs"] == runs["allow"]["runs"]
+    assert [code for _, code, _, _ in runs["refuse"]["runs"]] == [0, 3, 0, 0, 3, 0, 0, 2, 0, 3]

@@ -36,6 +36,7 @@ from contextuality.system import (
     marginal,
     product_expectation,
     _quoted,
+    _shown,
     validate_system,
 )
 
@@ -288,6 +289,16 @@ def test_expectation_rejects_non_binary():
         product_expectation(Pmf([PM], {(1,): F(1)}))
 
 
+def test_equality_hash_and_repr():
+    a = Pmf([PM], {(1,): F(1, 3), (-1,): F(2, 3)})
+    b = Pmf([PM], [((-1,), F(2, 3)), ((1,), F(1, 3))])
+    assert a == b and hash(a) == hash(b)
+    assert (a == 1) is False
+    assert repr(a) == "Pmf({(1,): 1/3, (-1,): 2/3})"
+    assert (pr_box() == 1) is False
+    assert repr(pr_box()) == "System(4 properties, 4 contexts)"
+
+
 def test_pmf_items_lexicographic():
     pmf = Pmf([PM, PM], {(s, t): F(1, 4) for s in PM for t in PM})
     assert [o for o, _ in pmf.items()] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -297,3 +308,9 @@ def test_messages_quote_a_token_of_at_most_60_characters_whole():
     assert _quoted("x" * 60) == repr("x" * 60)
     assert _quoted("x" * 61) == f"{'x' * 20!r}... (61 characters)"
     assert _quoted(("a", "b")) == "('a', 'b')"
+    # numbers by their digit counts past 60 characters, the sign and slash counted
+    assert _shown(-10**58) == str(-10**58)
+    assert _shown(-10**59) == "a 60-digit integer"
+    assert _shown(F(10**27, 10**30 + 1)) == f"{10**27}/{10**30 + 1}"
+    assert _shown(F(10**28, 10**30 + 1)) == "a 29-digit numerator over a 31-digit denominator"
+    assert _shown(F(10**5000, 3)) == "a 5001-digit numerator over a 1-digit denominator"
