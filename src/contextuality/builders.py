@@ -70,8 +70,8 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, _Template, solve_certified
-from .system import (Context, Pmf, Property, System, _atom_weights, _quoted, _shown, _slots,
-                     consistency_report)
+from .system import (Context, Pmf, Property, System, _atom_weights, _id_list, _quoted, _shown,
+                     _slots, consistency_report)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -404,7 +404,7 @@ def build_fixed_model_lp(sys: System, model: Mapping[str, Pmf]) -> LinearProgram
     have = set(model)
     if want != have:
         raise ShapeMismatch(
-            f"model contexts {sorted(have)} do not match system contexts {sorted(want)}"
+            f"model contexts {_id_list(have)} do not match system contexts {_id_list(want)}"
         )
     try:
         model_sys = System(sys.properties, sys.contexts, dict(model))

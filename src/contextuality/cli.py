@@ -32,7 +32,7 @@ from .io import (
     report_text,
     resolve_input,
 )
-from .system import _quoted, as_fraction
+from .system import _bounded, _quoted, as_fraction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -173,21 +173,22 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_SOLVER
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # argparse's own message would repeat the whole token
-        raise argparse.ArgumentTypeError(f"must be an integer, got {_quoted(text)}") from None
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one line, without the usage, and
+    name a long token by its head and length (argparse quotes it whole)."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {_bounded(message)}\n")
 
 
 def _case_count(text: str) -> int:
-    if not text.isdecimal() or _integer(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {_quoted(text)}")
     return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="contextuality",
         description="Exact rational measures of contextuality for systems of "
                     "random variables recorded in multiple contexts.",
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model", help="system file with the model bunches")
     src.add_argument("--epr", action="store_true",
-                     help="use the built-in photon-pair model (requires --angles)")
+                     help="use the built-in photon-pair model at --angles")
     p.add_argument("--angles", default="0,90;180,270",
                    help="EPR angles in degrees: 'a1,a2,...;b1,b2,...'")
     p.add_argument("--json", action="store_true")
@@ -218,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_approx)
 
     p = sub.add_parser("sizes", help="program dimensions for an m-by-n binary paired system")
-    p.add_argument("m", type=_integer)
-    p.add_argument("n", type=_integer)
+    p.add_argument("m", type=int)
+    p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sizes)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dump_lp)
 
     p = sub.add_parser("selftest", help="run the oracle and equivalence verification suites")
-    p.add_argument("--seed", type=_integer, default=2024)
+    p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--count", type=_case_count, default=25, help="cases per suite")
     p.set_defaults(fn=cmd_selftest)
     return ap
@@ -241,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (OSError, ContextualityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_bounded(str(exc))}", file=sys.stderr)  # an OSError quotes a whole name
         return _error_exit_code(exc)
 
 

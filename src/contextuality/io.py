@@ -172,7 +172,7 @@ def bundled_path(name: str) -> Path:
                    if f.name.endswith(".system"))
     stem = name.removesuffix(".system")
     if stem not in names:
-        raise ValidationError(f"no packaged example {name!r}; "
+        raise ValidationError(f"no packaged example {_quoted(name)}; "
                               f"the packaged examples are {', '.join(names)}")
     return Path(str(data.joinpath(stem + ".system")))
 

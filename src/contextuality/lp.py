@@ -10,8 +10,8 @@ feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
 One state object (Revised) holds the whole simplex state: the basis
 inverse B^-1, each row's entry of B^-1 b, and the basis.  Its rows, and
-the full cost rows beside it, are lists of Python int numerators over
-one positive int denominator.  A pivot is one method of the state.  It
+the cost rows beside it, are lists of Python int numerators over one
+positive int denominator.  A pivot is one method of the state.  It
 updates the rows of B^-1 with a nonzero in the entering column (built
 from B^-1 and the program's columns) and their right-hand sides, adds
 the pivot row, a sum of the program's rows weighted by the pivot's row
@@ -21,8 +21,8 @@ update that keeps the denominator takes no gcd.  Each entry of B^-1 b is
 a separate reduced (numerator, denominator) pair: the right-hand sides
 of this package's programs are probabilities, so a row holding its own
 would almost never have denominator 1, and without it the rows nearly
-always do.  The cost rows keep the phase-one artificial columns (which
-never re-enter in phase two), whose reduced costs give the dual.
+always do.  An artificial column that leaves the basis never returns, so
+the cost rows price the original columns alone; the dual is c_B' B^-1.
 The public API is Fraction end to end.  verify_certificate re-checks
 every optimum against the program alone, independently of the solver,
 in Python ints over common denominators.
@@ -41,7 +41,7 @@ template.  solve_exact starts there, takes B^-1 b from the program and
 runs an exact dual simplex, so every solution depends on its program
 alone.  Every other program, copies and pickles included, and the
 start's own program solve by two phases from the artificial basis; both
-paths make their state with Revised(lp, form, start, sign).
+paths make their state with Revised(lp, form, start).
 """
 from __future__ import annotations
 
@@ -194,29 +194,27 @@ class LpSolution:
 
 
 class Revised:
-    """The simplex state: the basis inverse as M = B^-1 S D^-1, one list
-    per row, each row's entry of B^-1 b, and the basis.
+    """The simplex state: the basis inverse as M = B^-1 D^-1, one list per
+    row, each row's entry of B^-1 b, and the basis.
 
-    S is the sign normalization and D holds each row's lcm, so the solver
-    form's integer rows are D A and B^-1 A = M (D A).  The state starts
-    at a ``_Start``'s basis and rows of M: the artificial basis, row i of
-    M s_i e_i over D_i, for two phases, and a template's start for the
-    dual simplex.  ``support[k]`` holds the rows where column k of M is
-    nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
+    D holds each row's lcm, so the solver form's integer rows are D A and
+    B^-1 A = M (D A).  The state starts at a ``_Start``'s basis and rows
+    of M: for two phases the artificial basis, whose column n + k is s_k
+    e_k with s_k the sign of b_k, so row i of M is s_i e_i over D_i; for
+    the dual simplex a template's start.  ``support[k]`` holds the rows
+    where column k of M is nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
     reduced (numerator, positive denominator) pair, and ``basis[i]`` the
     column basic in row i.  The entering column is a
     sum of M's columns, weighted by the column form of D A.  The pivot row
-    of (B^-1 A | B^-1) is a sum of the rows of D A weighted by the pivot's
-    row of M; it is never stored, each cost row takes it entry by entry.
+    of B^-1 A is a sum of the rows of D A weighted by the pivot's row of
+    M; it is never stored, each cost row takes it entry by entry.
     """
 
-    def __init__(self, lp: LinearProgram, form, start: _Start, sign: list[int]):
+    def __init__(self, lp: LinearProgram, form, start: _Start):
         dens, self.by_row, self.by_column, _ = form
         self.n = lp.column_count
-        self.sign = sign
-        self.scale = [s * d for s, d in zip(sign, dens)]  # B^-1 = M S D
         self.basis = list(start.basis)
-        # Row i's entry of B^-1 S b = M S D S b is M_i . D b over its denominator.
+        # Row i's entry of B^-1 b = M D b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
         db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
         self.rows, self.rhs = [], []
@@ -237,14 +235,9 @@ class Revised:
             self.rhs.append((num // g, den // g))
 
     def column(self, j: int) -> list[int]:
-        """Column j of (B^-1 A | B^-1), entry i over rows[i][-1]."""
+        """Column j of B^-1 A, entry i over rows[i][-1]."""
         rows, support = self.rows, self.support
         out = [0] * len(rows)
-        if j >= self.n:  # artificial column j - n, a column of B^-1
-            k = j - self.n
-            for i in support[k]:
-                out[i] = rows[i][k] * self.scale[k]
-            return out
         plus, minus, other = self.by_column[j]
         for k in plus:
             for i in support[k]:
@@ -259,7 +252,7 @@ class Revised:
 
     def row(self, i: int) -> list[int]:
         """Row i of B^-1 A, times a positive number, in its first n entries."""
-        out = [0] * (self.n + len(self.rows) + 1)
+        out = [0] * (self.n + 1)
         self._subtract(out, -1, self.rows[i])
         return out
 
@@ -331,7 +324,7 @@ class Revised:
                         sup.discard(i)
                     elif not v:
                         sup.add(i)
-        # Each cost row becomes (row * s - t * mrow (D A | S D)) / (d * s)
+        # Each cost row becomes (row * s - t * mrow (D A)) / (d * s)
         # and is then brought to lowest terms.
         for row in cost_rows:
             f = row[enter]
@@ -347,9 +340,9 @@ class Revised:
                         row[:] = [v // g for v in row]
         self.basis[leave] = enter
 
-    def bland(self, cost_rows: list[list[int]], ncols: int) -> str:
+    def bland(self, cost_rows: list[list[int]]) -> str:
         """Run simplex iterations until optimal or unbounded (Bland's rule),
-        entering only columns below ``ncols``.
+        entering only original columns.
 
         ``cost_rows[0]`` chooses the entering column; any further rows ride
         along through the pivots.
@@ -357,7 +350,7 @@ class Revised:
         cost_row = cost_rows[0]
         rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
-            enter = next((j for j in range(ncols) if cost_row[j] < 0), -1)
+            enter = next((j for j in range(self.n) if cost_row[j] < 0), -1)
             if enter < 0:
                 return "optimal"
             column = self.column(enter)
@@ -412,9 +405,9 @@ class Revised:
             self.pivot(leave, enter, self.column(enter), [cost_row])
 
     def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
-        """row -= t * mrow (D A | S D) in place; entries of mrow past the
-        m-th are unused."""
-        n, by_row, scale = self.n, self.by_row, self.scale
+        """row -= t * mrow (D A) in place; entries of mrow past the m-th
+        are unused."""
+        by_row = self.by_row
         for k in itertools.compress(range(len(by_row)), mrow):
             c = t * mrow[k]
             plus, minus, other = by_row[k]
@@ -424,7 +417,6 @@ class Revised:
                 row[j] += c
             for j, a in other:
                 row[j] -= c * a
-            row[n + k] -= c * scale[k]
 
 
 def _solver_form(lp: LinearProgram):
@@ -461,18 +453,18 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
 
     # Sign-normalize so every right-hand side is nonnegative.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
-    state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None), sign)
+    state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None))
 
-    # Phase one minimizes the artificial mass: its cost row is (0 | 1) minus
-    # the sum of the sign-normalized rows (s_k A_k | e_k), over their lcm,
-    # that is, less the rows (D A | S D) weighted by s_k * den / D_k.  The
-    # phase-two cost row rides along, so it is already reduced against the
-    # final phase-one basis.
+    # Phase one minimizes the artificial mass; an artificial that leaves the
+    # basis is dropped.  Its cost row is minus the sum of the sign-normalized
+    # rows s_k A_k over their lcm, that is, less the rows D A weighted by
+    # s_k * den / D_k.  The phase-two cost row rides along, so it is already
+    # reduced against the final phase-one basis.
     den = lcm(*dens)
-    cost1 = [0] * n + [den] * (m + 1)
+    cost1 = [0] * n + [den]
     state._subtract(cost1, 1, [s * (den // d) for s, d in zip(sign, dens)])
-    cost2 = [*cost, *[0] * m, cost_den]
-    status = state.bland([cost1, cost2], n + m)
+    cost2 = [*cost, cost_den]
+    status = state.bland([cost1, cost2])
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
     if any(bi >= n and b[0] for bi, b in zip(state.basis, state.rhs)):
@@ -487,14 +479,14 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
             if enter >= 0:
                 state.pivot(i, enter, state.column(enter), [cost2])
 
-    # Phase two over the original columns; artificials never re-enter.
-    return state.bland([cost2], n), state, cost2
+    # Phase two.
+    return state.bland([cost2]), state, cost2
 
 
-def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
-    """The optimum at the state's basis, with phase-two cost row ``cost2``."""
-    n, m = state.n, len(state.rows)
-    _, _, _, (cost_den, cost) = form
+def _solution(state: Revised, form) -> LpSolution:
+    """The optimum at the state's basis."""
+    n = state.n
+    dens, _, _, (cost_den, cost) = form
     # c'x = sum of cost[bi] * bn / bd over the basic columns, all over
     # cost_den; the terms are summed in ints over the lcm of their bd.
     primal = [Fraction(0)] * n
@@ -506,8 +498,16 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
                 terms.append((cost[bi] * bn, bd))
     den = lcm(*(bd for _, bd in terms))
     objective = Fraction(sum(t * (den // bd) for t, bd in terms), den * cost_den)
-    # The artificial columns hold B^-1, so their reduced costs are -y'.
-    dual = tuple(Fraction(-state.sign[k] * cost2[n + k], cost2[-1]) for k in range(m))
+    # y' = c_B' B^-1 = c_B' M D: the basic rows of M with a nonzero cost,
+    # weighted by it over the lcm of their denominators, summed, times D.
+    basic = [(cost[bi], row) for bi, row in zip(state.basis, state.rows) if bi < n and cost[bi]]
+    yd = lcm(*(row[-1] for _, row in basic))
+    y = [0] * len(dens)
+    for c, row in basic:
+        c *= yd // row[-1]
+        for k in itertools.compress(range(len(y)), row):
+            y[k] += c * row[k]
+    dual = tuple(Fraction(v * d, yd * cost_den) for v, d in zip(y, dens))
     return LpSolution(
         status="optimal",
         objective=objective,
@@ -519,8 +519,7 @@ def _solution(state: Revised, cost2: list[int], form) -> LpSolution:
 
 def _start(template: _Template) -> _Start:
     """The template's start, solved on first use at its start right-hand
-    side (nonnegative, so every sign is +1).  SolverError if that program
-    has no optimum."""
+    side.  SolverError if that program has no optimum."""
     if template.start is None:
         lp = template.program(template.start_rhs)
         status, state, cost2 = _two_phase(lp, _form(lp, "solver", _solver_form))
@@ -546,17 +545,17 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     form = _form(lp, "solver", _solver_form)
     template = getattr(lp, "_template", None)
     if template is None:
-        status, state, cost2 = _two_phase(lp, form)
+        status, state, _ = _two_phase(lp, form)
         if status != "optimal":
             return LpSolution(status=status)
     else:
         start = _start(template)
-        state = Revised(lp, form, start, [1] * lp.row_count)
+        state = Revised(lp, form, start)
         cost2 = list(start.cost)
         if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
                 not state.dual(cost2)):
             return LpSolution(status="infeasible")
-    return _solution(state, cost2, form)
+    return _solution(state, form)
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -75,6 +76,21 @@ def _quoted(token: object) -> str:
     if len(text) <= 60:
         return repr(token)
     return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _bounded(message: str) -> str:
+    """``message`` with each token of more than 60 characters, quoted or
+    bare, named as by ``_quoted``; an apostrophe inside a word opens no
+    quote."""
+    return re.sub(r"(?<!\w)'[^'\n]{61,}'|\S{61,}", lambda t: _quoted(t[0].strip("'")), message)
+
+
+def _id_list(ids: Iterable[str]) -> str:
+    """The sorted ids as a list for a message, each as by ``_quoted``; past
+    three ids, the first three and the count."""
+    ids = sorted(ids)
+    head = ", ".join(map(_quoted, ids[:3]))
+    return f"[{head}]" if len(ids) <= 3 else f"[{head}, ...] ({len(ids)} ids)"
 
 
 def _shown(x: Union[Fraction, int]) -> str:
@@ -268,8 +284,8 @@ class System:
 
     Construction checks every invariant (one normalized bunch per context,
     contexts referencing known properties, every property used somewhere)
-    and canonicalizes: properties and contexts are sorted by id, and each
-    bunch is re-expressed over its context's alphabets.  Instances are
+    and canonicalizes: properties and contexts are sorted by id.  Each
+    bunch's alphabets must equal its context's.  Instances are
     immutable; all derived indices are precomputed.
     """
 
@@ -298,7 +314,7 @@ class System:
                 used.add(pid)
         missing = [p.id for p in props if p.id not in used]
         if missing:
-            raise ValidationError(f"properties in no context: {missing}")
+            raise ValidationError(f"properties in no context: {_id_list(missing)}")
         if not ctxs:
             raise ValidationError("a system needs at least one context")
         fixed: dict[str, Pmf] = {}
@@ -314,7 +330,7 @@ class System:
             fixed[c.id] = pmf
         extra = set(bunches) - {c.id for c in ctxs}
         if extra:
-            raise UnknownContext(f"bunches for unknown contexts: {sorted(extra)}")
+            raise UnknownContext(f"bunches for unknown contexts: {_id_list(extra)}")
 
         self.properties: tuple[Property, ...] = tuple(props)
         self.contexts: tuple[Context, ...] = tuple(ctxs)

@@ -2,11 +2,12 @@
 
 ``reference_solve`` is the straightforward rational tableau that
 ``lp.solve_exact`` must reproduce pivot for pivot on a program without a
-template's start, by two phases: same entering scan, same ratio test and
-basis-index tie-break, same handling of leftover artificials.  It returns
-no dual; the solver's dual is checked by ``verify_certificate`` instead.
-Given a list ``path``, it appends each pivot as (entering column, leaving
-column).
+template's start, by two phases: same entering scan over the original
+columns only (an artificial column that leaves never returns), same ratio
+test and basis-index tie-break, same handling of leftover artificials.
+It returns no dual; the solver's dual is checked by ``verify_certificate``
+instead.  Given a list ``path``, it appends each pivot as (entering
+column, leaving column).
 
 ``reference_dual_solve`` is the dual simplex that ``lp.solve_exact`` runs
 from a template's start: the tableau of a program is brought to a given
@@ -100,7 +101,7 @@ def reference_solve(lp: LinearProgram, path: Optional[list] = None) -> Reference
             if row[j]:
                 cost_row[j] -= row[j]
         cost_row[-1] -= row[-1]
-    assert _bland(tableau, basis, cost_row, n + m, path) == "optimal"
+    assert _bland(tableau, basis, cost_row, n, path) == "optimal"
     if cost_row[-1] != 0:
         return ReferenceSolution("infeasible")
 

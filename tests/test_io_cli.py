@@ -331,6 +331,12 @@ def test_cli_names_an_oversized_token_by_its_head_and_length(tmp_path, capsys):
     ["dump-lp", "bundled:prbox", "--method", "x" * 5000],
     ["selftest", "--seed", "7" * 5000],
     ["selftest", "--count", "7" * 5000],
+    ["x" * 5000],  # argparse's own messages
+    ["sizes", "2", "2", "x" * 5000],
+    ["analyze", "bundled:prbox", "--" + "x" * 5000],
+    ["analyze", "bundled:" + "x" * 5000],
+    ["analyze", "x" * 5000],  # an OSError's text
+    ["analyze", "bundled:prbox", "--out", "/nonexistent/" + "x" * 5000],
 ])
 def test_cli_errors_on_oversized_arguments_stay_short(capsys, argv):
     try:
@@ -342,6 +348,34 @@ def test_cli_errors_on_oversized_arguments_stay_short(capsys, argv):
     assert captured.out == ""
     assert "error: " in captured.err and "Traceback" not in captured.err
     assert len(captured.err.encode()) < 200
+
+
+def test_cli_errors_on_long_id_lists_stay_short(tmp_path, capsys):
+    unused = tmp_path / "unused.system"
+    unused.write_text("".join(f"property p{i} 1 -1\n" for i in range(3001))
+                      + "context c p0\nbunch c\n1 1\n", encoding="utf-8")
+    for name, prefix in (("data", "c"), ("model", "d")):
+        (tmp_path / f"{name}.system").write_text("property p 1 -1\n" + "".join(
+            f"context {prefix}{i} p\nbunch {prefix}{i}\n1 1\n" for i in range(2000)),
+            encoding="utf-8")
+    for argv, code, err in [
+        (["analyze", str(unused)], 2,
+         "error: properties in no context: ['p1', 'p10', 'p100', ...] (3000 ids)\n"),
+        (["approx", str(tmp_path / "data.system"), "--model", str(tmp_path / "model.system")], 3,
+         "error: model contexts ['d0', 'd1', 'd10', ...] (2000 ids) do not match system "
+         "contexts ['c0', 'c1', 'c10', ...] (2000 ids)\n"),
+    ]:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
+def test_cli_argparse_errors_are_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sizes", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "contextuality sizes: error: the following arguments are required: n\n")
 
 
 @pytest.mark.parametrize("method", ["present,cbd", "np,np", ""])

@@ -331,10 +331,22 @@ def _traced_solve(lp):
         return solve_exact(lp), path
 
 
+def assert_dual_prices_basis(lp, sol):
+    """The dual comes from the reported basis: every basic column's reduced
+    cost c_j - y'A_j is exactly zero.  (verify_certificate accepts any
+    optimal dual.)"""
+    pulled = [F(0)] * lp.column_count
+    for yi, row in zip(sol.dual, lp.rows):
+        for j, a in row.items():
+            pulled[j] += yi * a
+    assert [lp.cost[j] - pulled[j] for j in sol.basis] == [0] * len(sol.basis)
+
+
 def assert_matches_reference(lp):
     """solve_exact takes the reference's pivots to the reference's
-    solution on lp, a program without a start, and the certificate check
-    agrees with the reference's on the optimum and on perturbed copies."""
+    solution on lp, a program without a start, its dual prices the basis,
+    and the certificate check agrees with the reference's on the optimum
+    and on perturbed copies."""
     ref_path = []
     ref = reference_solve(lp, ref_path)
     sol, path = _traced_solve(lp)
@@ -342,6 +354,7 @@ def assert_matches_reference(lp):
     assert (sol.status, sol.objective, sol.primal, sol.basis) == tuple(ref)
     if sol.status == "optimal":
         assert len(sol.dual) == lp.row_count
+        assert_dual_prices_basis(lp, sol)
         verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
         assert verdicts[0]
         assert not all(verdicts)
@@ -351,8 +364,23 @@ def assert_matches_reference(lp):
 
 
 def test_small_programs_match_reference():
-    statuses = {assert_matches_reference(lp) for lp in _small_programs()}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    programs = list(_small_programs())
+    statuses = [assert_matches_reference(lp) for lp in programs]
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    # Artificial column k is -e_k where b_k < 0, so the dual reader is
+    # checked on optima with a negative right-hand side too.
+    assert any(status == "optimal" and any(b < 0 for b in lp.rhs)
+               for lp, status in zip(programs, statuses))
+
+
+def test_artificial_columns_never_enter():
+    # An artificial column that leaves the basis is dropped for good, in
+    # phase one as in phase two.
+    plain = [copy.copy(build_lp(sysd, method, model=model))
+             for sysd, method, model in (p.values for p in _builder_programs())]
+    for lp in [*_small_programs(), *plain]:
+        _, path = _traced_solve(lp)
+        assert [enter for enter, _ in path if enter >= lp.column_count] == []
 
 
 def test_objective_is_cost_times_primal():
@@ -477,8 +505,8 @@ def _reference_start_basis(template):
 def assert_dual_matches_reference(lp, degenerate_run):
     """The dual simplex from lp's start takes the reference's pivots to the
     reference's solution or verdict of infeasibility; solve_certified
-    returns that solution, and the certificate check agrees with the
-    reference's on it and on perturbed copies."""
+    returns that solution, its dual prices the basis, and the certificate
+    check agrees with the reference's on it and on perturbed copies."""
     template = lp._template
     basis = _reference_start_basis(template)
     start = lp_module._start(template)  # its own pivots are not on the path
@@ -491,6 +519,7 @@ def assert_dual_matches_reference(lp, degenerate_run):
     if sol.status != "optimal":
         return path
     assert solve_certified(lp) == sol
+    assert_dual_prices_basis(lp, sol)
     verdicts = [verify_certificate(lp, s) for s in _perturbed_certificates(sol)]
     assert verdicts[0] and not all(verdicts)
     assert verdicts == [reference_verify_certificate(lp, s) for s in _perturbed_certificates(sol)]

@@ -35,6 +35,8 @@ from contextuality.system import (
     expectation,
     marginal,
     product_expectation,
+    _bounded,
+    _id_list,
     _quoted,
     _shown,
     validate_system,
@@ -308,6 +310,15 @@ def test_messages_quote_a_token_of_at_most_60_characters_whole():
     assert _quoted("x" * 60) == repr("x" * 60)
     assert _quoted("x" * 61) == f"{'x' * 20!r}... (61 characters)"
     assert _quoted(("a", "b")) == "('a', 'b')"
+    # id lists past three ids by their first three and their count
+    assert _id_list({"b", "a", "c"}) == "['a', 'b', 'c']"
+    assert _id_list(f"p{i}" for i in range(4)) == "['p0', 'p1', 'p2', ...] (4 ids)"
+    assert _id_list(["x" * 61]) == f"[{'x' * 20!r}... (61 characters)]"
+    # a message's tokens of more than 60 characters, bare or quoted
+    assert _bounded(f"a {'x' * 60} '{'y' * 60}'") == f"a {'x' * 60} '{'y' * 60}'"
+    assert _bounded(f"a {'x' * 61}: '{'y y' * 21}'") == (
+        f"a {'x' * 20!r}... (62 characters) {('y y' * 21)[:20]!r}... (63 characters)")
+    assert _bounded(f"context's {'y ' * 30}'z'") == f"context's {'y ' * 30}'z'"
     # numbers by their digit counts past 60 characters, the sign and slash counted
     assert _shown(-10**58) == str(-10**58)
     assert _shown(-10**59) == "a 60-digit integer"
