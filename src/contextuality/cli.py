@@ -32,7 +32,7 @@ from .io import (
     report_text,
     resolve_input,
 )
-from .system import _bounded, _quoted, as_fraction
+from .system import _bounded, _listed, _quoted, as_fraction
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -175,10 +175,18 @@ def cmd_selftest(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors are one line, without the usage, and
-    name a long token by its head and length (argparse quotes it whole)."""
+    name a long token by its head and length (argparse quotes it whole),
+    and a list of unrecognized arguments by its first three and its count
+    (argparse lists them all)."""
 
     def error(self, message):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {_bounded(message)}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_listed(extra, 'arguments')}")
+        return args
 
 
 def _case_count(text: str) -> int:

@@ -10,22 +10,24 @@ feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
 One state object (Revised) holds the whole simplex state: the basis
 inverse B^-1, each row's entry of B^-1 b, and the basis.  Its rows, and
-the cost rows beside it, are lists of Python int numerators over one
+the one cost row beside it, are lists of Python int numerators over one
 positive int denominator.  A pivot is one method of the state.  It
 updates the rows of B^-1 with a nonzero in the entering column (built
 from B^-1 and the program's columns) and their right-hand sides, adds
 the pivot row, a sum of the program's rows weighted by the pivot's row
-of B^-1, into the cost rows, and updates the basis.  A row is brought to
+of B^-1, into the cost row, and updates the basis.  A row is brought to
 lowest terms when its denominator changes (the pivot row always is); an
 update that keeps the denominator takes no gcd.  Each entry of B^-1 b is
 a separate reduced (numerator, denominator) pair: the right-hand sides
 of this package's programs are probabilities, so a row holding its own
 would almost never have denominator 1, and without it the rows nearly
 always do.  An artificial column that leaves the basis never returns, so
-the cost rows price the original columns alone; the dual is c_B' B^-1.
-The public API is Fraction end to end.  verify_certificate re-checks
-every optimum against the program alone, independently of the solver,
-in Python ints over common denominators.
+a cost row prices the original columns alone.  One reader, _prices,
+gives y' = c_B' B^-1 at a basis: for each phase's cost row c - y'A,
+priced once where the phase starts, and for every optimum's dual.  The
+public API is Fraction end to end.  verify_certificate re-checks every
+optimum against the program alone, independently of the solver, in
+Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
@@ -202,12 +204,13 @@ class Revised:
     of M: for two phases the artificial basis, whose column n + k is s_k
     e_k with s_k the sign of b_k, so row i of M is s_i e_i over D_i; for
     the dual simplex a template's start.  ``support[k]`` holds the rows
-    where column k of M is nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
-    reduced (numerator, positive denominator) pair, and ``basis[i]`` the
-    column basic in row i.  The entering column is a
-    sum of M's columns, weighted by the column form of D A.  The pivot row
-    of B^-1 A is a sum of the rows of D A weighted by the pivot's row of
-    M; it is never stored, each cost row takes it entry by entry.
+    where column k of M is nonzero.  ``rhs[i]`` is row i's right-hand side,
+    taken from lp, as a reduced (numerator, positive denominator) pair, and
+    ``basis[i]`` the column basic in row i.  The entering column is a sum
+    of M's columns, weighted by the column form of D A.  The pivot row of
+    B^-1 A is a sum of the rows of D A weighted by the pivot's row of M; it
+    is never stored.  The one cost row, priced at a basis by _prices, is
+    kept beside the state and takes the pivot row entry by entry.
     """
 
     def __init__(self, lp: LinearProgram, form, start: _Start):
@@ -257,10 +260,10 @@ class Revised:
         return out
 
     def pivot(self, leave: int, enter: int, column: list[int],
-              cost_rows: list[list[int]]) -> None:
+              cost: list[int] | None) -> None:
         """Make column ``enter``, whose entries are ``column``, basic in row
-        ``leave``; the rows, their right-hand sides, the cost rows and the
-        basis are updated in place.
+        ``leave``; the rows, their right-hand sides, the cost row (if any)
+        and the basis are updated in place.
 
         Row ``leave`` is divided by its entry and brought to lowest terms.
         Every other row becomes row/d - (f/d) * mrow/pd, with f its entry
@@ -324,30 +327,24 @@ class Revised:
                         sup.discard(i)
                     elif not v:
                         sup.add(i)
-        # Each cost row becomes (row * s - t * mrow (D A)) / (d * s)
+        # The cost row becomes (cost * s - t * mrow (D A)) / (d * s)
         # and is then brought to lowest terms.
-        for row in cost_rows:
-            f = row[enter]
-            if f:
-                g = gcd(f, pd)
-                s, t = pd // g, f // g
-                if s != 1:
-                    row[:] = [v * s for v in row]
-                self._subtract(row, t, mrow)
-                if s != 1:
-                    g = gcd(*row)
-                    if g != 1:
-                        row[:] = [v // g for v in row]
+        if cost is not None and (f := cost[enter]):
+            g = gcd(f, pd)
+            s, t = pd // g, f // g
+            if s != 1:
+                cost[:] = [v * s for v in cost]
+            self._subtract(cost, t, mrow)
+            if s != 1:
+                g = gcd(*cost)
+                if g != 1:
+                    cost[:] = [v // g for v in cost]
         self.basis[leave] = enter
 
-    def bland(self, cost_rows: list[list[int]]) -> str:
-        """Run simplex iterations until optimal or unbounded (Bland's rule),
-        entering only original columns.
-
-        ``cost_rows[0]`` chooses the entering column; any further rows ride
-        along through the pivots.
-        """
-        cost_row = cost_rows[0]
+    def bland(self, cost_row: list[int]) -> str:
+        """Run simplex iterations until optimal or unbounded (Bland's rule):
+        the first original column with a negative entry of ``cost_row``
+        enters."""
         rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
             enter = next((j for j in range(self.n) if cost_row[j] < 0), -1)
@@ -368,7 +365,7 @@ class Revised:
                         leave, best_n, best_d = i, num, den
             if leave < 0:
                 return "unbounded"
-            self.pivot(leave, enter, column, cost_rows)
+            self.pivot(leave, enter, column, cost_row)
 
     def dual(self, cost_row: list[int]) -> bool:
         """Dual simplex iterations from a basis whose reduced costs
@@ -402,7 +399,7 @@ class Revised:
             if enter < 0:
                 return False
             run = run + 1 if best_d == 0 else 0
-            self.pivot(leave, enter, self.column(enter), [cost_row])
+            self.pivot(leave, enter, self.column(enter), cost_row)
 
     def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
         """row -= t * mrow (D A) in place; entries of mrow past the m-th
@@ -444,31 +441,26 @@ def _signed(pairs) -> tuple[tuple, tuple, tuple]:
             tuple((i, a) for i, a in pairs if a != 1 and a != -1))
 
 
-def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
+def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int] | None]:
     """Two-phase simplex from the artificial basis, with lp's solver form:
-    (status, the final state, the phase-two cost row)."""
-    n = lp.column_count
-    m = lp.row_count
+    (status, the final state, the phase-two cost row, None if infeasible)."""
+    n, m = lp.column_count, lp.row_count
     dens, _, _, (cost_den, cost) = form
 
     # Sign-normalize so every right-hand side is nonnegative.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
     state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None))
 
-    # Phase one minimizes the artificial mass; an artificial that leaves the
-    # basis is dropped.  Its cost row is minus the sum of the sign-normalized
-    # rows s_k A_k over their lcm, that is, less the rows D A weighted by
-    # s_k * den / D_k.  The phase-two cost row rides along, so it is already
-    # reduced against the final phase-one basis.
-    den = lcm(*dens)
-    cost1 = [0] * n + [den]
-    state._subtract(cost1, 1, [s * (den // d) for s, d in zip(sign, dens)])
-    cost2 = [*cost, cost_den]
-    status = state.bland([cost1, cost2])
+    # Phase one minimizes the artificial mass, each artificial at cost 1;
+    # one that leaves the basis is dropped.  Its cost row is 0 - y'A over yd.
+    y, yd = _prices(state, (), 1)
+    cost_row = [0] * n + [yd]
+    state._subtract(cost_row, 1, y)
+    status = state.bland(cost_row)
     assert status == "optimal"  # phase one is bounded below by zero
     # The artificial mass is the sum of the basic artificials' values.
     if any(bi >= n and b[0] for bi, b in zip(state.basis, state.rhs)):
-        return "infeasible", state, cost2
+        return "infeasible", state, None
 
     # Drive leftover artificials out of the basis.  A row with no original
     # column left is redundant: its artificial stays basic at level zero.
@@ -477,10 +469,30 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int]]:
             row = state.row(i)
             enter = next((j for j in range(n) if row[j]), -1)
             if enter >= 0:
-                state.pivot(i, enter, state.column(enter), [cost2])
+                state.pivot(i, enter, state.column(enter), None)
 
-    # Phase two.
-    return state.bland([cost2]), state, cost2
+    # Phase two starts where phase one stops: its cost row is c - y'A over
+    # yd * cost_den, with y priced at that basis.
+    y, yd = _prices(state, cost)
+    cost_row = [c * yd for c in cost] + [yd * cost_den]
+    state._subtract(cost_row, 1, y)
+    return state.bland(cost_row), state, cost_row
+
+
+def _prices(state: Revised, cost: Sequence[int], artificial: int = 0) -> tuple[list[int], int]:
+    """y' = c_B' B^-1 = c_B' M D at the state's basis as (y, yd), y' = y D / yd:
+    y sums the basic rows of M weighted by their nonzero costs (``cost`` for an
+    original column, zero if it is empty, ``artificial`` for the others) over
+    the lcm yd of their denominators."""
+    basic = [(c, row) for bi, row in zip(state.basis, state.rows)
+             if (c := artificial if bi >= state.n else cost[bi] if cost else 0)]
+    yd = lcm(*(row[-1] for _, row in basic))
+    y = [0] * len(state.rows)
+    for c, row in basic:
+        c *= yd // row[-1]
+        for k in itertools.compress(range(len(y)), row):
+            y[k] += c * row[k]
+    return y, yd
 
 
 def _solution(state: Revised, form) -> LpSolution:
@@ -498,23 +510,10 @@ def _solution(state: Revised, form) -> LpSolution:
                 terms.append((cost[bi] * bn, bd))
     den = lcm(*(bd for _, bd in terms))
     objective = Fraction(sum(t * (den // bd) for t, bd in terms), den * cost_den)
-    # y' = c_B' B^-1 = c_B' M D: the basic rows of M with a nonzero cost,
-    # weighted by it over the lcm of their denominators, summed, times D.
-    basic = [(cost[bi], row) for bi, row in zip(state.basis, state.rows) if bi < n and cost[bi]]
-    yd = lcm(*(row[-1] for _, row in basic))
-    y = [0] * len(dens)
-    for c, row in basic:
-        c *= yd // row[-1]
-        for k in itertools.compress(range(len(y)), row):
-            y[k] += c * row[k]
-    dual = tuple(Fraction(v * d, yd * cost_den) for v, d in zip(y, dens))
-    return LpSolution(
-        status="optimal",
-        objective=objective,
-        primal=tuple(primal),
-        dual=dual,
-        basis=tuple(sorted(b for b in state.basis if b < n)),
-    )
+    y, yd = _prices(state, cost)
+    return LpSolution(status="optimal", objective=objective, primal=tuple(primal),
+                      dual=tuple(Fraction(v * d, yd * cost_den) for v, d in zip(y, dens)),
+                      basis=tuple(sorted(b for b in state.basis if b < n)))
 
 
 def _start(template: _Template) -> _Start:
@@ -522,7 +521,7 @@ def _start(template: _Template) -> _Start:
     side.  SolverError if that program has no optimum."""
     if template.start is None:
         lp = template.program(template.start_rhs)
-        status, state, cost2 = _two_phase(lp, _form(lp, "solver", _solver_form))
+        status, state, cost_row = _two_phase(lp, _form(lp, "solver", _solver_form))
         if status != "optimal":
             raise SolverError(f"a template's start program is {status}")
         rows = [row[:-1] for row in state.rows]
@@ -531,7 +530,7 @@ def _start(template: _Template) -> _Start:
             tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
             tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
             tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
-            tuple(state.basis), tuple(cost2))
+            tuple(state.basis), tuple(cost_row))
     return template.start
 
 
@@ -551,9 +550,8 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
     else:
         start = _start(template)
         state = Revised(lp, form, start)
-        cost2 = list(start.cost)
         if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
-                not state.dual(cost2)):
+                not state.dual(list(start.cost))):
             return LpSolution(status="infeasible")
     return _solution(state, form)
 

@@ -86,11 +86,15 @@ def _bounded(message: str) -> str:
 
 
 def _id_list(ids: Iterable[str]) -> str:
-    """The sorted ids as a list for a message, each as by ``_quoted``; past
-    three ids, the first three and the count."""
-    ids = sorted(ids)
-    head = ", ".join(map(_quoted, ids[:3]))
-    return f"[{head}]" if len(ids) <= 3 else f"[{head}, ...] ({len(ids)} ids)"
+    """The sorted ids as a list for a message, as by ``_listed``."""
+    return _listed(sorted(ids), "ids")
+
+
+def _listed(items: Sequence[str], noun: str) -> str:
+    """``items`` as a list for a message, each as by ``_quoted``; past
+    three, the first three and the count of ``noun``."""
+    head = ", ".join(map(_quoted, items[:3]))
+    return f"[{head}]" if len(items) <= 3 else f"[{head}, ...] ({len(items)} {noun})"
 
 
 def _shown(x: Union[Fraction, int]) -> str:

@@ -337,6 +337,8 @@ def test_cli_names_an_oversized_token_by_its_head_and_length(tmp_path, capsys):
     ["analyze", "bundled:" + "x" * 5000],
     ["analyze", "x" * 5000],  # an OSError's text
     ["analyze", "bundled:prbox", "--out", "/nonexistent/" + "x" * 5000],
+    ["sizes", "2", "2", *["x"] * 3000],  # many unrecognized arguments
+    ["analyze", "bundled:prbox", *["y"] * 500],
 ])
 def test_cli_errors_on_oversized_arguments_stay_short(capsys, argv):
     try:
@@ -376,6 +378,16 @@ def test_cli_argparse_errors_are_one_line(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
         "contextuality sizes: error: the following arguments are required: n\n")
+    # Unrecognized arguments are listed in the given order, past three by
+    # the first three and their count.
+    for extra, listed in ((["b", "a"], "['b', 'a']"),
+                          (["z", "y", "x" * 61, "w"],
+                           f"['z', 'y', {'x' * 20!r}... (61 characters), ...] (4 arguments)")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sizes", "2", "2", *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"contextuality: error: unrecognized arguments: {listed}\n")
 
 
 @pytest.mark.parametrize("method", ["present,cbd", "np,np", ""])

@@ -323,23 +323,29 @@ def _traced_solve(lp):
     path = []
     pivot = lp_module.Revised.pivot
 
-    def traced(state, leave, enter, column, cost_rows):
+    def traced(state, leave, enter, column, cost):
         path.append((enter, state.basis[leave]))
-        pivot(state, leave, enter, column, cost_rows)
+        pivot(state, leave, enter, column, cost)
 
     with mock.patch.object(lp_module.Revised, "pivot", traced):
         return solve_exact(lp), path
+
+
+def _reduced_costs(lp, dual):
+    """c_j - y'A_j on every column j of lp."""
+    reduced = list(lp.cost)
+    for yi, row in zip(dual, lp.rows):
+        for j, a in row.items():
+            reduced[j] -= yi * a
+    return reduced
 
 
 def assert_dual_prices_basis(lp, sol):
     """The dual comes from the reported basis: every basic column's reduced
     cost c_j - y'A_j is exactly zero.  (verify_certificate accepts any
     optimal dual.)"""
-    pulled = [F(0)] * lp.column_count
-    for yi, row in zip(sol.dual, lp.rows):
-        for j, a in row.items():
-            pulled[j] += yi * a
-    assert [lp.cost[j] - pulled[j] for j in sol.basis] == [0] * len(sol.basis)
+    reduced = _reduced_costs(lp, sol.dual)
+    assert [reduced[j] for j in sol.basis] == [0] * len(sol.basis)
 
 
 def assert_matches_reference(lp):
@@ -381,6 +387,28 @@ def test_artificial_columns_never_enter():
     for lp in [*_small_programs(), *plain]:
         _, path = _traced_solve(lp)
         assert [enter for enter, _ in path if enter >= lp.column_count] == []
+
+
+def test_cost_rows_are_priced_from_the_basis():
+    # Phase two's cost row, priced once where phase one stops, and each
+    # template start's cost row equal c - y'A on every column, with y the
+    # dual of the optimum at that basis.
+    built = [build_lp(sysd, method, model=model)
+             for sysd, method, model in (p.values for p in _builder_programs())]
+    optima = 0
+    for lp in [*_small_programs(), *map(copy.copy, built)]:
+        form = lp_module._solver_form(lp)
+        status, state, cost_row = lp_module._two_phase(lp, form)
+        if status == "optimal":
+            optima += 1
+            dual = lp_module._solution(state, form).dual
+            assert [F(v, cost_row[-1]) for v in cost_row[:-1]] == _reduced_costs(lp, dual)
+    assert optima >= 60
+    for lp in built:
+        template = lp._template
+        start = lp_module._start(template)
+        dual = solve_exact(template.program(template.start_rhs)).dual
+        assert [F(v, start.cost[-1]) for v in start.cost[:-1]] == _reduced_costs(lp, dual)
 
 
 def test_objective_is_cost_times_primal():
