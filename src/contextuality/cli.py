@@ -19,6 +19,7 @@ from .builders import build_lp, measure, problem_sizes
 from .errors import (
     ContextualityError,
     MethodPreconditionError,
+    ShapeMismatch,
     SolverError,
     ValidationError,
 )
@@ -118,6 +119,10 @@ def cmd_approx(args) -> int:
     extra: dict = {}
     if args.epr:
         alice, bob = _parse_angles(args.angles)
+        # Refused before the grid's len(alice) * len(bob) bunches are built.
+        if len(alice) * len(bob) != len(sysd.contexts):
+            raise ShapeMismatch(f"--angles give {len(alice) * len(bob)} contexts "
+                                f"({len(alice)} x {len(bob)}); the system has {len(sysd.contexts)}")
         model = epr_model(alice, bob)
         bunches = model.system.bunches
         if model.rounded:

@@ -261,6 +261,11 @@ def parse_lp(text: str) -> LinearProgram:
     if len(tok) != 2 or tok[0] != "rows":
         raise ParseError("expected 'rows <count>'", lineno)
     nrows = count(tok[1], lineno)
+    # Only an empty row with a zero right-hand side takes no line, so no
+    # dump of a program this package builds has more rows than characters.
+    if nrows > len(text):
+        raise ParseError(f"row count {_quoted(tok[1])} exceeds the dump's {len(text)} "
+                         "characters", lineno)
     cost = [Fraction(0)] * nvars
     rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
     rhs = [Fraction(0)] * nrows

@@ -23,11 +23,12 @@ of this package's programs are probabilities, so a row holding its own
 would almost never have denominator 1, and without it the rows nearly
 always do.  An artificial column that leaves the basis never returns, so
 a cost row prices the original columns alone.  One reader, _prices,
-gives y' = c_B' B^-1 at a basis: for each phase's cost row c - y'A,
-priced once where the phase starts, and for every optimum's dual.  The
-public API is Fraction end to end.  verify_certificate re-checks every
-optimum against the program alone, independently of the solver, in
-Python ints over common denominators.
+gives y' = c_B' B^-1 at a basis: every optimum's dual, its objective y'b,
+and through the one writer _cost_row every cost row c - y'A, where each
+phase or a template's start begins.  Both simplex loops return a status
+string.  The public API is Fraction end to end.  verify_certificate
+re-checks every optimum against the program alone, independently of the
+solver, in Python ints over common denominators.
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
@@ -36,9 +37,9 @@ right-hand side.  The template keeps two integer forms of its rows, each
 computed on first use: the solver's (each row's lcm, and the scaled rows
 by row and by column, with the scaled cost) and verify_certificate's own
 scaling of the rows, derived from the rows by its own code and never
-from the solver's form.  Its start, also solved on first use, is the
-two-phase optimum at the start right-hand side (SolverError if there is
-none), a basis that stays dual feasible for every program of the
+from the solver's form.  Its start, also filled on first use by _form, is
+the two-phase optimum at the start right-hand side (SolverError if there
+is none), a basis that stays dual feasible for every program of the
 template.  solve_exact starts there, takes B^-1 b from the program and
 runs an exact dual simplex, so every solution depends on its program
 alone.  Every other program, copies and pickles included, and the
@@ -130,7 +131,7 @@ class _ReadOnlyRow(dict):
 # Where a Revised state starts, read-only: row i of M has counts[i]
 # nonzeros over dens[i], their positions (one int object per column) and
 # entries in turn from the flat sequences, and basic column basis[i]; cost
-# is a template start's phase-two cost row (see _start), None for two phases.
+# is a template start's cost row, from _cost_row in _start; None for two phases.
 _Start = namedtuple("_Start", "positions entries counts dens basis cost")
 
 
@@ -140,8 +141,8 @@ class _Template:
     Rows are kept read-only, so neither a template nor a program made from
     it can be changed.  ``solver`` is the integer form of the rows used by
     solve_exact and ``certificate`` the one used by verify_certificate,
-    each filled in on first use, as is ``start``, the optimal state of the
-    program at ``start_rhs``.  Nothing else depends on a right-hand side.
+    each filled in on first use by _form, as is ``start``, the optimal
+    state of the program at ``start_rhs``.  Nothing else depends on a right-hand side.
     """
 
     __slots__ = ("variables", "cost", "rows", "start_rhs", "solver", "certificate", "start")
@@ -209,8 +210,8 @@ class Revised:
     ``basis[i]`` the column basic in row i.  The entering column is a sum
     of M's columns, weighted by the column form of D A.  The pivot row of
     B^-1 A is a sum of the rows of D A weighted by the pivot's row of M; it
-    is never stored.  The one cost row, priced at a basis by _prices, is
-    kept beside the state and takes the pivot row entry by entry.
+    is never stored.  The one cost row, written at a basis by _cost_row,
+    is kept beside the state and takes the pivot row entry by entry.
     """
 
     def __init__(self, lp: LinearProgram, form, start: _Start):
@@ -220,6 +221,7 @@ class Revised:
         # Row i's entry of B^-1 b = M D b is M_i . D b over its denominator.
         bd = lcm(*(b.denominator for b in lp.rhs))
         db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
+        self.db = db, bd  # y'b is y . db over yd * bd
         self.rows, self.rhs = [], []
         self.support = support = [set() for _ in dens]
         positions, entries = iter(start.positions), iter(start.entries)
@@ -367,16 +369,16 @@ class Revised:
                 return "unbounded"
             self.pivot(leave, enter, column, cost_row)
 
-    def dual(self, cost_row: list[int]) -> bool:
+    def dual(self, cost_row: list[int]) -> str:
         """Dual simplex iterations from a basis whose reduced costs
-        ``cost_row`` are nonnegative on the original columns: True once no
-        row's value is negative, False at a negative row with no negative
-        entry in an original column.  The most negative row leaves, the
-        lowest basis index among equal ones; after _DEGENERATE_RUN pivots
-        in a row with a zero reduced cost entering, the negative row of
-        lowest basis index (Bland's rule, which cannot cycle).  The column
-        with the smallest d_j / -a_j enters, the lowest j among equal ones.
-        """
+        ``cost_row`` are nonnegative on the original columns: "optimal"
+        once no row's value is negative, "infeasible" at a negative row with
+        no negative entry in an original column.  The most negative row
+        leaves, the lowest basis index among equal ones; after
+        _DEGENERATE_RUN pivots in a row with a zero reduced cost entering,
+        the negative row of lowest basis index (Bland's rule, which cannot
+        cycle).  The column with the smallest d_j / -a_j enters, the lowest
+        j among equal ones."""
         rhs, basis = self.rhs, self.basis
         run = 0
         while True:
@@ -389,7 +391,7 @@ class Revised:
                     if d < 0 or (d == 0 and basis[i] < basis[leave]):
                         leave, least_n, least_d = i, bn, bd
             if leave < 0:
-                return True
+                return "optimal"
             row = self.row(leave)
             enter = -1
             for j in itertools.compress(range(self.n), row):
@@ -397,7 +399,7 @@ class Revised:
                 if a < 0 and (enter < 0 or cost_row[j] * best_a > best_d * a):
                     enter, best_d, best_a = j, cost_row[j], a
             if enter < 0:
-                return False
+                return "infeasible"
             run = run + 1 if best_d == 0 else 0
             self.pivot(leave, enter, self.column(enter), cost_row)
 
@@ -441,9 +443,8 @@ def _signed(pairs) -> tuple[tuple, tuple, tuple]:
             tuple((i, a) for i, a in pairs if a != 1 and a != -1))
 
 
-def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int] | None]:
-    """Two-phase simplex from the artificial basis, with lp's solver form:
-    (status, the final state, the phase-two cost row, None if infeasible)."""
+def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised]:
+    """(status, final state) of two phases from the artificial basis."""
     n, m = lp.column_count, lp.row_count
     dens, _, _, (cost_den, cost) = form
 
@@ -452,15 +453,11 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int] | None]
     state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None))
 
     # Phase one minimizes the artificial mass, each artificial at cost 1;
-    # one that leaves the basis is dropped.  Its cost row is 0 - y'A over yd.
-    y, yd = _prices(state, (), 1)
-    cost_row = [0] * n + [yd]
-    state._subtract(cost_row, 1, y)
-    status = state.bland(cost_row)
+    # one that leaves the basis is dropped.
+    status = state.bland(_cost_row(state, (), 1, artificial=1))
     assert status == "optimal"  # phase one is bounded below by zero
-    # The artificial mass is the sum of the basic artificials' values.
-    if any(bi >= n and b[0] for bi, b in zip(state.basis, state.rhs)):
-        return "infeasible", state, None
+    if _stuck(state):
+        return "infeasible", state
 
     # Drive leftover artificials out of the basis.  A row with no original
     # column left is redundant: its artificial stays basic at level zero.
@@ -471,12 +468,23 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised, list[int] | None]
             if enter >= 0:
                 state.pivot(i, enter, state.column(enter), None)
 
-    # Phase two starts where phase one stops: its cost row is c - y'A over
-    # yd * cost_den, with y priced at that basis.
-    y, yd = _prices(state, cost)
-    cost_row = [c * yd for c in cost] + [yd * cost_den]
-    state._subtract(cost_row, 1, y)
-    return state.bland(cost_row), state, cost_row
+    # Phase two starts where phase one stops.
+    return state.bland(_cost_row(state, cost, cost_den)), state
+
+
+def _stuck(state: Revised) -> bool:
+    """Whether a basic artificial has a nonzero value, so no x >= 0 solves the rows."""
+    return any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs))
+
+
+def _cost_row(state: Revised, cost: Sequence[int], den: int, artificial: int = 0) -> list[int]:
+    """c - y'A over yd * den, its last entry, with (y, yd) from _prices at the
+    state's basis; ``cost`` is c * den (empty for c = 0), ``artificial`` as there."""
+    y, yd = _prices(state, cost, artificial)
+    row = [c * yd for c in cost] if cost else [0] * state.n
+    row.append(yd * den)
+    state._subtract(row, 1, y)
+    return row
 
 
 def _prices(state: Revised, cost: Sequence[int], artificial: int = 0) -> tuple[list[int], int]:
@@ -496,64 +504,55 @@ def _prices(state: Revised, cost: Sequence[int], artificial: int = 0) -> tuple[l
 
 
 def _solution(state: Revised, form) -> LpSolution:
-    """The optimum at the state's basis."""
+    """The optimum at the state's basis, its objective read as y'b."""
     n = state.n
     dens, _, _, (cost_den, cost) = form
-    # c'x = sum of cost[bi] * bn / bd over the basic columns, all over
-    # cost_den; the terms are summed in ints over the lcm of their bd.
     primal = [Fraction(0)] * n
-    terms = []
     for (bn, bd), bi in zip(state.rhs, state.basis):
         if bi < n:
             primal[bi] = Fraction(bn, bd)
-            if bn and cost[bi]:
-                terms.append((cost[bi] * bn, bd))
-    den = lcm(*(bd for _, bd in terms))
-    objective = Fraction(sum(t * (den // bd) for t, bd in terms), den * cost_den)
     y, yd = _prices(state, cost)
-    return LpSolution(status="optimal", objective=objective, primal=tuple(primal),
-                      dual=tuple(Fraction(v * d, yd * cost_den) for v, d in zip(y, dens)),
-                      basis=tuple(sorted(b for b in state.basis if b < n)))
+    yd *= cost_den
+    db, bd = state.db
+    return LpSolution("optimal", Fraction(sum(map(operator.mul, y, db)), yd * bd), tuple(primal),
+                      tuple(Fraction(v * d, yd) for v, d in zip(y, dens)),
+                      tuple(sorted(b for b in state.basis if b < n)))
 
 
-def _start(template: _Template) -> _Start:
-    """The template's start, solved on first use at its start right-hand
-    side.  SolverError if that program has no optimum."""
-    if template.start is None:
-        lp = template.program(template.start_rhs)
-        status, state, cost_row = _two_phase(lp, _form(lp, "solver", _solver_form))
-        if status != "optimal":
-            raise SolverError(f"a template's start program is {status}")
-        rows = [row[:-1] for row in state.rows]
-        columns = tuple(range(len(rows)))
-        template.start = _Start(
-            tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
-            tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
-            tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
-            tuple(state.basis), tuple(cost_row))
-    return template.start
+def _start(lp: LinearProgram) -> _Start:
+    """The start of lp's template: the two-phase optimum at its start
+    right-hand side, with its cost row.  SolverError if that program has
+    no optimum.  Filled on first use through _form."""
+    template = lp._template
+    lp = template.program(template.start_rhs)
+    form = _form(lp, "solver", _solver_form)
+    status, state = _two_phase(lp, form)
+    if status != "optimal":
+        raise SolverError(f"a template's start program is {status}")
+    rows = [row[:-1] for row in state.rows]
+    columns = tuple(range(len(rows)))
+    cost_den, cost = form[3]
+    return _Start(
+        tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
+        tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
+        tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
+        tuple(state.basis), tuple(_cost_row(state, cost, cost_den)))
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
     """lp's solution: by two phases for a program without a template, and
     by dual simplex from its template's start for one made from a template.
     From the start, lp is infeasible where a row of B^-1 A x = B^-1 b has no
-    x >= 0: a basic artificial's row, zero in the original columns, with a
-    nonzero value, or a negative row that Revised.dual finds with no
-    negative entry."""
+    x >= 0: a basic artificial's row with a nonzero value (_stuck), or a
+    negative row that Revised.dual finds with no negative entry."""
     form = _form(lp, "solver", _solver_form)
-    template = getattr(lp, "_template", None)
-    if template is None:
-        status, state, _ = _two_phase(lp, form)
-        if status != "optimal":
-            return LpSolution(status=status)
+    if getattr(lp, "_template", None) is None:
+        status, state = _two_phase(lp, form)
     else:
-        start = _start(template)
+        start = _form(lp, "start", _start)
         state = Revised(lp, form, start)
-        if any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs)) or (
-                not state.dual(list(start.cost))):
-            return LpSolution(status="infeasible")
-    return _solution(state, form)
+        status = "infeasible" if _stuck(state) else state.dual(list(start.cost))
+    return _solution(state, form) if status == "optimal" else LpSolution(status)
 
 
 def solve_certified(lp: LinearProgram) -> LpSolution:

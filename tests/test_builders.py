@@ -428,7 +428,7 @@ def test_cached_template_matches_golden_and_fresh_build(empty_cache, name, metho
     lp = build_lp(sysd, method)
     assert lp._template is warm._template is not None
     assert lp.rhs != warm.rhs
-    assert dump_lp(lp) == (GOLDEN / f"{name}.{method}.lp").read_text()
+    assert dump_lp(lp) == (GOLDEN / f"{name}.{method}.lp").read_text(encoding="utf-8")
     got = solved(lp)
     builders._cached_template.cache_clear()
     fresh = build_lp(sysd, method)
@@ -441,7 +441,7 @@ def test_fixed_model_template_matches_golden(empty_cache):
     model = epr_model([0, 90], [180, 270]).system.bunches
     build_fixed_model_lp(random_system(SystemShape(2, 2, seed=4)), model)
     lp = build_fixed_model_lp(pr_box(), model)
-    assert dump_lp(lp) == (GOLDEN / "prbox.fixed_model.lp").read_text()
+    assert dump_lp(lp) == (GOLDEN / "prbox.fixed_model.lp").read_text(encoding="utf-8")
 
 
 def test_templates_key_on_printed_labels(empty_cache):
@@ -736,7 +736,8 @@ def test_every_cached_template_has_a_start(empty_cache, name):
             continue  # built per call, with no start
         template = builders._cached_template(family, shape)
         assert template.start_rhs is not None
-        assert lp_module._start(template) is not None, family
+        lp = template.program(template.start_rhs)
+        assert lp_module._form(lp, "start", lp_module._start) is not None, family
 
 
 # Results depend on the input only, and the fallback to two phases
@@ -807,7 +808,7 @@ def test_dual_path_proves_infeasibility_like_two_phases(empty_cache):
                 build_lp(disjoint_support_system(), "np_inside"),
                 np_lp._template.program(halved)]
     for lp in programs:
-        assert lp_module._start(lp._template) is not None
+        assert lp_module._form(lp, "start", lp_module._start) is not None
         with mock.patch.object(lp_module, "_two_phase", None):  # calling it raises
             assert solve_exact(lp) == LpSolution("infeasible")
             with pytest.raises(Infeasible) as dual:

@@ -126,7 +126,7 @@ def test_cli_empty_system_file_is_refused(tmp_path, capsys):
 
 def test_cli_parse_error_is_one_line(tmp_path, capsys):
     path = tmp_path / "short.system"
-    path.write_text("property p 1\n")
+    path.write_text("property p 1\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -366,6 +366,13 @@ def test_cli_errors_on_long_id_lists_stay_short(tmp_path, capsys):
         (["approx", str(tmp_path / "data.system"), "--model", str(tmp_path / "model.system")], 3,
          "error: model contexts ['d0', 'd1', 'd10', ...] (2000 ids) do not match system "
          "contexts ['c0', 'c1', 'c10', ...] (2000 ids)\n"),
+        # A mismatched grid is refused before its bunches are built, also
+        # where one of its angles is unrealizable.
+        (["approx", "bundled:prbox", "--epr", "--angles", ",".join(["0"] * 400) + ";"
+          + ",".join(["90"] * 400)], 3,
+         "error: --angles give 160000 contexts (400 x 400); the system has 4\n"),
+        (["approx", "bundled:prbox", "--epr", "--angles", "0,60;60"], 3,
+         "error: --angles give 2 contexts (2 x 1); the system has 4\n"),
     ]:
         assert main(argv) == code
         captured = capsys.readouterr()
@@ -471,7 +478,7 @@ def test_cli_analyze_missing_file(capsys):
 def test_cli_bundled_names_stay_in_the_package(tmp_path, capsys):
     # At the package's data directory, the escape names a readable file.
     outside = tmp_path / "outside.system"
-    outside.write_text(write_system_text(pr_box()))
+    outside.write_text(write_system_text(pr_box()), encoding="utf-8")
     data = bundled_path("prbox").parent
     escape = os.path.relpath(tmp_path / "outside", data)
     assert (data / (escape + ".system")).resolve() == outside.resolve()
@@ -507,7 +514,7 @@ def test_cli_analyze_out_file(tmp_path, capsys):
     code = main(["analyze", "bundled:prbox", "--method", "np", "--json",
                  "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())[0]["measure"] == "1/2"
+    assert json.loads(out.read_text(encoding="utf-8"))[0]["measure"] == "1/2"
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,7 +580,7 @@ def test_cli_dump_lp_round_trip(tmp_path, capsys):
     out = tmp_path / "prbox-cbd.lp"
     code = main(["dump-lp", "bundled:prbox", "--method", "cbd", "--out", str(out)])
     assert code == 0
-    text = out.read_text()
+    text = out.read_text(encoding="utf-8")
     lp = parse_lp(text)
     assert lp.column_count == 256
     assert lp.row_count == 16
@@ -662,7 +669,7 @@ def test_cli_rejects_name_delimiters_in_symbols(tmp_path, capsys, command):
     # "a,b c" and "a b,c" would both be labelled "a,b,c" in variable names
     path = tmp_path / "collide.system"
     path.write_text("property p a,b a\nproperty q c b,c\ncontext c1 p q\n"
-                    "bunch c1\na,b c 1/2\na b,c 1/2\n")
+                    "bunch c1\na,b c 1/2\na b,c 1/2\n", encoding="utf-8")
     assert main([command, str(path), "--method", "present"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "','" in err
@@ -705,7 +712,7 @@ def test_analyze_json_matches_golden(capsys, name):
     for r in reports:
         r.pop("seconds", None)
     text = json.dumps(reports, indent=2) + "\n"
-    assert text == (GOLDEN / f"{name}.analyze.json").read_text()
+    assert text == (GOLDEN / f"{name}.analyze.json").read_text(encoding="utf-8")
 
 
 # The ids are pytest's defaults for (name, argv), which the exit code would change.
@@ -726,7 +733,7 @@ def test_text_report_matches_golden(capsys, name, argv, code):
     assert main(argv) == code
     lines = capsys.readouterr().out.splitlines(keepends=True)
     text = "".join(line for line in lines if not line.startswith("seconds "))
-    assert text == (GOLDEN / f"{name}.txt").read_text()
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name,method", [
@@ -735,7 +742,7 @@ def test_text_report_matches_golden(capsys, name, argv, code):
 ])
 def test_dump_lp_matches_golden(capsys, name, method):
     assert main(["dump-lp", f"bundled:{name}", "--method", method]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.{method}.lp").read_text()
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{method}.lp").read_text(encoding="utf-8")
 
 
 def test_approx_epr_json_matches_golden(capsys):
@@ -744,12 +751,12 @@ def test_approx_epr_json_matches_golden(capsys):
     for r in reports:
         r.pop("seconds", None)
     text = json.dumps(reports, indent=2) + "\n"
-    assert text == (GOLDEN / "prbox.approx_epr.json").read_text()
+    assert text == (GOLDEN / "prbox.approx_epr.json").read_text(encoding="utf-8")
 
 
 def test_selftest_matches_golden(capsys):
     assert main(["selftest", "--seed", "2024", "--count", "3"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "selftest.txt").read_text()
+    assert capsys.readouterr().out == (GOLDEN / "selftest.txt").read_text(encoding="utf-8")
 
 
 def _golden_programs():
@@ -770,4 +777,4 @@ def _golden_programs():
                                   "ternary.delta_p", "ternary3.delta_p"])
 def test_coupling_programs_match_golden(name):
     lp = _golden_programs()[name]()
-    assert dump_lp(lp) == (GOLDEN / f"{name}.lp").read_text()
+    assert dump_lp(lp) == (GOLDEN / f"{name}.lp").read_text(encoding="utf-8")

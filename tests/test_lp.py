@@ -204,6 +204,7 @@ OK_DUMP = dump_lp(lp_of(["x"], [1], [{0: 1}], [1]))  # one line per entry, "end"
     (OK_DUMP.replace("minimize\n", ""), 2),
     (OK_DUMP.replace("vars 1", "vars one"), 3),  # bad count
     (OK_DUMP.replace("rows 1", "rows -1"), 5),  # negative count
+    (OK_DUMP.replace("rows 1", "rows 10000000000"), 5),  # more rows than characters
     (OK_DUMP.replace("vars 1\nvar x\n", ""), 3),  # missing vars
     (OK_DUMP.replace("vars 1\nvar x", "vars 2\nvar x\nvar x"), 5),  # duplicate name
     (OK_DUMP.replace("vars 1\nvar x", "vars 3\nvar x\nvar x\nvar y"), 5),  # repeat, then more
@@ -390,36 +391,50 @@ def test_artificial_columns_never_enter():
 
 
 def test_cost_rows_are_priced_from_the_basis():
-    # Phase two's cost row, priced once where phase one stops, and each
-    # template start's cost row equal c - y'A on every column, with y the
-    # dual of the optimum at that basis.
+    # _cost_row at every two-phase optimum, the phase-two row that the
+    # pivots carried there, and each template start's stored cost row equal
+    # c - y'A on every column as rationals, with y the optimum's dual.
     built = [build_lp(sysd, method, model=model)
              for sysd, method, model in (p.values for p in _builder_programs())]
     optima = 0
     for lp in [*_small_programs(), *map(copy.copy, built)]:
         form = lp_module._solver_form(lp)
-        status, state, cost_row = lp_module._two_phase(lp, form)
+        rows = []
+        bland = lp_module.Revised.bland
+        with mock.patch.object(lp_module.Revised, "bland",
+                               lambda state, row: rows.append(row) or bland(state, row)):
+            status, state = lp_module._two_phase(lp, form)
         if status == "optimal":
             optima += 1
             dual = lp_module._solution(state, form).dual
-            assert [F(v, cost_row[-1]) for v in cost_row[:-1]] == _reduced_costs(lp, dual)
+            cost_den, cost = form[3]
+            for row in (rows[-1], lp_module._cost_row(state, cost, cost_den)):
+                assert [F(v, row[-1]) for v in row[:-1]] == _reduced_costs(lp, dual)
     assert optima >= 60
     for lp in built:
         template = lp._template
-        start = lp_module._start(template)
+        start = lp_module._form(lp, "start", lp_module._start)
         dual = solve_exact(template.program(template.start_rhs)).dual
         assert [F(v, start.cost[-1]) for v in start.cost[:-1]] == _reduced_costs(lp, dual)
 
 
 def test_objective_is_cost_times_primal():
-    fractional = 0
-    for lp in _small_programs():
+    # The objective is read as y'b; on both paths it equals c'x: the small
+    # programs and plain copies by two phases, template programs by the
+    # dual simplex.
+    built = [build_lp(sysd, method, model=model)
+             for sysd, method, model in (p.values for p in
+                                         [*_builder_programs(), *_cyclic_programs()])]
+    fractional = optima = 0
+    for lp in [*_small_programs(), *built, *map(copy.copy, built)]:
         sol = solve_exact(lp)
         if sol.status != "optimal":
             continue
+        optima += 1
         assert sol.objective == sum((c * x for c, x in zip(lp.cost, sol.primal)), F(0))
         fractional += any(c.denominator != 1 and x for c, x in zip(lp.cost, sol.primal))
     assert fractional >= 10
+    assert optima >= 100
 
 
 def _builder_programs():
@@ -537,7 +552,7 @@ def assert_dual_matches_reference(lp, degenerate_run):
     check agrees with the reference's on it and on perturbed copies."""
     template = lp._template
     basis = _reference_start_basis(template)
-    start = lp_module._start(template)  # its own pivots are not on the path
+    start = lp_module._form(lp, "start", lp_module._start)  # its pivots are not on the path
     assert tuple(sorted(b for b in start.basis if b < lp.column_count)) == basis
     ref_path = []
     ref = reference_dual_solve(lp, basis, degenerate_run, ref_path)

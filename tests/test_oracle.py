@@ -253,7 +253,7 @@ def test_import_does_not_load_scipy():
     code = ("import sys, contextuality; "
             "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, encoding="utf-8").stdout
     assert out.strip() == "[]"
 
 
@@ -265,7 +265,7 @@ def test_import_loads_the_oracle_on_first_use():
             "print(random_system is sys.modules['contextuality.oracle'].random_system); "
             "print(contextuality.oracle.solve_float is contextuality.solve_float)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, encoding="utf-8").stdout
     assert out.split() == ["False", "True", "True"]
     star: dict = {}
     exec("from contextuality import *", star)
@@ -281,7 +281,7 @@ def test_selftest_without_numpy_is_a_solver_error():
             "from contextuality.cli import main; "
             "sys.exit(main(['selftest', '--count', '1']))")
     run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+                         capture_output=True, encoding="utf-8")
     assert run.returncode == 4
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ") and "numpy" in run.stderr
@@ -335,7 +335,7 @@ def test_commands_run_without_numpy_and_scipy():
     runs = {}
     for mode in ("refuse", "allow"):
         run = subprocess.run([sys.executable, "-c", _COMMANDS, mode], input=commands, env=env,
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, encoding="utf-8", check=True)
         runs[mode] = json.loads(run.stdout)
     assert runs["refuse"]["loaded"] == []
     assert runs["refuse"]["runs"] == runs["allow"]["runs"]
