@@ -18,7 +18,11 @@ The quantities here are the building blocks of the contextuality measures:
 `_coupling_block` writes every transport block of the package: the
 mismatch program's, one per context of the delta_p program, and the
 builders' blocks that couple each bunch to a joint or a fixed model.
-Weights are read through `system`.
+Weights are read through `system`.  The closed forms (the median, the
+maximal coupling, `delta0_present` and `delta0_cbd`) compute on the ints
+over one denominator d that `system._connections` and `system._scaled`
+return, and each makes one `Fraction` per value it returns; only a
+delta_p that needs its LP reads rationals.
 """
 from __future__ import annotations
 
@@ -40,9 +44,11 @@ from .system import (
     System,
     _atom_weights,
     _check_symbols,
-    _connection_weights,
-    _disagreement,
+    _connections,
+    _denominator,
+    _scaled,
     _shown,
+    _unmatched,
     expectation,
     is_plus_minus,
     product_expectation,
@@ -66,7 +72,8 @@ def max_coupling_probability(marginals: Sequence[Pmf]) -> Fraction:
     for m in marginals[1:]:
         if m.alphabets != alphas:
             raise AlphabetMismatch(f"alphabets differ: {m.alphabets} vs {alphas}")
-    return ONE - _disagreement([_atom_weights(m) for m in marginals])
+    d, weights = _scaled(marginals)
+    return Fraction(sum(map(min, *weights)), d)
 
 
 def tv_distance(a: Pmf, b: Pmf) -> Fraction:
@@ -165,6 +172,14 @@ class DeltaP:
     optimizer: Union[Pmf, MedianResult]
 
 
+def _median(values: Sequence[int]) -> tuple[int, int, int]:
+    """(lo, hi, spread): the median interval of the ints `values` and the sum
+    of their distances to lo, which every point of [lo, hi] attains."""
+    vals = sorted(values)
+    lo, hi = vals[(len(vals) - 1) // 2], vals[len(vals) // 2]
+    return lo, hi, sum(abs(v - lo) for v in vals)
+
+
 def median_binary(means: Sequence[Fraction]) -> MedianResult:
     """L1-optimal approximating mean for a binary connection."""
     if not means:
@@ -173,35 +188,42 @@ def median_binary(means: Sequence[Fraction]) -> MedianResult:
     for v in vals:
         if not -1 <= v <= 1:
             raise MeanOutOfRange(f"mean {_shown(v)} outside [-1, 1]")
-    vals.sort()
-    n = len(vals)
-    if n % 2:
-        lo = hi = vals[n // 2]
-    else:
-        lo, hi = vals[n // 2 - 1], vals[n // 2]
-    delta = HALF * sum((abs(v - lo) for v in vals), ZERO)
-    return MedianResult(lo, hi, delta)
+    d = _denominator(vals)
+    lo, hi, spread = _median([v.numerator * (d // v.denominator) for v in vals])
+    return MedianResult(Fraction(lo, d), Fraction(hi, d), Fraction(spread, 2 * d))
+
+
+def _closed_floor(alpha: tuple, d: int, weights: list[tuple[int, ...]]) -> int | None:
+    """d times delta_p of a connection read as ints over d, or None where
+    delta_p needs its LP.  For +/-1 the means 2 w(+1)/d - 1 have their
+    median at the median of the w(+1), and half their spread is that of the
+    w(+1) over d."""
+    if is_plus_minus(alpha):
+        return _median([w[alpha.index(1)] for w in weights])[2]
+    return _unmatched(d, weights) if len(weights) <= 2 else None
 
 
 def delta_p(sys: System, pid: str) -> DeltaP:
     """Smallest sum of TV distances from one distribution to a connection.
 
     +/-1 alphabets use the median characterization on the means, read
-    off the connection's weight tuples.  Other alphabets with at most two contexts
+    off the connection's ints.  Other alphabets with at most two contexts
     have the closed form 1 - max coupling probability (0 for one context),
     attained at the first marginal: by the triangle inequality no q does
     better than the two marginals' own TV distance.  Anything else solves
     the equivalent small LP (see delta_p_via_lp).
     """
     alpha = sys.property(pid).alphabet
-    weights = _connection_weights(sys, pid)
+    d, conns = _connections(sys, (pid,))
+    weights = conns[pid]
+    floor = _closed_floor(alpha, d, weights)
+    if floor is None:
+        return delta_p_via_lp(sys, pid)
     if is_plus_minus(alpha):
-        up = alpha.index(1)
-        med = median_binary([2 * w[up] - 1 for w in weights])
-        return DeltaP(med.delta_p, med)
-    if len(weights) <= 2:
-        return DeltaP(_disagreement(weights), Pmf([alpha], zip(alpha, weights[0])))
-    return delta_p_via_lp(sys, pid)
+        lo, hi, _ = _median([w[alpha.index(1)] for w in weights])
+        median = MedianResult(Fraction(2 * lo - d, d), Fraction(2 * hi - d, d), Fraction(floor, d))
+        return DeltaP(median.delta_p, median)
+    return DeltaP(Fraction(floor, d), Pmf([alpha], zip(alpha, (Fraction(n, d) for n in weights[0]))))
 
 
 def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
@@ -217,14 +239,15 @@ def build_delta_p_lp(sys: System, pid: str) -> LinearProgram:
     cost = [ZERO] * len(alpha)
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for cid, w in zip(sys.contexts_of[pid], _connection_weights(sys, pid)):
+    d, conns = _connections(sys, (pid,))
+    for cid, w in zip(sys.contexts_of[pid], conns[pid]):
         # q is the block's first side, so its columns read w[cid][x|y].
         q_side: list[dict[int, Fraction]] = []
         observed = _coupling_block(names, cost, q_side, f"w[{cid}]", [alpha])
         for x, row in enumerate(q_side):
             row[x] = NEG_ONE
         rows += observed + q_side
-        rhs += list(w) + [ZERO] * len(alpha)
+        rhs += [Fraction(n, d) for n in w] + [ZERO] * len(alpha)
     return LinearProgram(tuple(names), tuple(cost), tuple(rows), tuple(rhs))
 
 
@@ -238,17 +261,32 @@ def delta_p_via_lp(sys: System, pid: str) -> DeltaP:
 
 
 def delta0_present(sys: System) -> Fraction:
-    """Sum of the per-property floors delta_p."""
-    return sum((delta_p(sys, p.id).value for p in sys.properties), ZERO)
+    """Sum of the per-property floors delta_p.
+
+    The closed forms are summed as ints over the reader's d and made one
+    Fraction; a property that needs its LP (three or more contexts, not
+    +/-1) adds that LP's optimum.
+    """
+    d, conns = _connections(sys)
+    total, solved = 0, ZERO
+    for p in sys.properties:
+        floor = _closed_floor(p.alphabet, d, conns[p.id])
+        if floor is None:
+            solved += solve_certified(build_delta_p_lp(sys, p.id)).objective
+        else:
+            total += floor
+    return Fraction(total, d) + solved
 
 
 def delta0_cbd(sys: System) -> Fraction:
     """Per-property minimal disagreement mass over couplings of connections.
 
     Each property with two or more contexts contributes 1 minus the maximal
-    coupling probability of its connection.
+    coupling probability of its connection, summed as ints over the
+    reader's d.
     """
-    return sum((_disagreement(_connection_weights(sys, p.id)) for p in sys.properties), ZERO)
+    d, conns = _connections(sys)
+    return Fraction(sum(_unmatched(d, weights) for weights in conns.values()), d)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,10 @@ module constant ``ATOM_CAP``.  Before a template is looked up or built,
 ``AlphabetTooLarge`` refuses the joint over all properties (``present``,
 ``np``, ``np_inside``) or the coupling of all bunches (``cbd``) with more
 atoms, then each context's coupling block ``w[c]`` with |A_c|^2 atoms
-(``present``, ``np_inside``, ``fixed_model``), and then a program with
-more columns in all.  The same model decides whether a template is
-cached and gives the ``sizes`` table (``problem_sizes``).
+(``present``, ``np_inside``, ``fixed_model``), then a program with more
+columns in all, and then one with more than ``NONZERO_CAP`` matrix
+entries.  The same model decides whether a template is cached and gives
+the ``sizes`` table (``problem_sizes``).
 """
 from __future__ import annotations
 
@@ -79,6 +80,10 @@ ONE = Fraction(1)
 METHODS = ("present", "cbd", "np", "np_inside", "fixed_model")
 
 ATOM_CAP = 1 << 20
+# _check_blocks refuses a program with more matrix entries than this: cbd's
+# columns each hold one entry per context, so 10 pair contexts fit the
+# atom cap with 10 times as many entries, while 3x3 cbd has 2 359 296.
+NONZERO_CAP = 1 << 22
 
 # problem_sizes refuses m*n above this, before computing 4**(m*n); every
 # count it reports then also prints under Python's default int-to-str limit
@@ -179,8 +184,8 @@ def _blocks(family: str, shape: tuple) -> list[tuple[str, int, int, int, int]]:
 def _check_blocks(family: str, shape: tuple) -> int:
     """Refuse a template of `family` for `shape` with a block of more than
     ATOM_CAP atoms (the joint or the coupling of all bunches first, then
-    each w[c]), or with more than ATOM_CAP columns in all; else return its
-    nonzeros."""
+    each w[c]), with more than ATOM_CAP columns in all, or with more than
+    NONZERO_CAP nonzeros; else return its nonzeros."""
     blocks = _blocks(family, shape)
     for name, atoms, _, _, _ in blocks:
         if atoms > ATOM_CAP:
@@ -188,7 +193,10 @@ def _check_blocks(family: str, shape: tuple) -> int:
     columns = sum(block[2] for block in blocks)
     if columns > ATOM_CAP:
         raise AlphabetTooLarge(f"{family} program has {columns} columns (cap {ATOM_CAP})")
-    return sum(block[4] for block in blocks)
+    nonzeros = sum(block[4] for block in blocks)
+    if nonzeros > NONZERO_CAP:
+        raise AlphabetTooLarge(f"{family} program has {nonzeros} nonzeros (cap {NONZERO_CAP})")
+    return nonzeros
 
 
 def _program_maker(family: str, sys: System) -> Callable[[tuple], LinearProgram]:

@@ -181,7 +181,11 @@ def _form(lp: LinearProgram, slot: str, make):
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver output; primal/dual/basis are populated only when optimal."""
+    """Solver output; primal/dual/basis are populated only when optimal.
+
+    ``basis`` lists the program's basic columns in increasing order; every
+    nonzero primal entry is in one of them.
+    """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None = None
@@ -190,10 +194,16 @@ class LpSolution:
     basis: tuple[int, ...] | None = None
 
     def named_primal(self, lp: LinearProgram) -> dict[str, Fraction]:
-        """Nonzero primal entries keyed by variable name."""
+        """Nonzero primal entries keyed by variable name, in column order.
+
+        Every nonzero entry of a basic solution sits in a basic column, so
+        only the sorted basic columns are read where ``basis`` is given.
+        """
         if self.status != "optimal" or self.primal is None:
             raise SolverError(f"no primal point in a solution of status {self.status!r}")
-        return {name: v for name, v in zip(lp.variables, self.primal) if v != 0}
+        primal = self.primal
+        columns = range(len(primal)) if self.basis is None else self.basis
+        return {lp.variables[j]: primal[j] for j in columns if primal[j]}
 
 
 class Revised:

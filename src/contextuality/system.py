@@ -12,18 +12,23 @@ Binary fast paths elsewhere in the package require the alphabet to be
 exactly the pair {+1, -1} of ints.
 
 This module is also the one reader of stored weights for the rest of the
-package: a bunch's weights in atom order, a connection's marginal weights,
-where a property sits in its contexts, and the disagreement mass
-(1 - maximal coupling probability) of same-alphabet weight tuples.
+package: a bunch's weights in atom order, where a property sits in its
+contexts, and the connections.  The connection reader ``_connections``
+works in ints: it scales every weight it reads to one common denominator
+d and returns each connection as tuples of ints over d, each summing to
+d.  The floors, the maximal coupling and the consistency check compute on
+those ints (``_unmatched`` gives d times 1 minus the maximal coupling
+probability) and make a `Fraction` only for each value they return.
 """
 from __future__ import annotations
 
 import decimal
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     AlphabetMismatch,
@@ -389,21 +394,43 @@ def _slots(sys: System, pid: str) -> list[tuple[int, int]]:
     return slots
 
 
-def _connection_weights(sys: System, pid: str) -> list[tuple[Fraction, ...]]:
-    """Marginal weights of `pid`, one tuple per context in `sys.contexts_of[pid]`,
-    each in alphabet order.
+def _denominator(weights: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of `weights` (1 for none)."""
+    return math.lcm(*{x.denominator for x in weights})
 
-    This is the one reader of a connection: it sums the bunches' stored
-    weights directly, with no intermediate `Pmf`.
+
+def _connections(sys: System, pids: Optional[Iterable[str]] = None
+                 ) -> tuple[int, dict[str, list[tuple[int, ...]]]]:
+    """(d, connections): the marginal weights of each property in `pids` (every
+    property by default) as ints over one common denominator d, one tuple per
+    context in `sys.contexts_of[pid]`, each in alphabet order and summing to d.
+
+    This is the one reader of connections.  It takes one lcm over the
+    weights of the bunches that hold a wanted property, then reads each of
+    those bunches once, adding each weight, scaled to d, to its symbol's
+    entry for every wanted property of the context.  It reads only a
+    weight's `numerator` and `denominator` and makes no Fraction.
     """
-    index = {s: i for i, s in enumerate(sys.property(pid).alphabet)}
-    out = []
-    for t, k in _slots(sys, pid):
-        w = [ZERO] * len(index)
-        for outcome, x in sys.bunches[sys.contexts[t].id]._weights.items():
-            w[index[outcome[k]]] += x
-        out.append(tuple(w))
-    return out
+    if pids is None:
+        props, contexts = sys.properties, sys.contexts
+    else:
+        props = [sys.property(pid) for pid in pids]
+        held = {cid for p in props for cid in sys.contexts_of[p.id]}
+        contexts = [c for c in sys.contexts if c.id in held]
+    index = {p.id: {s: i for i, s in enumerate(p.alphabet)} for p in props}
+    bunches = [sys.bunches[c.id]._weights for c in contexts]
+    d = _denominator(x for weights in bunches for x in weights.values())
+    out: dict[str, list[tuple[int, ...]]] = {pid: [] for pid in index}
+    for ctx, weights in zip(contexts, bunches):
+        slots = [(k, index[pid], [0] * len(index[pid]), out[pid])
+                 for k, pid in enumerate(ctx.properties) if pid in index]
+        for outcome, x in weights.items():
+            n = x.numerator * (d // x.denominator)
+            for k, where, acc, _ in slots:
+                acc[where[outcome[k]]] += n
+        for _, _, acc, conn in slots:
+            conn.append(tuple(acc))
+    return d, out
 
 
 def _atom_weights(pmf: Pmf) -> list[Fraction]:
@@ -412,18 +439,28 @@ def _atom_weights(pmf: Pmf) -> list[Fraction]:
     return [weights.get(u, ZERO) for u in itertools.product(*pmf.alphabets)]
 
 
-def _disagreement(weights: Sequence[Sequence[Fraction]]) -> Fraction:
-    """1 minus the maximal coupling probability of same-alphabet weight
-    tuples (half the L1 distance for two); 0 for a single one."""
+def _scaled(pmfs: Sequence[Pmf]) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, weights): the weight of every atom of each pmf, in atom order, as
+    ints over the common denominator d of all their weights."""
+    d = _denominator(x for pmf in pmfs for x in pmf._weights.values())
+    return d, [tuple(x.numerator * (d // x.denominator) for x in _atom_weights(pmf))
+               for pmf in pmfs]
+
+
+def _unmatched(d: int, weights: Sequence[Sequence[int]]) -> int:
+    """d times 1 minus the maximal coupling probability of same-alphabet
+    weight tuples over d (d times their total variation distance for two);
+    0 for a single one."""
     if len(weights) < 2:
-        return ZERO
-    return ONE - sum(map(min, *weights), ZERO)
+        return 0
+    return d - sum(map(min, *weights))
 
 
 def connection_of(sys: System, pid: str) -> Connection:
     """Marginals of property `pid` in each context containing it."""
     alpha = sys.property(pid).alphabet
-    margs = tuple(Pmf([alpha], zip(alpha, w)) for w in _connection_weights(sys, pid))
+    d, conns = _connections(sys, (pid,))
+    margs = tuple(Pmf([alpha], zip(alpha, (Fraction(n, d) for n in w))) for w in conns[pid])
     return Connection(pid, sys.contexts_of[pid], margs)
 
 
@@ -432,12 +469,14 @@ def consistency_report(sys: System) -> ConsistencyReport:
 
     The system is consistently connected iff every property's marginals
     agree exactly across its contexts (max pairwise total variation 0).
+    The gaps are found in ints over the reader's d; each property's largest
+    is then made one Fraction.
     """
-    max_tv: dict[str, Fraction] = {}
-    for p in sys.properties:
-        pairs = itertools.combinations(_connection_weights(sys, p.id), 2)
-        max_tv[p.id] = max(map(_disagreement, pairs), default=ZERO)
-    return ConsistencyReport(not any(max_tv.values()), max_tv)
+    d, conns = _connections(sys)
+    gaps = {pid: max((_unmatched(d, pair) for pair in itertools.combinations(ws, 2)), default=0)
+            for pid, ws in conns.items()}
+    return ConsistencyReport(not any(gaps.values()),
+                             {pid: Fraction(gap, d) for pid, gap in gaps.items()})
 
 
 def _require_plus_minus(pmf: Pmf, positions: int) -> None:

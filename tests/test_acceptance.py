@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction as F
 
+from rough import PRIMES, rough_mean, rough_pmf
+
 from contextuality.analytic import (
     BinaryStats,
     build_delta_p_lp,
@@ -16,6 +18,7 @@ from contextuality.analytic import (
     cyclic2_min_partial,
     delta0_cbd,
     delta0_present,
+    delta_p,
     max_coupling_probability,
     median_binary,
     tv_distance,
@@ -35,6 +38,7 @@ from contextuality.oracle import (
     random_system,
     solve_float,
 )
+from contextuality.system import Pmf
 
 INSTANCES = []  # (label, LinearProgram, LpSolution) from criteria 1-9
 
@@ -214,8 +218,14 @@ def test_criterion_06_median_floor_on_200_connections():
         assert sol.objective == med.delta_p, trial
         if k == 2:
             assert med.delta_p == abs(means[0] - means[1]) / 2, trial
+    # rough means over coprime denominators, in one to five contexts
+    for trial in range(40):
+        means = [rough_mean(rng) for _ in range(trial % 5 + 1)]
+        sysd = _connection_system(means)
+        sol = _solved(build_delta_p_lp(sysd, "p"), f"c6-rough-{trial}")
+        assert sol.objective == median_binary(means).delta_p == delta_p(sysd, "p").value, trial
     print("criterion 6 PASS: median closed form = LP floor on 200 random "
-          "binary connections (|C_p| in 2..5)")
+          "binary connections (|C_p| in 2..5) and 40 rough ones (|C_p| in 1..5)")
 
 
 def test_criterion_07_cyclic2_closed_form_on_200_pairs():
@@ -251,8 +261,24 @@ def test_criterion_08_max_coupling_on_200_lists():
                     assert tv_distance(a, b) == gap / 2
                     binary_pairs_checked += 1
     assert binary_pairs_checked >= 100
+    # rough lists over coprime denominators, and pairs that agree but for
+    # 1/p moved between two symbols
+    for trial in range(40):
+        alpha = PM if trial % 2 == 0 else tuple(range(2 + trial % 3))
+        margs = [rough_pmf(rng, [alpha]) for _ in range(2 + trial % 3)]
+        if trial % 4 == 1:
+            step = F(1, PRIMES[trial % len(PRIMES)])
+            moved = {(s,): margs[0][s] for s in alpha}
+            moved[alpha[0],] += step
+            moved[alpha[-1],] -= step
+            margs = [margs[0], Pmf([alpha], moved)]
+        closed = max_coupling_probability(margs)
+        sol = _solved(build_max_coupling_lp(margs), f"c8-rough-{trial}")
+        assert -sol.objective == closed, trial
+        if trial % 4 == 1:
+            assert closed == 1 - step, trial
     print(f"criterion 8 PASS: closed form = brute-force coupling LP on 200 "
-          f"lists; TV identity held on {binary_pairs_checked} binary pairs")
+          f"lists and 40 rough ones; TV identity held on {binary_pairs_checked} binary pairs")
 
 
 def test_criterion_09_epr_fixed_model():

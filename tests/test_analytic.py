@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from rough import rough_mean, rough_pmf
 
 from contextuality import analytic
 from contextuality.analytic import (
@@ -29,11 +31,12 @@ from contextuality.errors import (
     UnrealizableStats,
     ValidationError,
 )
-from contextuality.examples import ab_system, disjoint_support_system, pr_box
+from contextuality.examples import _paired_system, ab_system, disjoint_support_system, pr_box
 from contextuality.lp import solve_certified
-from contextuality.oracle import (SystemShape, _connection_system, cyclic_system, random_pmf,
-                                  random_system)
-from contextuality.system import Context, Pmf, Property, System, connection_of
+from contextuality.oracle import (SystemShape, _connection_system, build_max_coupling_lp,
+                                  cyclic_system, random_pmf, random_system)
+from contextuality.system import (Context, Pmf, Property, System, connection_of,
+                                  consistency_report, is_plus_minus)
 
 PM = (1, -1)
 
@@ -167,6 +170,13 @@ def test_delta_p_lp_matches_median_on_binary_connections():
         means = [F(rng.randint(-32, 32), 32) for _ in range(rng.randint(2, 5))]
         sysd = _connection_system(means)
         assert delta_p(sysd, "p").value == delta_p_via_lp(sysd, "p").value
+    # rough means in one to five contexts, so both median parities occur
+    for k in range(1, 6):
+        for _ in range(3):
+            means = [rough_mean(rng) for _ in range(k)]
+            sysd = _connection_system(means)
+            value = delta_p(sysd, "p").value
+            assert value == delta_p_via_lp(sysd, "p").value == median_binary(means).delta_p
 
 
 def test_delta_p_general_alphabet_uses_lp():
@@ -189,6 +199,10 @@ def test_delta_p_two_context_closed_form_matches_lp(size, consistent, monkeypatc
     # every property of a 2x2 system lies in two contexts
     systems = [random_system(SystemShape(2, 2, alphabet_size=size, consistent=consistent,
                                          seed=seed)) for seed in range(10)]
+    if not consistent:  # and rough bunches, whose denominators are coprime
+        rng, alpha = random.Random(size), tuple(range(size))
+        systems += [_paired_system(2, 2, alpha, lambda i, j: rough_pmf(rng, [alpha, alpha]))
+                    for _ in range(3)]
     expected = {(k, p.id): delta_p_via_lp(sysd, p.id).value
                 for k, sysd in enumerate(systems) for p in sysd.properties}
     monkeypatch.setattr(analytic, "delta_p_via_lp", None)  # the closed form solves no LP
@@ -201,17 +215,133 @@ def test_delta_p_two_context_closed_form_matches_lp(size, consistent, monkeypatc
 
 
 def test_delta_p_three_contexts_keep_the_lp(monkeypatch):
-    # a1 lies in three contexts, each b in one: only a1 goes through the LP
-    solved = []
-    real = analytic.delta_p_via_lp
+    # a1 lies in three contexts, each b in one: only a1 goes through the LP,
+    # in delta_p and in delta0_present
+    solved, built = [], []
+    real, build = analytic.delta_p_via_lp, analytic.build_delta_p_lp
     monkeypatch.setattr(analytic, "delta_p_via_lp",
                         lambda sysd, pid: solved.append(pid) or real(sysd, pid))
+    monkeypatch.setattr(analytic, "build_delta_p_lp",
+                        lambda sysd, pid: built.append(pid) or build(sysd, pid))
     for consistent in (False, True):
         sysd = random_system(SystemShape(1, 3, alphabet_size=3, consistent=consistent, seed=5))
         floors = {p.id: delta_p(sysd, p.id) for p in sysd.properties}
         assert floors["a1"] == real(sysd, "a1")
         assert all(floors[b].value == 0 for b in ("b1", "b2", "b3"))
+        assert delta0_present(sysd) == floors["a1"].value
     assert solved == ["a1", "a1"]
+    assert built == ["a1"] * 6  # twice by delta_p's, once by delta0_present's LP per system
+    # a +/-1 property in five contexts and a (0, 1) one in two take no LP
+    built.clear()
+    rng = random.Random(3)
+    for sysd in (_one_property([rough_pmf(rng, [PM]) for _ in range(5)]),
+                 _one_property([rough_pmf(rng, [(0, 1)]) for _ in range(2)])):
+        delta0_present(sysd)
+        delta_p(sysd, "p")
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# The integer connection reader against a Fraction reference and the LPs
+# ---------------------------------------------------------------------------
+
+EPSILON = F(1, 10 ** 40)
+
+
+def _one_property(pmfs) -> System:
+    """Property p observed alone in one context per pmf."""
+    contexts = [Context(f"c{i}", ("p",)) for i in range(len(pmfs))]
+    return System([Property("p", pmfs[0].alphabets[0])], contexts,
+                  {f"c{i}": pmf for i, pmf in enumerate(pmfs)})
+
+
+def _moved(pmf: Pmf) -> Pmf:
+    """`pmf` over one variable with EPSILON moved from its last symbol to its first."""
+    alpha = pmf.alphabets[0]
+    weights = {(s,): pmf[s] for s in alpha}
+    weights[alpha[0],] += EPSILON
+    weights[alpha[-1],] -= EPSILON
+    return Pmf([alpha], weights)
+
+
+def _reader_systems() -> list[System]:
+    rng = random.Random(41)
+    systems = []
+    for alpha in (PM, (0, 1), (0, 1, 2)):
+        # rough 2x2 paired systems, and a1 of a 1x3 one in three contexts
+        for m, n in ((2, 2), (2, 2), (1, 3)):
+            systems.append(_paired_system(m, n, alpha, lambda i, j: rough_pmf(rng, [alpha] * 2)))
+        # one property in one and two contexts, and two connections that
+        # agree but for EPSILON moved between two symbols
+        for k in (1, 2):
+            systems.append(_one_property([rough_pmf(rng, [alpha]) for _ in range(k)]))
+        base = rough_pmf(rng, [alpha])
+        systems.append(_one_property([base, _moved(base)]))
+    # a +/-1 property in one to five contexts: both median parities
+    for k in range(1, 6):
+        systems.append(_one_property([rough_pmf(rng, [PM]) for _ in range(k)]))
+    # one bunch with 2500-digit denominators
+    big = 10 ** 2499
+    huge = {(1, 1): F(1, big + 7), (1, -1): F(2, big + 9), (-1, 1): F(3, big + 13)}
+    huge[-1, -1] = 1 - sum(huge.values())
+    systems.append(_paired_system(2, 2, PM, lambda i, j: Pmf([PM, PM], huge) if i == j == 1
+                                  else rough_pmf(rng, [PM, PM])))
+    return systems
+
+
+def _reference(sysd: System, pid: str):
+    """pid's marginals by Pmf.marginal and, in Fraction arithmetic, its
+    delta_p closed form (None where delta_p needs its LP), 1 minus the
+    maximal coupling probability of its connection, and its largest
+    pairwise total variation distance."""
+    alpha = sysd.property(pid).alphabet
+    margs = [sysd.bunch(cid).marginal([sysd.context(cid).properties.index(pid)])
+             for cid in sysd.contexts_of[pid]]
+    w = [[m[s] for s in alpha] for m in margs]
+    unmatched = 1 - sum(map(min, *w)) if len(w) > 1 else F(0)
+    tv = max((1 - sum(map(min, a, b)) for a, b in itertools.combinations(w, 2)), default=F(0))
+    if is_plus_minus(alpha):
+        means = sorted(m[1] - m[-1] for m in margs)
+        floor = sum(abs(x - means[(len(means) - 1) // 2]) for x in means) / 2
+    else:
+        floor = unmatched if len(w) <= 2 else None
+    return margs, floor, unmatched, tv
+
+
+def test_integer_reader_matches_a_fraction_reference_and_the_lps():
+    lp_floors = 0
+    for sysd in _reader_systems():
+        report = consistency_report(sysd)
+        present = cbd = F(0)
+        for p in sysd.properties:
+            margs, floor, unmatched, tv = _reference(sysd, p.id)
+            assert connection_of(sysd, p.id).marginals == tuple(margs)
+            value = delta_p_via_lp(sysd, p.id).value
+            assert delta_p(sysd, p.id).value == value
+            assert floor in (None, value)
+            lp_floors += floor is None
+            if 1 < len(margs) <= 4:  # oracle.build_max_coupling_lp's cap
+                assert 1 + solve_certified(build_max_coupling_lp(margs)).objective == unmatched
+                assert tv == max(1 + solve_certified(build_max_coupling_lp(pair)).objective
+                                 for pair in itertools.combinations(margs, 2))
+            assert report.max_tv[p.id] == tv
+            present += value
+            cbd += unmatched
+        assert delta0_present(sysd) == present
+        assert delta0_cbd(sysd) == cbd
+        assert report.consistent == (not any(report.max_tv.values()))
+    assert lp_floors == 2  # a1 of the (0, 1) and three-symbol 1x3 systems
+
+
+@pytest.mark.parametrize("alpha", [PM, (0, 1), (0, 1, 2)])
+def test_connections_apart_by_epsilon_are_not_consistent(alpha):
+    base = rough_pmf(random.Random(len(alpha)), [alpha])
+    sysd = _one_property([base, _moved(base)])
+    report = consistency_report(sysd)
+    assert not report.consistent
+    assert report.max_tv == {"p": EPSILON}
+    assert delta0_cbd(sysd) == delta0_present(sysd) == delta_p(sysd, "p").value == EPSILON
+    assert max_coupling_probability(connection_of(sysd, "p").marginals) == 1 - EPSILON
 
 
 def test_median_binary_examples():

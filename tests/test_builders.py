@@ -564,6 +564,20 @@ def test_gate_bounds_the_whole_program(empty_cache, monkeypatch):
         build_lp(sysd, "cbd")
     monkeypatch.setattr(builders, "ATOM_CAP", 80)
     assert build_lp(sysd, "present").column_count == 80
+    # At the real caps, cbd over 10 binary pair contexts and over one binary
+    # property in 20 contexts has 2**20 columns, as many as the atom cap, but
+    # one nonzero per context in each; neither program is built.
+    monkeypatch.setattr(builders, "ATOM_CAP", 1 << 20)
+    monkeypatch.setattr(builders, "_cbd_template", None)
+    point = Pmf([PM, PM], {(1, 1): F(1)})
+    pairs = System([Property(f"p{k}", PM) for k in range(20)],
+                   [Context(f"c{k}", (f"p{2 * k}", f"p{2 * k + 1}")) for k in range(10)],
+                   {f"c{k}": point for k in range(10)})
+    single = System([Property("p", PM)], [Context(f"c{k}", ("p",)) for k in range(20)],
+                    {f"c{k}": Pmf([PM], {(1,): F(1)}) for k in range(20)})
+    for sysd, count in ((pairs, 10485760), (single, 20971520)):
+        with pytest.raises(AlphabetTooLarge, match=rf"^cbd program has {count} nonzeros \(cap 4194304\)$"):
+            build_lp(sysd, "cbd")
 
 
 def test_template_rows_are_read_only(empty_cache):

@@ -457,6 +457,18 @@ def test_cli_refuses_a_program_of_blocks_under_the_cap(tmp_path, capsys, monkeyp
     assert main(["approx", str(path), "--model", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.err == "error: fixed_model program has 3000000 columns (cap 1048576)\n"
+    # 20 binary properties in 10 pair contexts: the cbd program has 2**20
+    # columns, as many as the cap, and 10 485 760 nonzeros, above theirs.
+    monkeypatch.setattr(builders, "_cbd_template", refuse)
+    pairs = tmp_path / "pairs.system"
+    pairs.write_text("".join(f"property p{k} 1 -1\n" for k in range(20))
+                     + "".join(f"context c{k} p{2 * k} p{2 * k + 1}\nbunch c{k}\n1 1 1\n"
+                               for k in range(10)), encoding="utf-8")
+    assert main(["analyze", str(pairs), "--method", "cbd"]) == 3
+    captured = capsys.readouterr()
+    assert "error          : cbd program has 10485760 nonzeros (cap 4194304)" in \
+        captured.out.splitlines()
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_floor_above_the_optimum_is_a_certification_failure(monkeypatch, capsys):
