@@ -8,11 +8,13 @@ packaged example files (bundled:prbox, bundled:disjoint).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from io import StringIO
-from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .builders import build_lp, measure, problem_sizes
@@ -25,7 +27,7 @@ from .errors import (
 )
 from .examples import epr_model
 from .io import (
-    dump_lp,
+    _dump_lines,
     fmt_rational,
     parse_system,
     report_dict,
@@ -51,11 +53,14 @@ def _error_exit_code(exc: OSError | ContextualityError) -> int:
     return EXIT_VALIDATION
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
+    """Write ``lines`` to the file ``out_path``, or to stdout, 1024 at a
+    time as they are made: a dump is never held whole, and a text stream
+    takes lines one by one about twice as slowly."""
+    lines = iter(lines)
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as out:
+        while batch := "".join(itertools.islice(lines, 1024)):
+            out.write(batch)
 
 
 def _render(reports: list[dict], json_mode: bool) -> str:
@@ -96,7 +101,7 @@ def cmd_analyze(args) -> int:
             continue
         reports.append(report_dict(rep, time.monotonic() - t0,
                                    include_witness=args.witness))
-    _emit(_render(reports, args.json), args.out)
+    _emit([_render(reports, args.json)], args.out)
     return worst
 
 
@@ -136,7 +141,7 @@ def cmd_approx(args) -> int:
     extra["optimal_approximation"] = rep.noncontextual
     d = report_dict(rep, time.monotonic() - t0, extra=extra,
                     include_witness=args.witness)
-    _emit(_render([d], args.json), args.out)
+    _emit([_render([d], args.json)], args.out)
     if not args.json:
         print("approximation is", "optimal" if rep.noncontextual else "not optimal")
     return EXIT_OK
@@ -163,7 +168,7 @@ def cmd_dump_lp(args) -> int:
     method, *more = _methods(args.method)
     if more:
         raise ValidationError(f"dump-lp takes one method, got {_quoted(args.method)}")
-    _emit(dump_lp(build_lp(parse_system(resolve_input(args.path)), method)), args.out)
+    _emit(_dump_lines(build_lp(parse_system(resolve_input(args.path)), method)), args.out)
     return EXIT_OK
 
 

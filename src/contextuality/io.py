@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from .builders import MeasureReport
 from .errors import ParseError, ValidationError
@@ -201,20 +201,26 @@ def fmt_rational(v: Fraction) -> str:
 def dump_lp(lp: LinearProgram) -> str:
     """Serialize: header, variables in column order, nonzero cost entries,
     one line per nonzero matrix entry, nonzero right-hand sides."""
-    out = ["lp-dump 1", "minimize", f"vars {lp.column_count}"]
-    out.extend(f"var {name}" for name in lp.variables)
-    out.append(f"rows {lp.row_count}")
+    return "".join(_dump_lines(lp))
+
+
+def _dump_lines(lp: LinearProgram) -> Iterator[str]:
+    """The lines of dump_lp(lp), each with its newline, made one at a time,
+    so a dump can be written without holding it whole."""
+    yield from ("lp-dump 1\n", "minimize\n", f"vars {lp.column_count}\n")
+    for name in lp.variables:
+        yield f"var {name}\n"
+    yield f"rows {lp.row_count}\n"
     for j, c in enumerate(lp.cost):
         if c:
-            out.append(f"c {lp.variables[j]} {fmt_rational(c)}")
+            yield f"c {lp.variables[j]} {fmt_rational(c)}\n"
     for i, row in enumerate(lp.rows):
         for j in sorted(row):
-            out.append(f"a {i} {lp.variables[j]} {fmt_rational(row[j])}")
+            yield f"a {i} {lp.variables[j]} {fmt_rational(row[j])}\n"
     for i, b in enumerate(lp.rhs):
         if b:
-            out.append(f"rhs {i} {fmt_rational(b)}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+            yield f"rhs {i} {fmt_rational(b)}\n"
+    yield "end\n"
 
 
 def parse_lp(text: str) -> LinearProgram:

@@ -9,26 +9,35 @@ optimal basis, so optimality can be re-verified independently: primal
 feasibility, dual feasibility (y'A <= c'), and zero duality gap.
 
 One state object (Revised) holds the whole simplex state: the basis
-inverse B^-1, each row's entry of B^-1 b, and the basis.  Its rows, and
-the one cost row beside it, are lists of Python int numerators over one
-positive int denominator.  A pivot is one method of the state.  It
-updates the rows of B^-1 with a nonzero in the entering column (built
-from B^-1 and the program's columns) and their right-hand sides, adds
-the pivot row, a sum of the program's rows weighted by the pivot's row
-of B^-1, into the cost row, and updates the basis.  A row is brought to
-lowest terms when its denominator changes (the pivot row always is); an
-update that keeps the denominator takes no gcd.  Each entry of B^-1 b is
-a separate reduced (numerator, denominator) pair: the right-hand sides
-of this package's programs are probabilities, so a row holding its own
-would almost never have denominator 1, and without it the rows nearly
-always do.  An artificial column that leaves the basis never returns, so
-a cost row prices the original columns alone.  One reader, _prices,
-gives y' = c_B' B^-1 at a basis: every optimum's dual, its objective y'b,
-and through the one writer _cost_row every cost row c - y'A, where each
-phase or a template's start begins.  Both simplex loops return a status
-string.  The public API is Fraction end to end.  verify_certificate
-re-checks every optimum against the program alone, independently of the
-solver, in Python ints over common denominators.
+inverse B^-1, each row's entry of B^-1 b, and the basis.  Each row of B^-1
+is a dict of its nonzero columns and their Python int numerators, over one
+positive int denominator kept beside it, so a block-diagonal B^-1 costs
+its nonzeros, not m^2 entries; the one cost row beside the state is a
+list of n int numerators and its denominator last.  A pivot is one method
+of the state.  It updates the rows of B^-1 with a nonzero in the entering
+column (built from B^-1 and the program's columns) and their right-hand
+sides, adds the pivot row, a sum of the program's rows weighted by the
+pivot's row of B^-1, into the cost row, and updates the basis; an entry
+that becomes zero leaves its row.  A row is brought to lowest terms when
+its denominator changes (the pivot row always is); an update that keeps
+the denominator takes no gcd.  Each entry of B^-1 b is a separate reduced
+(numerator, denominator) pair: the right-hand sides of this package's
+programs are probabilities, so a row holding its own would almost never
+have denominator 1, and without it the rows nearly always do.  An
+artificial column that leaves the basis never returns, so a cost row
+prices the original columns alone.  One reader, _prices, gives
+y' = c_B' B^-1 at a basis: every optimum's dual, its objective y'b, and
+through the one writer _cost_row every cost row c - y'A, where each phase
+or a template's start begins.  Both simplex loops return a status string.
+
+The public API is Fraction end to end.  An optimum's primal and dual are
+read from the state as int vectors over one denominator each, x over xd
+and y over yd; the solution's Fractions are made from them, one per
+distinct value, and the solution keeps the vectors, private, for
+verify_certificate.  verify_certificate re-checks every optimum against
+the program alone, independently of the solver, in Python ints over
+common denominators: on those vectors when the solution has them, and on
+its scaled Fractions otherwise (copies, pickles, solutions made by hand).
 
 A program whose matrix does not depend on its data can be made from a
 template (``_Template``): names, costs and read-only rows checked once,
@@ -36,11 +45,14 @@ and a nonnegative start right-hand side; each call adds only its own
 right-hand side.  The template keeps two integer forms of its rows, each
 computed on first use: the solver's (each row's lcm, and the scaled rows
 by row and by column, with the scaled cost) and verify_certificate's own
-scaling of the rows, derived from the rows by its own code and never
-from the solver's form.  Its start, also filled on first use by _form, is
-the two-phase optimum at the start right-hand side (SolverError if there
-is none), a basis that stays dual feasible for every program of the
-template.  solve_exact starts there, takes B^-1 b from the program and
+scaling of the rows and columns, derived from the rows by its own code
+and never from the solver's form.  Its start, also filled on first use
+by _form, is the two-phase optimum at the start right-hand side
+(SolverError if there is none), a basis that stays dual feasible for
+every program of the template: its rows of B^-1 as read-only dicts,
+their denominators, the rows where each column of B^-1 is nonzero, and
+its cost row.  solve_exact copies the start's dicts and supports
+(dict.copy and set, no rebuilding), takes B^-1 b from the program and
 runs an exact dual simplex, so every solution depends on its program
 alone.  Every other program, copies and pickles included, and the
 start's own program solve by two phases from the artificial basis; both
@@ -113,8 +125,9 @@ def _check_rhs(rows, rhs) -> None:
 
 
 class _ReadOnlyRow(dict):
-    """A template's row: a dict whose mutating methods raise TypeError.
-    Its copies and pickles are plain dicts."""
+    """A template's row, or a row of B^-1 in its start: a dict whose
+    mutating methods raise TypeError.  Its copies and pickles are plain
+    dicts."""
 
     __slots__ = ()
 
@@ -128,11 +141,11 @@ class _ReadOnlyRow(dict):
         return dict, (dict(self),)
 
 
-# Where a Revised state starts, read-only: row i of M has counts[i]
-# nonzeros over dens[i], their positions (one int object per column) and
-# entries in turn from the flat sequences, and basic column basis[i]; cost
+# Where a Revised state starts, read-only: row i of M holds its nonzero
+# columns and their numerators in rows[i], over dens[i], and its basic column
+# is basis[i]; support[k] lists the rows where column k of M is nonzero; cost
 # is a template start's cost row, from _cost_row in _start; None for two phases.
-_Start = namedtuple("_Start", "positions entries counts dens basis cost")
+_Start = namedtuple("_Start", "rows dens support basis cost")
 
 
 class _Template:
@@ -184,7 +197,9 @@ class LpSolution:
     """Solver output; primal/dual/basis are populated only when optimal.
 
     ``basis`` lists the program's basic columns in increasing order; every
-    nonzero primal entry is in one of them.
+    nonzero primal entry is in one of them.  An optimum from solve_exact
+    also keeps the int vectors its primal and dual were made from, in a
+    private attribute that is not a field, for verify_certificate.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -192,6 +207,10 @@ class LpSolution:
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     basis: tuple[int, ...] | None = None
+
+    def __reduce__(self):
+        # Copies and pickles are plain solutions, checked from their Fractions.
+        return LpSolution, (self.status, self.objective, self.primal, self.dual, self.basis)
 
     def named_primal(self, lp: LinearProgram) -> dict[str, Fraction]:
         """Nonzero primal entries keyed by variable name, in column order.
@@ -207,50 +226,50 @@ class LpSolution:
 
 
 class Revised:
-    """The simplex state: the basis inverse as M = B^-1 D^-1, one list per
-    row, each row's entry of B^-1 b, and the basis.
+    """The simplex state: the basis inverse as M = B^-1 D^-1, one dict of
+    its nonzero columns and their numerators per row, each row's
+    denominator, each row's entry of B^-1 b, and the basis.
 
     D holds each row's lcm, so the solver form's integer rows are D A and
-    B^-1 A = M (D A).  The state starts at a ``_Start``'s basis and rows
-    of M: for two phases the artificial basis, whose column n + k is s_k
-    e_k with s_k the sign of b_k, so row i of M is s_i e_i over D_i; for
-    the dual simplex a template's start.  ``support[k]`` holds the rows
-    where column k of M is nonzero.  ``rhs[i]`` is row i's right-hand side,
-    taken from lp, as a reduced (numerator, positive denominator) pair, and
-    ``basis[i]`` the column basic in row i.  The entering column is a sum
-    of M's columns, weighted by the column form of D A.  The pivot row of
-    B^-1 A is a sum of the rows of D A weighted by the pivot's row of M; it
-    is never stored.  The one cost row, written at a basis by _cost_row,
-    is kept beside the state and takes the pivot row entry by entry.
+    B^-1 A = M (D A).  The state starts from a copy of a ``_Start``'s rows
+    of M, their denominators, supports and basis: for two phases the
+    artificial basis, whose column n + k is s_k e_k with s_k the sign of
+    b_k, so row i of M is {i: s_i} over D_i; for the dual simplex a
+    template's start.  ``support[k]`` holds the rows where column k of M is
+    nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
+    reduced (numerator, positive denominator) pair, and ``basis[i]`` the
+    column basic in row i.  The entering column is a sum of M's columns,
+    weighted by the column form of D A.  The pivot row of B^-1 A is a sum of
+    the rows of D A weighted by the pivot's row of M; it is never stored.
+    The one cost row, written at a basis by _cost_row, is kept beside the
+    state and takes the pivot row entry by entry.
     """
 
     def __init__(self, lp: LinearProgram, form, start: _Start):
         dens, self.by_row, self.by_column, _ = form
         self.n = lp.column_count
         self.basis = list(start.basis)
-        # Row i's entry of B^-1 b = M D b is M_i . D b over its denominator.
-        bd = lcm(*(b.denominator for b in lp.rhs))
-        db = [d * b.numerator * (bd // b.denominator) for d, b in zip(dens, lp.rhs)]
+        self.rows = list(map(dict.copy, start.rows))  # plain dicts, also of read-only rows
+        self.dens = list(start.dens)
+        self.support = list(map(set, start.support))
+        # Row i's entry of B^-1 b = M D b is M_i . D b over its denominator,
+        # summed down the columns of M where D b is nonzero.
+        bd, b = _scaled(lp.rhs)
+        db = list(map(operator.mul, dens, b))
         self.db = db, bd  # y'b is y . db over yd * bd
-        self.rows, self.rhs = [], []
-        self.support = support = [set() for _ in dens]
-        positions, entries = iter(start.positions), iter(start.entries)
-        for i, (count, den) in enumerate(zip(start.counts, start.dens)):
-            row = [0] * len(dens)
-            row.append(den)
-            num = 0
-            # islice first, so zip stops there without taking an extra entry.
-            for k, v in zip(itertools.islice(positions, count), entries):
-                row[k] = v
-                support[k].add(i)
-                num += v * db[k]
-            self.rows.append(row)
+        nums = [0] * len(db)
+        for k in itertools.compress(range(len(db)), db):
+            v = db[k]
+            for i in self.support[k]:
+                nums[i] += self.rows[i][k] * v
+        self.rhs = []
+        for num, den in zip(nums, self.dens):
             den *= bd
             g = gcd(num, den)
             self.rhs.append((num // g, den // g))
 
     def column(self, j: int) -> list[int]:
-        """Column j of B^-1 A, entry i over rows[i][-1]."""
+        """Column j of B^-1 A, entry i over dens[i]."""
         rows, support = self.rows, self.support
         out = [0] * len(rows)
         plus, minus, other = self.by_column[j]
@@ -266,8 +285,8 @@ class Revised:
         return out
 
     def row(self, i: int) -> list[int]:
-        """Row i of B^-1 A, times a positive number, in its first n entries."""
-        out = [0] * (self.n + 1)
+        """Row i of B^-1 A, times a positive number."""
+        out = [0] * self.n
         self._subtract(out, -1, self.rows[i])
         return out
 
@@ -281,34 +300,34 @@ class Revised:
         Every other row becomes row/d - (f/d) * mrow/pd, with f its entry
         in the column, and d and pd the rows' denominators, and its
         right-hand side b_i becomes b_i - (f/d) * b_leave.  Every
-        right-hand side is left in lowest terms.
+        right-hand side is left in lowest terms.  An entry that becomes
+        zero leaves its row's dict and its column's support.
         """
-        rows, support, rhs = self.rows, self.support, self.rhs
+        rows, dens, support, rhs = self.rows, self.dens, self.support, self.rhs
         mrow = rows[leave]
-        piv = column[leave]
-        # Dividing by piv/d leaves the numerators over piv and scales b by d/piv.
+        pd = column[leave]
+        # Dividing by pd/d leaves the numerators over pd and scales b by d/pd.
         bn, bd = rhs[leave]
-        bn *= mrow[-1]
-        bd *= piv
-        mrow[-1] = piv
-        if piv < 0:
-            mrow[:] = [-v for v in mrow]
-            bn, bd = -bn, -bd
-        if mrow[-1] != 1:
-            g = gcd(*mrow)
+        bn *= dens[leave]
+        bd *= pd
+        if pd < 0:
+            mrow = {k: -v for k, v in mrow.items()}
+            pd, bn, bd = -pd, -bn, -bd
+        if pd != 1:
+            g = gcd(pd, *mrow.values())
             if g != 1:
-                mrow[:] = [v // g for v in mrow]
+                mrow = {k: v // g for k, v in mrow.items()}
+                pd //= g
+        rows[leave], dens[leave] = mrow, pd
         g = gcd(bn, bd)
         bn, bd = bn // g, bd // g
         rhs[leave] = (bn, bd)
-        nz = list(itertools.compress(range(len(mrow) - 1), mrow))
-        pd = mrow[-1]
-        entries = [(k, mrow[k], support[k]) for k in nz]
+        entries = mrow.items()
         for i in itertools.compress(range(len(column)), column):
             if i == leave:
                 continue
             row = rows[i]
-            f, d = column[i], row[-1]
+            f, d = column[i], dens[i]
             if bn:  # b_i - (f/d) * bn/bd, with d the row's denominator before the update
                 cn, cd = rhs[i]
                 num, den = cn * d * bd - f * bn * cd, cd * d * bd
@@ -317,28 +336,28 @@ class Revised:
             if f % pd:  # the row is rescaled by s = pd / gcd(f, pd) > 1
                 g = gcd(f, pd)
                 s, t = pd // g, f // g
-                row[:] = [v * s - t * p for v, p in zip(row, mrow)]
-                row[-1] = d * s
-                # mrow is in lowest terms and s divides pd, so no prime of s
-                # divides every new entry: a common factor must divide d.
-                if d != 1:
-                    g = gcd(d, *row)
-                    if g != 1:
-                        row[:] = [v // g for v in row]
-                for k, _, sup in entries:
-                    if row[k]:
-                        sup.add(i)
-                    else:
-                        sup.discard(i)
-            else:  # the denominator stays: no gcd, and the supports follow
-                t = f // pd
-                for k, p, sup in entries:
-                    v = row[k]
-                    row[k] = w = v - t * p
-                    if not w:
-                        sup.discard(i)
-                    elif not v:
-                        sup.add(i)
+                row = {k: v * s for k, v in row.items()}
+                den = d * s
+            else:  # the denominator stays, and no gcd is taken
+                t, den = f // pd, d
+            for k, p in entries:  # the supports follow
+                if k not in row:
+                    row[k] = -t * p
+                    support[k].add(i)
+                elif w := row[k] - t * p:
+                    row[k] = w
+                else:
+                    del row[k]
+                    support[k].discard(i)
+            # mrow is in lowest terms and s divides pd, so no prime of s
+            # divides every entry of a rescaled row: a common factor must
+            # divide d.
+            if den != d and d != 1:
+                g = gcd(d, *row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
+                    den //= g
+            rows[i], dens[i] = row, den
         # The cost row becomes (cost * s - t * mrow (D A)) / (d * s)
         # and is then brought to lowest terms.
         if cost is not None and (f := cost[enter]):
@@ -357,9 +376,10 @@ class Revised:
         """Run simplex iterations until optimal or unbounded (Bland's rule):
         the first original column with a negative entry of ``cost_row``
         enters."""
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+        dens, rhs, basis = self.dens, self.rhs, self.basis
         while True:
-            enter = next((j for j in range(self.n) if cost_row[j] < 0), -1)
+            # (0).__gt__(v) is v < 0
+            enter = next(itertools.compress(range(self.n), map((0).__gt__, cost_row)), -1)
             if enter < 0:
                 return "optimal"
             column = self.column(enter)
@@ -371,7 +391,7 @@ class Revised:
                 a = column[i]
                 if a > 0:
                     bn, bd = rhs[i]
-                    num, den = bn * rows[i][-1], bd * a
+                    num, den = bn * dens[i], bd * a
                     lhs, r = num * best_d, best_n * den
                     if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
                         leave, best_n, best_d = i, num, den
@@ -413,12 +433,12 @@ class Revised:
             run = run + 1 if best_d == 0 else 0
             self.pivot(leave, enter, self.column(enter), cost_row)
 
-    def _subtract(self, row: list[int], t: int, mrow: list[int]) -> None:
-        """row -= t * mrow (D A) in place; entries of mrow past the m-th
-        are unused."""
+    def _subtract(self, row: list[int], t: int, mrow: Mapping[int, int]) -> None:
+        """row -= t * mrow (D A) in place, for a row of M given as a map
+        from its columns to their numerators."""
         by_row = self.by_row
-        for k in itertools.compress(range(len(by_row)), mrow):
-            c = t * mrow[k]
+        for k, v in mrow.items():
+            c = t * v
             plus, minus, other = by_row[k]
             for j in plus:
                 row[j] -= c
@@ -460,7 +480,8 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised]:
 
     # Sign-normalize so every right-hand side is nonnegative.
     sign = [1 if b >= 0 else -1 for b in lp.rhs]
-    state = Revised(lp, form, _Start(range(m), sign, (1,) * m, dens, range(n, n + m), None))
+    state = Revised(lp, form, _Start([{i: s} for i, s in enumerate(sign)], dens,
+                                     [(i,) for i in range(m)], range(n, n + m), None))
 
     # Phase one minimizes the artificial mass, each artificial at cost 1;
     # one that leaves the basis is dropped.
@@ -474,7 +495,7 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised]:
     for i in range(m):
         if state.basis[i] >= n:
             row = state.row(i)
-            enter = next((j for j in range(n) if row[j]), -1)
+            enter = next(itertools.compress(range(n), row), -1)
             if enter >= 0:
                 state.pivot(i, enter, state.column(enter), None)
 
@@ -497,36 +518,54 @@ def _cost_row(state: Revised, cost: Sequence[int], den: int, artificial: int = 0
     return row
 
 
-def _prices(state: Revised, cost: Sequence[int], artificial: int = 0) -> tuple[list[int], int]:
+def _prices(state: Revised, cost: Sequence[int], artificial: int = 0) -> tuple[dict, int]:
     """y' = c_B' B^-1 = c_B' M D at the state's basis as (y, yd), y' = y D / yd:
-    y sums the basic rows of M weighted by their nonzero costs (``cost`` for an
-    original column, zero if it is empty, ``artificial`` for the others) over
-    the lcm yd of their denominators."""
-    basic = [(c, row) for bi, row in zip(state.basis, state.rows)
+    y, a map from row to numerator, sums the basic rows of M weighted by their
+    nonzero costs (``cost`` for an original column, zero if it is empty,
+    ``artificial`` for the others) over the lcm yd of their denominators."""
+    basic = [(c, row, den) for bi, row, den in zip(state.basis, state.rows, state.dens)
              if (c := artificial if bi >= state.n else cost[bi] if cost else 0)]
-    yd = lcm(*(row[-1] for _, row in basic))
-    y = [0] * len(state.rows)
-    for c, row in basic:
-        c *= yd // row[-1]
-        for k in itertools.compress(range(len(y)), row):
-            y[k] += c * row[k]
+    yd = lcm(*(den for _, _, den in basic))
+    y: dict[int, int] = {}
+    for c, row, den in basic:
+        c *= yd // den
+        for k, v in row.items():
+            y[k] = y.get(k, 0) + c * v
     return y, yd
 
 
 def _solution(state: Revised, form) -> LpSolution:
-    """The optimum at the state's basis, its objective read as y'b."""
-    n = state.n
+    """The optimum at the state's basis, its objective read as y'b.
+
+    The primal is read from the state's integers as x over xd and the dual
+    as y over yd, each one int vector over one common denominator.  Their
+    nonzero entries become Fractions, one per distinct value, and the
+    solution keeps the vectors, private, for verify_certificate."""
+    n, m = state.n, len(state.rows)
     dens, _, _, (cost_den, cost) = form
-    primal = [Fraction(0)] * n
-    for (bn, bd), bi in zip(state.rhs, state.basis):
-        if bi < n:
-            primal[bi] = Fraction(bn, bd)
-    y, yd = _prices(state, cost)
+    zero = Fraction(0)
+    basic = [(bi, bn, bd) for bi, (bn, bd) in zip(state.basis, state.rhs) if bi < n and bn]
+    xd = lcm(*(bd for _, _, bd in basic))
+    x, primal, made = [0] * n, [zero] * n, {}
+    for bi, bn, bd in basic:
+        x[bi] = v = bn * (xd // bd)
+        if (f := made.get(v)) is None:
+            f = made[v] = Fraction(bn, bd)
+        primal[bi] = f
+    prices, yd = _prices(state, cost)
     yd *= cost_den
+    y, dual, made = [0] * m, [zero] * m, {}
+    for k, v in prices.items():
+        if v:
+            y[k] = v = v * dens[k]
+            if (f := made.get(v)) is None:
+                f = made[v] = Fraction(v, yd)
+            dual[k] = f
     db, bd = state.db
-    return LpSolution("optimal", Fraction(sum(map(operator.mul, y, db)), yd * bd), tuple(primal),
-                      tuple(Fraction(v * d, yd) for v, d in zip(y, dens)),
-                      tuple(sorted(b for b in state.basis if b < n)))
+    sol = LpSolution("optimal", Fraction(sum(v * db[k] for k, v in prices.items()), yd * bd),
+                     tuple(primal), tuple(dual), tuple(sorted(b for b in state.basis if b < n)))
+    object.__setattr__(sol, "_integers", (xd, x, yd, y))
+    return sol
 
 
 def _start(lp: LinearProgram) -> _Start:
@@ -539,14 +578,10 @@ def _start(lp: LinearProgram) -> _Start:
     status, state = _two_phase(lp, form)
     if status != "optimal":
         raise SolverError(f"a template's start program is {status}")
-    rows = [row[:-1] for row in state.rows]
-    columns = tuple(range(len(rows)))
     cost_den, cost = form[3]
-    return _Start(
-        tuple(itertools.chain(*(itertools.compress(columns, r) for r in rows))),
-        tuple(itertools.chain(*(itertools.compress(r, r) for r in rows))),
-        tuple(len(r) - r.count(0) for r in rows), tuple(row[-1] for row in state.rows),
-        tuple(state.basis), tuple(_cost_row(state, cost, cost_den)))
+    return _Start(tuple(map(_ReadOnlyRow, state.rows)), tuple(state.dens),
+                  tuple(map(tuple, state.support)), tuple(state.basis),
+                  tuple(_cost_row(state, cost, cost_den)))
 
 
 def solve_exact(lp: LinearProgram) -> LpSolution:
@@ -586,35 +621,49 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> bool:
 
     True iff the primal satisfies Ax = b and x >= 0, the dual satisfies
     y'A <= c' componentwise, and y'b = c'x = objective, all in exact
-    arithmetic.  Any violation returns False.  Each side of every check
-    is a Python int over a common denominator (the lcm of the x, y and
-    matrix denominators), so no Fraction is built per term.
+    arithmetic.  Any violation returns False.  The check runs on ints:
+    x over xd and y over yd, each one vector over one common denominator;
+    the matrix, by rows and by columns, and the costs as
+    _certificate_matrix scales them, from the program alone and never from
+    the solver's form; and the right-hand side, read once, over its lcm.
+    A solution from solve_exact hands over its x, xd, y and yd; any other
+    solution (a copy, a pickle, one made by dataclasses.replace or by hand)
+    has its Fractions scaled here, so the verdict is the same either way.
     """
     if sol.status != "optimal" or sol.primal is None or sol.dual is None:
         return False
     n, m = lp.column_count, lp.row_count
     if len(sol.primal) != n or len(sol.dual) != m or sol.objective is None:
         return False
-    xd, x = _scaled(sol.primal)
-    if any(v < 0 for v in x):
+    integers = getattr(sol, "_integers", None)
+    if integers is None:
+        (xd, x), (yd, y) = _scaled(sol.primal), _scaled(sol.dual)
+    else:
+        xd, x, yd, y = integers
+    if min(x, default=0) < 0:
         return False
-    yd, y = _scaled(sol.dual)
-    ad, matrix, (cd, c) = _form(lp, "certificate", _certificate_matrix)
-    # Ax = b row by row (each row's sum is over ad * xd), while y'A
-    # accumulates over ad * yd.
+    ad, rows, columns, (cd, c) = _form(lp, "certificate", _certificate_matrix)
+    bd, b = _scaled(lp.rhs)
+    # Ax = b over ad * xd, summed down the columns where x is nonzero.
+    ax = [0] * m
+    for j in itertools.compress(range(n), x):
+        xj = x[j]
+        for i, a in columns[j]:
+            ax[i] += a * xj
+    adx = ad * xd
+    if [v * bd for v in ax] != [bi * adx for bi in b]:
+        return False
+    # y'A <= c', y'A summed along the rows where y is nonzero, over ad * yd.
     pulled = [0] * n
-    for (cols, nums), b, yi in zip(matrix, lp.rhs, y):
-        total = sum(map(operator.mul, nums, map(x.__getitem__, cols)))
-        if total * b.denominator != b.numerator * ad * xd:
-            return False
+    for (cols, nums), yi in zip(rows, y):
         if yi:
             for j, a in zip(cols, nums):
                 pulled[j] += yi * a
-    if any(p * cd > cj * ad * yd for p, cj in zip(pulled, c)):
+    ady = ad * yd
+    if any(map(operator.gt, [p * cd for p in pulled], [cj * ady for cj in c])):
         return False
-    bd, b = _scaled(lp.rhs)
-    primal_obj = sum(cj * xj for cj, xj in zip(c, x))  # over cd * xd
-    dual_obj = sum(yi * bi for yi, bi in zip(y, b))  # over yd * bd
+    primal_obj = sum(map(operator.mul, c, x))  # over cd * xd
+    dual_obj = sum(map(operator.mul, y, b))  # over yd * bd
     obj = sol.objective
     return (primal_obj * obj.denominator == obj.numerator * cd * xd
             and dual_obj * obj.denominator == obj.numerator * yd * bd)
@@ -624,19 +673,23 @@ _numerator = operator.attrgetter("numerator")
 
 
 def _certificate_matrix(lp: LinearProgram):
-    """The rows over one common denominator ad, as (ad, [(columns, entries
-    times ad)]), and the cost as (lcm, scaled entries).  Derived from the
-    program alone, not from the solver's form."""
+    """The matrix over one common denominator ad, as (ad, rows, columns),
+    each row as (its columns, its entries times ad) and each column as its
+    (row, entry times ad) pairs, and the cost as (lcm, scaled entries).
+    Derived from the program alone, not from the solver's form."""
     ad = lcm(*(v.denominator for row in lp.rows for v in row.values()))
-    matrix = []
+    rows = []
+    columns: list[list] = [[] for _ in range(lp.column_count)]
     shared: dict[tuple, tuple] = {}  # rows with equal entries share one tuple
-    for row in lp.rows:
+    for i, row in enumerate(lp.rows):
         values = row.values()
         nums = tuple(map(_numerator, values) if ad == 1 else
                      (v.numerator * (ad // v.denominator) for v in values))
-        matrix.append((tuple(row), shared.setdefault(nums, nums)))
+        rows.append((tuple(row), shared.setdefault(nums, nums)))
+        for j, a in zip(row, nums):
+            columns[j].append((i, a))
     cd, c = _scaled(lp.cost)
-    return ad, tuple(matrix), (cd, tuple(c))
+    return ad, tuple(rows), tuple(map(tuple, columns)), (cd, tuple(c))
 
 
 def _scaled(values) -> tuple[int, list[int]]:

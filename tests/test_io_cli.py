@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from contextuality import builders, cli
 from contextuality import io as io_module
 from contextuality.analytic import build_delta_p_lp, coupling_mismatch_lp
-from contextuality.builders import build_fixed_model_lp, measure
+from contextuality.builders import build_fixed_model_lp, build_lp, measure
 from contextuality.cli import main
 from contextuality.errors import (
     CertificationFailure,
@@ -599,6 +600,36 @@ def test_cli_dump_lp_round_trip(tmp_path, capsys):
     from contextuality.io import dump_lp
 
     assert dump_lp(lp) == text
+
+
+class _Discard:
+    """A text sink that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _peak_bytes(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_lp_is_written_as_it_is_made(monkeypatch):
+    # dump-lp writes its lines in batches as they are made, so writing 2x3
+    # cbd's dump (4096 columns) peaks below half the dump's length, where
+    # writing it as one string peaks above its whole length.
+    lp = build_lp(random_system(SystemShape(2, 3, seed=0)), "cbd")
+    assert lp.column_count == 4096
+    text = dump_lp(lp)
+    assert "".join(io_module._dump_lines(lp)) == text
+    monkeypatch.setattr("sys.stdout", _Discard())
+    streamed = _peak_bytes(lambda: cli._emit(io_module._dump_lines(lp), None))
+    whole = _peak_bytes(lambda: cli._emit([dump_lp(lp)], None))
+    assert streamed < len(text) / 2 < len(text) < whole
 
 
 def test_cli_approx_epr_self(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -10,15 +11,17 @@ from reference_simplex import reference_dual_solve, reference_solve, reference_v
 from contextuality import lp as lp_module
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp, measure
-from contextuality.errors import DimensionMismatch, ParseError, SolverError
+from contextuality.errors import CertificationFailure, DimensionMismatch, ParseError, SolverError
 from contextuality.io import dump_lp, parse_lp
 from contextuality.lp import (
     LinearProgram,
+    LpSolution,
     solve_certified,
     solve_exact,
     verify_certificate,
 )
 from contextuality.oracle import SystemShape, cyclic_system, random_system
+from contextuality.system import Context, Pmf, Property, System
 
 
 def lp_of(names, cost, rows, rhs):
@@ -592,3 +595,99 @@ def test_dual_simplex_switches_to_blands_rule(monkeypatch):
     monkeypatch.setattr(lp_module, "_DEGENERATE_RUN", 1)
     switched = [assert_dual_matches_reference(lp, 1) for lp in programs]
     assert switched != default
+
+
+# The integer hand-off from the solver to the certificate check
+# ---------------------------------------------------------------------------
+
+def _optima():
+    """(program, optimum) for every optimum of the small programs and of the
+    builder programs, each from its template and as a plain copy."""
+    built = [build_lp(sysd, method, model=model)
+             for sysd, method, model in (p.values for p in _builder_programs())]
+    for lp in [*_small_programs(), *built, *map(copy.copy, built)]:
+        sol = solve_exact(lp)
+        if sol.status == "optimal":
+            yield lp, sol
+
+
+def test_solutions_hand_their_integers_to_the_certificate_check():
+    # A solution from solve_exact keeps the ints it was made from; they are
+    # its Fractions exactly, and a copy by dataclasses.replace, which has
+    # only the Fractions, gets the same verdict.
+    count = 0
+    for lp, sol in _optima():
+        count += 1
+        xd, x, yd, y = sol._integers
+        assert tuple(F(v, xd) for v in x) == sol.primal
+        assert tuple(F(v, yd) for v in y) == sol.dual
+        rebuilt = LpSolution(sol.status, sol.objective, sol.primal, sol.dual, sol.basis)
+        assert sol == rebuilt and repr(sol) == repr(rebuilt)
+        plain = dataclasses.replace(sol)
+        assert not hasattr(plain, "_integers")
+        assert verify_certificate(lp, sol) and verify_certificate(lp, plain)
+    assert count >= 90
+
+
+def test_copies_and_pickles_of_a_solution_verify():
+    for lp, sol in _optima():
+        for other in (copy.copy(sol), pickle.loads(pickle.dumps(sol))):
+            assert other == sol and not hasattr(other, "_integers")
+            assert verify_certificate(lp, other)
+
+
+def test_a_dual_entry_moved_by_one_fails_certification(monkeypatch):
+    # The solver's own integers are checked: a dual entry moved by one in
+    # _prices moves the objective y'b away from c'x.
+    prices = lp_module._prices
+    programs = [build_lp(sysd, method, model=model)
+                for sysd, method, model in (p.values for p in _builder_programs())]
+    for lp in programs:
+        solve_certified(lp)  # the template's start is made with the true prices
+    for lp in programs:
+        dens, _, _, (cost_den, _) = lp_module._form(lp, "solver", lp_module._solver_form)
+        k = next(k for k, b in enumerate(lp.rhs) if b and dens[k] == 1)
+
+        def moved(state, cost, artificial=0):
+            y, yd = prices(state, cost, artificial)
+            return {**y, k: y.get(k, 0) + yd * cost_den}, yd
+
+        monkeypatch.setattr(lp_module, "_prices", moved)
+        with pytest.raises(CertificationFailure):
+            solve_certified(lp)
+        monkeypatch.setattr(lp_module, "_prices", prices)
+        assert verify_certificate(lp, solve_certified(lp))
+
+
+def test_a_warm_solve_keeps_only_the_nonzeros_of_its_basis_inverse(monkeypatch):
+    # fixed_model over 256 one-property binary contexts: 1024 rows, from a
+    # cached template.  B^-1 is block diagonal, so a warm solve stores at
+    # most 4 entries per row of M, and every stored entry is nonzero and in
+    # its column's support.
+    props = [Property(f"p{i}", (1, -1)) for i in range(256)]
+    contexts = [Context(f"c{i}", (f"p{i}",)) for i in range(256)]
+
+    def system(weight):
+        return System(props, contexts, {
+            f"c{i}": Pmf([(1, -1)], {(1,): weight(i), (-1,): 1 - weight(i)})
+            for i in range(256)})
+
+    lp = build_lp(system(lambda i: F(i % 7 + 1, 9)), "fixed_model",
+                  model=system(lambda i: F(1, 2)).bunches)
+    assert lp.row_count == 1024 and lp._template is not None
+    states = []
+    solution = lp_module._solution
+    monkeypatch.setattr(lp_module, "_solution",
+                        lambda state, form: states.append(state) or solution(state, form))
+    solve_exact(lp)  # the start's two phases, then the dual simplex
+    states.clear()
+    sol = solve_certified(lp)
+    (state,) = states
+    m = lp.row_count
+    assert sum(map(len, state.rows)) <= 4 * m
+    assert all(all(row.values()) for row in state.rows)
+    assert [sorted(s) for s in state.support] == [
+        sorted(i for i, row in enumerate(state.rows) if k in row) for k in range(m)]
+    plain = solve_exact(copy.copy(lp))
+    assert (sol.status, sol.objective) == (plain.status, plain.objective)
+    assert verify_certificate(lp, sol)
