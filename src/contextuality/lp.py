@@ -20,10 +20,14 @@ sides, adds the pivot row, a sum of the program's rows weighted by the
 pivot's row of B^-1, into the cost row, and updates the basis; an entry
 that becomes zero leaves its row.  A row is brought to lowest terms when
 its denominator changes (the pivot row always is); an update that keeps
-the denominator takes no gcd.  Each entry of B^-1 b is a separate reduced
-(numerator, denominator) pair: the right-hand sides of this package's
-programs are probabilities, so a row holding its own would almost never
-have denominator 1, and without it the rows nearly always do.  An
+the denominator takes no gcd.  Row i's entry of B^-1 b is one int, the
+row's numerators dotted with the right-hand side scaled to ints, over the
+row's denominator times that scale.  A pivot gives it exactly the row's
+own operations, each exact because every gcd of a row's entries divides
+it, and no gcd is ever taken for it or includes it: the right-hand sides
+of this package's programs are probabilities, so a row reduced together
+with its entry of B^-1 b would almost never have denominator 1, and
+without it the rows nearly always do.  An
 artificial column that leaves the basis never returns, so a cost row
 prices the original columns alone.  One reader, _prices, gives
 y' = c_B' B^-1 at a basis: every optimum's dual, its objective y'b, and
@@ -236,13 +240,14 @@ class Revised:
     artificial basis, whose column n + k is s_k e_k with s_k the sign of
     b_k, so row i of M is {i: s_i} over D_i; for the dual simplex a
     template's start.  ``support[k]`` holds the rows where column k of M is
-    nonzero.  ``rhs[i]`` is row i's right-hand side, taken from lp, as a
-    reduced (numerator, positive denominator) pair, and ``basis[i]`` the
-    column basic in row i.  The entering column is a sum of M's columns,
-    weighted by the column form of D A.  The pivot row of B^-1 A is a sum of
-    the rows of D A weighted by the pivot's row of M; it is never stored.
-    The one cost row, written at a basis by _cost_row, is kept beside the
-    state and takes the pivot row entry by entry.
+    nonzero.  ``rhs[i]`` is the int M_i . (D b), row i's entry of B^-1 b
+    over dens[i] * bd, with D b over bd (``db``) taken from lp; it is never
+    reduced on its own.  ``basis[i]`` is the column basic in row i.  The
+    entering column is a sum of M's columns, weighted by the column form of
+    D A.  The pivot row of B^-1 A is a sum of the rows of D A weighted by
+    the pivot's row of M; it is never stored.  The one cost row, written at
+    a basis by _cost_row, is kept beside the state and takes the pivot row
+    entry by entry.
     """
 
     def __init__(self, lp: LinearProgram, form, start: _Start):
@@ -252,21 +257,15 @@ class Revised:
         self.rows = list(map(dict.copy, start.rows))  # plain dicts, also of read-only rows
         self.dens = list(start.dens)
         self.support = list(map(set, start.support))
-        # Row i's entry of B^-1 b = M D b is M_i . D b over its denominator,
-        # summed down the columns of M where D b is nonzero.
+        # rhs[i] = M_i . D b, summed down the columns of M where D b is nonzero.
         bd, b = _scaled(lp.rhs)
         db = list(map(operator.mul, dens, b))
         self.db = db, bd  # y'b is y . db over yd * bd
-        nums = [0] * len(db)
+        self.rhs = rhs = [0] * len(db)
         for k in itertools.compress(range(len(db)), db):
             v = db[k]
             for i in self.support[k]:
-                nums[i] += self.rows[i][k] * v
-        self.rhs = []
-        for num, den in zip(nums, self.dens):
-            den *= bd
-            g = gcd(num, den)
-            self.rhs.append((num // g, den // g))
+                rhs[i] += self.rows[i][k] * v
 
     def column(self, j: int) -> list[int]:
         """Column j of B^-1 A, entry i over dens[i]."""
@@ -298,48 +297,42 @@ class Revised:
 
         Row ``leave`` is divided by its entry and brought to lowest terms.
         Every other row becomes row/d - (f/d) * mrow/pd, with f its entry
-        in the column, and d and pd the rows' denominators, and its
-        right-hand side b_i becomes b_i - (f/d) * b_leave.  Every
-        right-hand side is left in lowest terms.  An entry that becomes
-        zero leaves its row's dict and its column's support.
+        in the column, and d and pd the rows' denominators.  Each rhs[i]
+        stays the int M_i . (D b): it takes its row's sign flip, scaling,
+        subtraction and divisions, all exact, since a gcd of a row's
+        entries divides it.  An entry that becomes zero leaves its row's
+        dict and its column's support.
         """
         rows, dens, support, rhs = self.rows, self.dens, self.support, self.rhs
         mrow = rows[leave]
         pd = column[leave]
-        # Dividing by pd/d leaves the numerators over pd and scales b by d/pd.
-        bn, bd = rhs[leave]
-        bn *= dens[leave]
-        bd *= pd
+        # Dividing by pd/d leaves the numerators over pd.
+        r = rhs[leave]
         if pd < 0:
             mrow = {k: -v for k, v in mrow.items()}
-            pd, bn, bd = -pd, -bn, -bd
+            pd, r = -pd, -r
         if pd != 1:
             g = gcd(pd, *mrow.values())
             if g != 1:
                 mrow = {k: v // g for k, v in mrow.items()}
                 pd //= g
-        rows[leave], dens[leave] = mrow, pd
-        g = gcd(bn, bd)
-        bn, bd = bn // g, bd // g
-        rhs[leave] = (bn, bd)
+                r //= g
+        rows[leave], dens[leave], rhs[leave] = mrow, pd, r
         entries = mrow.items()
         for i in itertools.compress(range(len(column)), column):
             if i == leave:
                 continue
             row = rows[i]
             f, d = column[i], dens[i]
-            if bn:  # b_i - (f/d) * bn/bd, with d the row's denominator before the update
-                cn, cd = rhs[i]
-                num, den = cn * d * bd - f * bn * cd, cd * d * bd
-                g = gcd(num, den)
-                rhs[i] = (num // g, den // g)
             if f % pd:  # the row is rescaled by s = pd / gcd(f, pd) > 1
                 g = gcd(f, pd)
                 s, t = pd // g, f // g
                 row = {k: v * s for k, v in row.items()}
                 den = d * s
+                b = rhs[i] * s - t * r
             else:  # the denominator stays, and no gcd is taken
                 t, den = f // pd, d
+                b = rhs[i] - t * r
             for k, p in entries:  # the supports follow
                 if k not in row:
                     row[k] = -t * p
@@ -357,7 +350,8 @@ class Revised:
                 if g != 1:
                     row = {k: v // g for k, v in row.items()}
                     den //= g
-            rows[i], dens[i] = row, den
+                    b //= g
+            rows[i], dens[i], rhs[i] = row, den, b
         # The cost row becomes (cost * s - t * mrow (D A)) / (d * s)
         # and is then brought to lowest terms.
         if cost is not None and (f := cost[enter]):
@@ -376,25 +370,23 @@ class Revised:
         """Run simplex iterations until optimal or unbounded (Bland's rule):
         the first original column with a negative entry of ``cost_row``
         enters."""
-        dens, rhs, basis = self.dens, self.rhs, self.basis
+        rhs, basis = self.rhs, self.basis
         while True:
             # (0).__gt__(v) is v < 0
             enter = next(itertools.compress(range(self.n), map((0).__gt__, cost_row)), -1)
             if enter < 0:
                 return "optimal"
             column = self.column(enter)
-            # Row i's ratio is (bn/bd) / (a/d) = (bn*d) / (bd*a); rows compare
-            # by cross-multiplying (a > 0 and bd > 0 on candidates).
+            # Row i's ratio is (rhs[i] / (d bd)) / (a / d) = rhs[i] / (bd a);
+            # rows compare by cross-multiplying (a > 0 on candidates).
             leave = -1
-            best_n = best_d = 0
+            best_r = best_a = 0
             for i in itertools.compress(range(len(column)), column):
                 a = column[i]
                 if a > 0:
-                    bn, bd = rhs[i]
-                    num, den = bn * dens[i], bd * a
-                    lhs, r = num * best_d, best_n * den
+                    lhs, r = rhs[i] * best_a, best_r * a
                     if leave < 0 or lhs < r or (lhs == r and basis[i] < basis[leave]):
-                        leave, best_n, best_d = i, num, den
+                        leave, best_r, best_a = i, rhs[i], a
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter, column, cost_row)
@@ -409,17 +401,17 @@ class Revised:
         the negative row of lowest basis index (Bland's rule, which cannot
         cycle).  The column with the smallest d_j / -a_j enters, the lowest
         j among equal ones."""
-        rhs, basis = self.rhs, self.basis
+        rhs, dens, basis = self.rhs, self.dens, self.basis
         run = 0
         while True:
             leave = -1
-            for i, (bn, bd) in enumerate(rhs):
+            for i, bn in enumerate(rhs):
                 if bn < 0:
                     # d has the sign of row i's value less the leaving row's.
                     d = -1 if leave < 0 else 0 if run >= _DEGENERATE_RUN else (
-                        bn * least_d - least_n * bd)
+                        bn * least_d - least_n * dens[i])
                     if d < 0 or (d == 0 and basis[i] < basis[leave]):
-                        leave, least_n, least_d = i, bn, bd
+                        leave, least_n, least_d = i, bn, dens[i]
             if leave < 0:
                 return "optimal"
             row = self.row(leave)
@@ -505,7 +497,7 @@ def _two_phase(lp: LinearProgram, form) -> tuple[str, Revised]:
 
 def _stuck(state: Revised) -> bool:
     """Whether a basic artificial has a nonzero value, so no x >= 0 solves the rows."""
-    return any(bi >= state.n and b[0] for bi, b in zip(state.basis, state.rhs))
+    return any(bi >= state.n and b for bi, b in zip(state.basis, state.rhs))
 
 
 def _cost_row(state: Revised, cost: Sequence[int], den: int, artificial: int = 0) -> list[int]:
@@ -544,13 +536,16 @@ def _solution(state: Revised, form) -> LpSolution:
     n, m = state.n, len(state.rows)
     dens, _, _, (cost_den, cost) = form
     zero = Fraction(0)
-    basic = [(bi, bn, bd) for bi, (bn, bd) in zip(state.basis, state.rhs) if bi < n and bn]
-    xd = lcm(*(bd for _, _, bd in basic))
+    db, bd = state.db
+    basic = [(bi, bn, den) for bi, bn, den in zip(state.basis, state.rhs, state.dens)
+             if bi < n and bn]
+    xl = lcm(*(den for _, _, den in basic))
+    xd = xl * bd
     x, primal, made = [0] * n, [zero] * n, {}
-    for bi, bn, bd in basic:
-        x[bi] = v = bn * (xd // bd)
+    for bi, bn, den in basic:
+        x[bi] = v = bn * (xl // den)
         if (f := made.get(v)) is None:
-            f = made[v] = Fraction(bn, bd)
+            f = made[v] = Fraction(v, xd)
         primal[bi] = f
     prices, yd = _prices(state, cost)
     yd *= cost_den
@@ -561,7 +556,6 @@ def _solution(state: Revised, form) -> LpSolution:
             if (f := made.get(v)) is None:
                 f = made[v] = Fraction(v, yd)
             dual[k] = f
-    db, bd = state.db
     sol = LpSolution("optimal", Fraction(sum(v * db[k] for k, v in prices.items()), yd * bd),
                      tuple(primal), tuple(dual), tuple(sorted(b for b in state.basis if b < n)))
     object.__setattr__(sol, "_integers", (xd, x, yd, y))

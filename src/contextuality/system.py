@@ -54,9 +54,12 @@ ZERO = Fraction(0)
 def as_fraction(x: RationalLike) -> Fraction:
     """Convert exactly; accepts Fraction, int, and 'num/den' or decimal strings.
 
-    The package's one reader of rationals from text.  Fraction computes
-    10**exponent without a bound, so a decimal exponent of magnitude 4300
-    (Python's default int-digit limit) or more is refused.
+    The package's one reader of rationals from text.  Fraction's grammar
+    differs by Python version (underscores from 3.11, spaces around the
+    slash from 3.12), so a string with an underscore, or with whitespace
+    between its first and last character, is refused on every version.
+    Fraction computes 10**exponent without a bound, so a decimal exponent
+    of magnitude 4300 (Python's default int-digit limit) or more is refused.
     """
     if isinstance(x, Fraction):
         return x
@@ -66,6 +69,8 @@ def as_fraction(x: RationalLike) -> Fraction:
         )
     try:
         if isinstance(x, str):
+            if "_" in x or len(x.split()) > 1:
+                raise ValueError(x)
             _, e, exponent = x.lower().partition("e")
             if e and abs(int(exponent)) >= 4300:
                 raise ValidationError(f"refusing {_quoted(x)}: exponent of magnitude 4300 or more")

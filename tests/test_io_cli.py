@@ -1,6 +1,7 @@
 import decimal
 import json
 import os
+import re
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -184,6 +185,31 @@ def test_rationals_from_text_refuse_huge_exponents(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"error: line 4: bad probability '{text}'\n"
     assert main(["approx", "bundled:prbox", "--epr", "--angles", f"{text},0;90"]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad --angles '{text},0;90'")
+
+
+@pytest.mark.parametrize("text", ["1_0/2_0", "0.5_0", "5_0e-2_0", "1 / 2", "1/ 2", "1\t/2"])
+def test_rationals_from_text_take_one_grammar(tmp_path, capsys, text):
+    # Fraction reads underscores from Python 3.11 on and spaces around the
+    # slash from 3.12 on; every version refuses both.
+    with pytest.raises(ValidationError, match="^not a rational number: "):
+        as_fraction(text)
+    assert as_fraction(f" {F(1, 2)}\n") == F(1, 2)  # surrounding whitespace is read
+    one_token = len(text.split()) == 1
+    system = f"property p 1 -1\ncontext c p\nbunch c\n1 {text}\n-1 1/2\n"
+    message = (f"bad probability {text!r}" if one_token
+               else "expected 1 symbols and a probability")
+    with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+        parse_system_text(system)
+    tokens = " ".join(text.split())
+    message = f"bad rational {text!r}" if one_token else f"unrecognized line 'rhs 0 {tokens}'"
+    with pytest.raises(ParseError, match=f"^line 8: {re.escape(message)}$"):
+        parse_lp(LP_TEXT.format(text))
+    path = tmp_path / "grammar.system"
+    path.write_text(system, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: ")
+    assert main(["approx", "bundled:prbox", "--epr", "--angles", f"{text},0;90"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad --angles {text + ',0;90'!r}")
 
 
 def test_string_symbols_round_trip():

@@ -7,11 +7,13 @@ from unittest import mock
 
 import pytest
 from reference_simplex import reference_dual_solve, reference_solve, reference_verify_certificate
+from rough import rough_pmf
 
 from contextuality import lp as lp_module
 from contextuality.analytic import build_delta_p_lp
 from contextuality.builders import build_lp, measure
 from contextuality.errors import CertificationFailure, DimensionMismatch, ParseError, SolverError
+from contextuality.examples import _paired_system
 from contextuality.io import dump_lp, parse_lp
 from contextuality.lp import (
     LinearProgram,
@@ -456,7 +458,20 @@ def _builder_programs():
                 yield pytest.param(sysd, method, model, id=label)
 
 
-@pytest.mark.parametrize("sysd,method,model", _builder_programs())
+def _rough_programs():
+    """Paired systems over rough_pmf, whose right-hand sides have a large
+    lcm, each method with a consistently connected model (cbd is left out
+    for the reference's time)."""
+    for (m, n), methods in (((2, 2), ("present", "np_inside", "fixed_model")),
+                            ((2, 3), ("present",))):
+        rng = random.Random(m * n)
+        sysd = _paired_system(m, n, (1, -1), lambda i, j: rough_pmf(rng, [(1, -1)] * 2))
+        model = random_system(SystemShape(m, n, consistent=True, seed=1)).bunches
+        for method in methods:
+            yield pytest.param(sysd, method, model, id=f"{method}-{m}x{n}-rough")
+
+
+@pytest.mark.parametrize("sysd,method,model", [*_builder_programs(), *_rough_programs()])
 def test_builder_programs_match_reference(sysd, method, model):
     # A plain copy has no template, so it solves by two phases.
     assert_matches_reference(copy.copy(build_lp(sysd, method, model=model)))
@@ -572,7 +587,8 @@ def assert_dual_matches_reference(lp, degenerate_run):
     return path
 
 
-@pytest.mark.parametrize("sysd,method,model", [*_builder_programs(), *_cyclic_programs()])
+@pytest.mark.parametrize("sysd,method,model",
+                         [*_builder_programs(), *_rough_programs(), *_cyclic_programs()])
 def test_dual_simplex_matches_reference(sysd, method, model):
     lp = build_lp(sysd, method, model=model)
     assert assert_dual_matches_reference(lp, lp_module._DEGENERATE_RUN) is not None
